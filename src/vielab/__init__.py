@@ -47,7 +47,6 @@ from .coupled import (
 from .spectral import (
     ClusterReport,
     FredholmVerdict,
-    SpectrumReport,
     a_to_sigma,
     condition_sweep,
     detect_clusters,

@@ -65,19 +65,6 @@ def _masked(domain: DomainGeometry, fn: Callable[[np.ndarray], np.ndarray]):
     return evaluate
 
 
-def _masked_vec(domain: DomainGeometry, fn: Callable[[np.ndarray], np.ndarray]):
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(fn(pts), dtype=complex)
-        out[~domain.contains(pts)] = 0.0
-        return out
-    return evaluate
-
-
-def _zero_scalar(points: np.ndarray) -> np.ndarray:
-    return np.zeros(len(np.atleast_2d(points)), dtype=complex)
-
-
 def constant_a(domain: DomainGeometry, k: complex, a_inside: complex,
                k2_inside: Optional[complex] = None) -> CoefficientField:
     """Piecewise-constant medium: a = a_inside, k^2 = k2_inside in the domain.
@@ -91,7 +78,7 @@ def constant_a(domain: DomainGeometry, k: complex, a_inside: complex,
         domain=domain, k=complex(k), tag=tag,
         alpha=_masked(domain, lambda p: np.full(len(p), alpha_val, dtype=complex)),
         beta=_masked(domain, lambda p: np.full(len(p), beta_val, dtype=complex)),
-        grad_alpha=_masked_vec(domain, lambda p: np.zeros((len(p), p.shape[1]), dtype=complex)),
+        grad_alpha=_masked(domain, lambda p: np.zeros((len(p), p.shape[1]), dtype=complex)),
     )
 
 
@@ -124,7 +111,7 @@ def smooth_bump_a(domain: DomainGeometry, k: complex, amplitude: complex,
         domain=domain, k=complex(k), tag="globally-smooth",
         alpha=_masked(domain, alpha),
         beta=_masked(domain, lambda p: np.zeros(len(p), dtype=complex)),
-        grad_alpha=_masked_vec(domain, grad),
+        grad_alpha=_masked(domain, grad),
     )
 
 
@@ -151,7 +138,7 @@ def beta_only(domain: DomainGeometry, k: complex, amplitude: complex,
         domain=domain, k=complex(k), tag="laplace-case",
         alpha=_masked(domain, lambda p: np.zeros(len(p), dtype=complex)),
         beta=_masked(domain, beta),
-        grad_alpha=_masked_vec(domain, lambda p: np.zeros((len(p), p.shape[1]), dtype=complex)),
+        grad_alpha=_masked(domain, lambda p: np.zeros((len(p), p.shape[1]), dtype=complex)),
     )
 
 
@@ -171,5 +158,5 @@ def linear_a(domain: DomainGeometry, k: complex, a0: complex,
         domain=domain, k=complex(k), tag="piecewise-smooth",
         alpha=_masked(domain, lambda p: a0 - 1.0 + p @ g),
         beta=_masked(domain, lambda p: np.zeros(len(p), dtype=complex)),
-        grad_alpha=_masked_vec(domain, lambda p: np.tile(g, (len(p), 1))),
+        grad_alpha=_masked(domain, lambda p: np.tile(g, (len(p), 1))),
     )

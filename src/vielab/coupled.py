@@ -36,10 +36,17 @@ For conditioning, the raw nodal matrix mixes unknowns with different
 quadrature measures; ``quadrature_weighted_matrix`` applies the
 similarity that makes the Euclidean norm approximate the
 L2(volume) x L2(boundary) norms (eigenvalues are unchanged).
+
+Reuse: the trace, double layer and K blocks do not depend on the
+coefficient. They are built once per (grid, mesh, params, variant) and
+cached read-only, keyed on the grid and mesh objects like the kernel
+matrices behind A1; the coefficient enters each system only as diagonal
+scalings of these blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Tuple
@@ -47,7 +54,7 @@ from typing import Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from .boundary import double_layer_matrix, trace_matrix
+from .boundary import assemble_K, double_layer_matrix, trace_matrix
 from .coefficients import CoefficientField
 from .geometry import BoundaryMesh, VolumeGrid
 from .special import WaveParameters
@@ -66,7 +73,9 @@ class CoupledOperator:
     ``matrix`` is ordered volume unknowns first, then boundary unknowns.
     ``boundary_K`` is the realization of K used in the boundary row
     (``variant`` records which); ``a1``, ``dl``, ``trace_op`` expose the
-    blocks for structural experiments.
+    blocks for structural experiments. ``dl``, ``trace_op`` and
+    ``boundary_K`` are shared by every system assembled on the same
+    discretization and are read-only.
     """
 
     matrix: np.ndarray
@@ -123,6 +132,20 @@ def assemble_A1(grid: VolumeGrid, params: WaveParameters,
     return DenseOperator(mat, centers, centers)
 
 
+@functools.lru_cache(maxsize=2)
+def _coefficient_free_blocks(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
+                             boundary_operator: str):
+    """Dense trace (M, N), double layer (N, M) and K (M, M), shared (hence
+    read-only) by every coupled system assembled on this discretization."""
+    t_mat = trace_matrix(grid, mesh).toarray()
+    dl = double_layer_matrix(mesh, params, grid.centers, near_distance=0.5 * grid.h)
+    k_mat = (0.5 * np.eye(mesh.m, dtype=np.complex128) + t_mat @ dl
+             if boundary_operator == "trace-consistent" else assemble_K(mesh, params).matrix)
+    for block in (t_mat, dl, k_mat):
+        block.setflags(write=False)
+    return t_mat, dl, k_mat
+
+
 def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
                      coeffs: CoefficientField,
                      boundary_operator: str = "trace-consistent") -> CoupledOperator:
@@ -135,17 +158,11 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     """
     if boundary_operator not in ("trace-consistent", "nystrom"):
         raise ValueError(f"unknown boundary operator {boundary_operator!r}")
-    t_mat = trace_matrix(grid, mesh).toarray()
-    dl = double_layer_matrix(mesh, params, grid.centers, near_distance=0.5 * grid.h)
+    t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
     a1 = assemble_A1(grid, params, coeffs).matrix
     alpha_nodes = coeffs.alpha(mesh.nodes)
     a_nodes = 1.0 + alpha_nodes
     a_cells = 1.0 + coeffs.alpha(grid.centers)
-    if boundary_operator == "trace-consistent":
-        k_mat = 0.5 * np.eye(mesh.m, dtype=np.complex128) + t_mat @ dl
-    else:
-        from .boundary import assemble_K
-        k_mat = assemble_K(mesh, params).matrix
 
     b11 = a1 + np.diag(a_cells)
     b12 = dl * alpha_nodes[None, :]

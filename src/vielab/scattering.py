@@ -13,7 +13,7 @@ flux a du/dr across the interface, one 2x2 system per angular mode.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,6 +201,7 @@ class MieSeries:
     orders: int
     b_coeffs: np.ndarray  # index m + orders, m = -orders..orders
     c_coeffs: np.ndarray
+    truncated: bool = False  # order cap reached before the tail met tail_tol
 
     def _polar(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -292,7 +293,8 @@ def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
     Interior medium: coefficient ``a_in`` and squared wavenumber
     ``k2_in`` (effective interior wavenumber sqrt(k2_in / a_in)).
     Truncation grows until the last mode's contribution drops below
-    ``tail_tol`` relative to the leading one.
+    ``tail_tol`` relative to the leading one, or until the order passes
+    200; the latter logs a warning and sets ``truncated``.
     """
     if params.dimension != 2:
         raise ValueError("the transmission series is two-dimensional")
@@ -326,6 +328,10 @@ def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
         if tail < tail_tol or orders > 200:
             break
         orders += 4
+    truncated = not tail < tail_tol
+    if truncated:
+        logger.warning("transmission series truncated at %d orders (kR=%.3g): "
+                       "last-mode tail %.2e above %.1e", orders, abs(kr), tail, tail_tol)
     ms = np.arange(-orders, orders + 1)
     b = np.empty(len(ms), dtype=complex)
     c = np.empty(len(ms), dtype=complex)
@@ -333,7 +339,8 @@ def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
         b[i], c[i] = solve_mode(int(m))
     logger.debug("transmission series: %d modes, kR=%.3g", orders, abs(kr))
     return MieSeries(radius=float(radius), k=k, a_in=a_in, kappa=kappa,
-                     direction=d, orders=orders, b_coeffs=b, c_coeffs=c)
+                     direction=d, orders=orders, b_coeffs=b, c_coeffs=c,
+                     truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -121,18 +121,3 @@ def greens_gradient(params: WaveParameters, x):
         radial = -0.25j * k * _sp.hankel1(1, k * r)
     out = radial[..., None] * pts / r[..., None]
     return out[0] if single else out
-
-
-def double_layer_kernel(params: WaveParameters, x: np.ndarray, y: np.ndarray,
-                        normal_y: np.ndarray) -> np.ndarray:
-    """Normal derivative d/dn(y) G_k(x - y) of the fundamental solution.
-
-    This is the double layer kernel; with this orientation the interior
-    trace of the double layer potential D satisfies gamma(D phi) =
-    -phi/2 + K phi, where K is the on-boundary operator.
-
-    All of ``x``, ``y``, ``normal_y`` broadcast as (..., d) stacks.
-    """
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    grad = greens_gradient(params, diff)
-    return -np.sum(grad * np.asarray(normal_y, dtype=float), axis=-1)

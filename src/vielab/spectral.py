@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 
 from .coefficients import CoefficientField, constant_a
+from .coupled import assemble_coupled, quadrature_weighted_matrix
 from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid
 from .special import WaveParameters
 from .volume import DenseOperator
@@ -96,20 +97,6 @@ class FredholmVerdict:
     @property
     def fredholm(self) -> bool:
         return self.condition_i and self.condition_ii
-
-
-@dataclass
-class SpectrumReport:
-    """Eigenvalues with certified residuals plus optional diagnostics."""
-
-    label: str
-    eigenvalues: np.ndarray
-    residuals: np.ndarray
-    size: int
-    clusters: Optional[ClusterReport] = None
-    predicted_clusters: Optional[np.ndarray] = None
-    verdict: Optional[FredholmVerdict] = None
-    notes: List[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +341,23 @@ def condition_estimate(matrix: np.ndarray, iters: int = 20, restarts: int = 3,
             best = max(best, np.sqrt(s))
         return best
 
-    norm = power(lambda v: matrix.conj().T @ (matrix @ v))
-    inv_norm = power(lambda v: sla.lu_solve(lu, sla.lu_solve(lu, v), trans=2))
+    adjoint = matrix.conj().T
+    norm = power(lambda v: adjoint @ (matrix @ v))
+    inv_norm = power(lambda v: sla.lu_solve(lu, sla.lu_solve(lu, v, check_finite=False),
+                                            trans=2, check_finite=False))
     if not (np.isfinite(norm) and np.isfinite(inv_norm)):
         return float("inf")
     return float(norm * inv_norm)
+
+
+def _instrument(domain: DomainGeometry, params: WaveParameters, n_per_axis: int,
+                boundary_nodes: Optional[int]) -> Callable[[CoefficientField], np.ndarray]:
+    """The spectral instrument on one grid and mesh, built once: a map from
+    coefficient fields to quadrature-weighted Nystrom coupled matrices."""
+    grid = build_volume_grid(domain, n_per_axis)
+    mesh = build_boundary_mesh(domain, boundary_nodes or 4 * n_per_axis)
+    return lambda coeffs: quadrature_weighted_matrix(
+        assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom"))
 
 
 def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
@@ -374,11 +373,7 @@ def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
     value (the mask-restricted difference symbol detunes at high grid
     frequencies).
     """
-    from .coupled import assemble_coupled, quadrature_weighted_matrix
-    grid = build_volume_grid(domain, n_per_axis)
-    mesh = build_boundary_mesh(domain, boundary_nodes or 4 * n_per_axis)
-    system = assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom")
-    return quadrature_weighted_matrix(system)
+    return _instrument(domain, params, n_per_axis, boundary_nodes)(coeffs)
 
 
 def condition_sweep(domain: DomainGeometry, params: WaveParameters,
@@ -392,13 +387,16 @@ def condition_sweep(domain: DomainGeometry, params: WaveParameters,
     comparison isolates the coefficient's effect; the breakdown
     signature is monotone growth as the boundary value approaches the
     image of the essential set. Singular assemblies report inf.
+
+    The grid and mesh are built once, so the coefficient-free blocks are
+    built once per (grid, mesh, params, variant); each value costs only
+    their diagonal scalings, one LU and the power iterations.
     """
+    matrix = _instrument(domain, params, n_per_axis, boundary_nodes)
     out = []
     for a_val in a_values:
         coeffs = constant_a(domain, params.k, a_val, k2_inside)
-        matrix = spectral_operator_matrix(domain, params, coeffs, n_per_axis,
-                                          boundary_nodes)
-        cond = condition_estimate(matrix, rng=rng)
+        cond = condition_estimate(matrix(coeffs), rng=rng)
         logger.debug("condition sweep: a=%s cond=%.3e", a_val, cond)
         out.append((complex(a_val), cond))
     return out

@@ -171,7 +171,8 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
     """Pairwise quadrature matrices (G-kernel, then d gradient kernels).
 
     Entries carry the cell volume; diagonals hold the self-cell
-    correction (G) and zero (gradient components).
+    correction (G) and zero (gradient components). The cached matrices
+    are shared by every caller and are read-only.
     """
     n, d = grid.n, grid.dimension
     w = grid.cell_volume
@@ -194,12 +195,14 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
         gvec[self_mask] = 0.0
         for c in range(d):
             grads[c][i0:i1] = gvec[..., c]
+    for mat in (gm, *grads):
+        mat.setflags(write=False)
     return gm, tuple(grads)
 
 
 @functools.lru_cache(maxsize=8)
 def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
-    """FFTs of the sampled kernel tables on the zero-padded offset grid."""
+    """FFTs of the sampled kernel tables on the zero-padded offset grid (read-only)."""
     d = grid.dimension
     pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
     offs = []
@@ -219,6 +222,8 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
     gvec[origin] = 0.0
     g_hat = sfft.fftn(g_tab.reshape(pshape))
     grad_hats = tuple(sfft.fftn(gvec[:, c].reshape(pshape)) for c in range(d))
+    for table in (g_hat, *grad_hats):
+        table.setflags(write=False)
     return pshape, g_hat, grad_hats
 
 

@@ -77,6 +77,19 @@ class TestAssembleCoupled:
         expected = 0.5 * np.diag(np.full(mesh.m, 3.0)) + alpha * system.boundary_K
         assert np.array_equal(system.block(1, 1), expected)
 
+    @pytest.mark.parametrize("variant", ["trace-consistent", "nystrom"])
+    def test_coefficient_free_blocks_shared_and_read_only(self, setup32, params_k1,
+                                                          unit_disc, variant):
+        grid, mesh, cf = setup32
+        system = assemble_coupled(grid, mesh, params_k1, cf, variant)
+        other = assemble_coupled(grid, mesh, params_k1,
+                                 constant_a(unit_disc, params_k1.k, -0.5), variant)
+        for name in ("dl", "trace_op", "boundary_K"):
+            block = getattr(system, name)
+            assert getattr(other, name) is block
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+
     def test_solvability_smoke(self, setup32, params_k1):
         grid, mesh, cf = setup32
         system = assemble_coupled(grid, mesh, params_k1, cf)

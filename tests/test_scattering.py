@@ -183,6 +183,13 @@ class TestMieSeries:
         assert np.allclose(mie_rot.total_field(pts @ rot.T), mie_ref.total_field(pts),
                            atol=1e-12)
 
+    @pytest.mark.parametrize("k, truncated", [(195.0, True), (150.0, False)])
+    def test_order_cap_flags_truncation(self, k, truncated, caplog):
+        # a = 2, k_in^2 = 2 k^2: interior wavenumber k; 150 converges in 198 orders
+        mie = mie_reference_disc(1.0, WaveParameters(k, 2), 2.0, 2.0 * k * k)
+        assert mie.truncated is truncated
+        assert ("truncated" in caplog.text) is truncated
+
     def test_zero_interior_coefficient_rejected(self, params_k1):
         with pytest.raises(ValueError, match="nonzero"):
             mie_reference_disc(1.0, params_k1, 0.0, 1.0)

@@ -151,6 +151,35 @@ class TestConditionSweep:
         assert all(np.isfinite(conds))
         assert conds[0] < conds[1] < conds[2] < conds[3]
 
+    def test_sweep_equals_per_value_loop_bit_for_bit(self, unit_disc, params_k1):
+        values = [-3.0, -1.3, -1.05, -0.9, 2.0]
+        records = condition_sweep(unit_disc, params_k1, values, n_per_axis=12,
+                                  rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        assert [a for a, _ in records] == values
+        for a_val, (_, cond) in zip(values, records):
+            cf = constant_a(unit_disc, params_k1.k, a_val)
+            matrix = spectral_operator_matrix(unit_disc, params_k1, cf, 12)
+            assert cond == condition_estimate(matrix, rng=rng)
+
+    def test_sweep_builds_coefficient_free_blocks_once(self, unit_disc, params_k1,
+                                                        monkeypatch):
+        import vielab.coupled
+        from vielab.volume import kernel_matrices
+        built = []
+        double_layer_matrix = vielab.coupled.double_layer_matrix
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return double_layer_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(vielab.coupled, "double_layer_matrix", counted)
+        misses = kernel_matrices.cache_info().misses
+        condition_sweep(unit_disc, params_k1, [-3.0, -2.0, -1.5, -1.2, -0.5],
+                        n_per_axis=12)
+        assert kernel_matrices.cache_info().misses == misses + 1
+        assert len(built) == 1
+
     def test_estimator_matches_dense_condition(self, rng):
         m = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
         est = condition_estimate(m, rng=np.random.default_rng(7))

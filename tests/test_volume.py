@@ -17,7 +17,14 @@ from vielab import (
     operator_norm_estimate,
     smooth_bump_a,
 )
-from vielab.volume import DenseOperator, discrete_laplacian, grad_field, self_cell_weight
+from vielab.volume import (
+    DenseOperator,
+    discrete_laplacian,
+    fft_kernel_tables,
+    grad_field,
+    kernel_matrices,
+    self_cell_weight,
+)
 
 
 def bump_density(points, rho=0.8):
@@ -150,6 +157,16 @@ class TestApplyA:
         gx, gy = grad_field(disc_grid_32, u)
         assert np.allclose(gx, 1.0, atol=1e-10)
         assert np.allclose(gy, 2.0, atol=1e-10)
+
+
+class TestCachedKernels:
+    def test_cached_arrays_are_read_only(self, params_k1):
+        grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
+        gm, grads = kernel_matrices(grid, params_k1)
+        _, g_hat, grad_hats = fft_kernel_tables(grid, params_k1)
+        for arr in (gm, *grads, g_hat, *grad_hats):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.0
 
 
 class TestDenseAssembly:
