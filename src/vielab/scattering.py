@@ -22,7 +22,7 @@ from scipy import special as _sp
 from .coefficients import CoefficientField
 from .geometry import VolumeGrid
 from .special import WaveParameters, greens_value
-from .volume import _check_field, grad_field
+from .volume import _check_field, _contrast_sources, _sum_at_targets
 
 logger = logging.getLogger(__name__)
 
@@ -285,6 +285,16 @@ def _dh(m: int, z) -> np.ndarray:
     return 0.5 * (_sp.hankel1(m - 1, z) - _sp.hankel1(m + 1, z))
 
 
+def _log_derivative_j(m: int, z) -> complex:
+    """J'_m(z) / J_m(z) = m/z - J_{m+1}(z)/J_m(z), the ratio by its continued
+    fraction, so it stays finite where J_m(z) underflows (same for -m)."""
+    m = abs(m)
+    ratio = 0j
+    for j in range(m + 64 + int(abs(z)), m, -1):
+        ratio = 1.0 / (2.0 * j / z - ratio)
+    return m / z - ratio
+
+
 def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
                        k2_in: complex, direction: Sequence[float] = (1.0, 0.0),
                        tail_tol: float = 1e-12) -> MieSeries:
@@ -316,6 +326,10 @@ def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
         mat = np.array([[hm, -jq], [k * dhm, -a_in * kappa * djq]], dtype=complex)
         rhs = -(1j ** m) * np.array([jm, k * djm], dtype=complex)
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        if abs(det) < 1e-300 and abs(jq) < np.finfo(float).tiny:
+            # J_m(kappa R) underflows: solve for b_m and c_m J_m(kappa R); drop c_m
+            mat[:, 1] = -1.0, -a_in * kappa * _log_derivative_j(m, qr)
+            return complex(np.linalg.solve(mat, rhs)[0]), 0j
         if abs(det) < 1e-300:
             raise ArithmeticError(f"singular transmission system at mode {m}")
         sol = np.linalg.solve(mat, rhs)
@@ -359,21 +373,5 @@ def extend_solution(grid: VolumeGrid, params: WaveParameters,
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if np.any(grid.domain.contains(targets)):
         raise ValueError("extension targets must lie outside the scatterer")
-    alpha = coeffs.alpha(grid.centers)
-    beta = coeffs.beta(grid.centers)
-    grad_src = [alpha * g for g in grad_field(grid, u)]
-    scalar_src = beta * u
-    w = grid.cell_volume
     out = np.asarray(incident(targets), dtype=np.complex128).reshape(len(targets)).copy()
-    chunk = max(1, int(2**23 // max(grid.n, 1)))
-    from .special import greens_gradient
-    for t0 in range(0, len(targets), chunk):
-        t1 = min(len(targets), t0 + chunk)
-        diff = targets[t0:t1, None, :] - grid.centers[None, :, :]
-        r = np.linalg.norm(diff, axis=-1)
-        out[t0:t1] += (w * greens_value(params, r)) @ scalar_src
-        gvec = greens_gradient(params, diff.reshape(-1, grid.dimension))
-        gvec = gvec.reshape(t1 - t0, grid.n, grid.dimension)
-        for comp in range(grid.dimension):
-            out[t0:t1] += (w * gvec[..., comp]) @ grad_src[comp]
-    return out
+    return _sum_at_targets(grid, params, targets, out, _contrast_sources(grid, coeffs, u))

@@ -25,10 +25,12 @@ equivalent disc vanishes by symmetry). grad u uses centered second-order
 differences inside the mask and one-sided first-order differences at
 mask-boundary cells.
 
-Application routes: direct summation via cached pairwise kernel
-matrices (O(N^2)), or zero-padded FFT circular convolution with sampled
-kernel tables (d+1 scalar convolutions, O(N log N)); both share the
-identical quadrature weights, so they agree to rounding.
+Application routes: the kernels, which depend only on the integer
+offset between cells, are sampled once on the zero-padded offset grid.
+That one table feeds all three consumers: FFT circular convolution
+(d+1 scalar convolutions, O(N log N)), and the direct route and dense
+assemblies, whose pairwise matrices are gathered from it by coordinate
+differences. The routes share identical weights by construction.
 """
 
 from __future__ import annotations
@@ -166,107 +168,130 @@ def _neighbor_index(grid: VolumeGrid, axis: int, step: int) -> np.ndarray:
     return np.where(valid, idx, -1)
 
 
+def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
+    """``(pshape, (G, grad G_1, ..., grad G_d))``: the kernels times the cell
+    volume at every offset of the zero-padded grid (wrapped past the grid
+    extent), with the self-cell weight and zero at the origin."""
+    pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
+    offs = [np.where(np.arange(pc) < nc, np.arange(pc), np.arange(pc) - pc) * grid.h
+            for nc, pc in zip(grid.shape, pshape)]
+    mesh = np.meshgrid(*offs, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)  # (P, d)
+    r = np.linalg.norm(pts, axis=1)
+    origin = r == 0.0
+    w = grid.cell_volume
+    g_tab = w * greens_value(params, np.where(origin, grid.h, r))
+    g_tab[origin] = self_cell_weight(params, grid.h)
+    gvec = w * greens_gradient(params, np.where(origin[:, None], grid.h, pts))
+    gvec[origin] = 0.0
+    return pshape, (g_tab.reshape(pshape),
+                    *(gvec[:, c].reshape(pshape) for c in range(grid.dimension)))
+
+
 @functools.lru_cache(maxsize=2)
 def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
     """Pairwise quadrature matrices (G-kernel, then d gradient kernels).
 
-    Entries carry the cell volume; diagonals hold the self-cell
-    correction (G) and zero (gradient components). The cached matrices
+    Entry (i, j) is gathered from the offset table the FFT route
+    transforms, at offset coords_i - coords_j: entries carry the cell
+    volume, diagonals the self-cell correction (G) and zero (gradient
+    components). Capped at ``DENSE_CAP`` unknowns. The cached matrices
     are shared by every caller and are read-only.
     """
-    n, d = grid.n, grid.dimension
-    w = grid.cell_volume
-    ws = self_cell_weight(params, grid.h)
-    centers = grid.centers
-    gm = np.empty((n, n), dtype=np.complex128)
-    grads = [np.empty((n, n), dtype=np.complex128) for _ in range(d)]
-    chunk = max(1, int(2**24 // max(n, 1)))
+    n = grid.n
+    if n > DENSE_CAP:
+        raise ValueError(f"dense kernel matrices capped at {DENSE_CAP} unknowns (N = {n})")
+    pshape, tables = _kernel_tables(grid, params)
+    # On the unwrapped offsets 1-s..s-1 per axis, the flat index of
+    # coords_i - coords_j is pos_i - pos_j + (index of the center).
+    unwrap = np.ix_(*[np.arange(1 - nc, nc) % pc for nc, pc in zip(grid.shape, pshape)])
+    tables = [tab[unwrap].ravel() for tab in tables]
+    pos = np.ravel_multi_index(tuple(grid.coords.T), tuple(2 * nc - 1 for nc in grid.shape))
+    mats = [np.empty((n, n), dtype=np.complex128) for _ in tables]
+    chunk = max(1, int(2**22 // max(n, 1)))
     for i0 in range(0, n, chunk):
-        i1 = min(n, i0 + chunk)
-        diff = centers[i0:i1, None, :] - centers[None, :, :]  # (B, n, d)
-        r = np.linalg.norm(diff, axis=-1)
-        self_mask = r < 1e-9 * grid.h
-        r_safe = np.where(self_mask, grid.h, r)
-        block = w * greens_value(params, r_safe)
-        block[self_mask] = ws
-        gm[i0:i1] = block
-        diff_safe = np.where(self_mask[..., None], grid.h, diff)
-        gvec = w * greens_gradient(params, diff_safe.reshape(-1, d)).reshape(i1 - i0, n, d)
-        gvec[self_mask] = 0.0
-        for c in range(d):
-            grads[c][i0:i1] = gvec[..., c]
-    for mat in (gm, *grads):
+        idx = (pos[i0:i0 + chunk, None] + tables[0].size // 2) - pos[None, :]
+        for tab, mat in zip(tables, mats):
+            np.take(tab, idx, out=mat[i0:i0 + chunk], mode="clip")
+    for mat in mats:
         mat.setflags(write=False)
-    return gm, tuple(grads)
+    return mats[0], tuple(mats[1:])
 
 
 @functools.lru_cache(maxsize=8)
 def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
     """FFTs of the sampled kernel tables on the zero-padded offset grid (read-only)."""
-    d = grid.dimension
-    pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
-    offs = []
-    for c in range(d):
-        idx = np.arange(pshape[c])
-        offs.append(np.where(idx < grid.shape[c], idx, idx - pshape[c]) * grid.h)
-    mesh = np.meshgrid(*offs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)  # (P, d)
-    r = np.linalg.norm(pts, axis=1)
-    origin = r == 0.0
-    r_safe = np.where(origin, grid.h, r)
-    w = grid.cell_volume
-    g_tab = (w * greens_value(params, r_safe))
-    g_tab[origin] = self_cell_weight(params, grid.h)
-    pts_safe = np.where(origin[:, None], grid.h, pts)
-    gvec = w * greens_gradient(params, pts_safe)
-    gvec[origin] = 0.0
-    g_hat = sfft.fftn(g_tab.reshape(pshape))
-    grad_hats = tuple(sfft.fftn(gvec[:, c].reshape(pshape)) for c in range(d))
-    for table in (g_hat, *grad_hats):
+    pshape, tables = _kernel_tables(grid, params)
+    hats = [sfft.fftn(tab) for tab in tables]
+    for table in hats:
         table.setflags(write=False)
-    return pshape, g_hat, grad_hats
+    return pshape, hats[0], tuple(hats[1:])
 
 
 # ---------------------------------------------------------------------------
 # Kernel application (shared by the Newton potential and the operator)
 # ---------------------------------------------------------------------------
-def _apply_kernels_direct(grid, params, scalar_src=None, grad_src=None):
-    gm, grads = kernel_matrices(grid, params)
-    out = np.zeros(grid.n, dtype=np.complex128)
-    if scalar_src is not None:
-        out += gm @ scalar_src
-    if grad_src is not None:
-        for c in range(grid.dimension):
-            out += grads[c] @ grad_src[c]
-    return out
-
-
-def _apply_kernels_fft(grid, params, scalar_src=None, grad_src=None):
-    pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)
-    acc = np.zeros(pshape, dtype=np.complex128)
-    if scalar_src is not None:
-        acc += g_hat * sfft.fftn(grid.embed(scalar_src), s=pshape)
-    if grad_src is not None:
-        for c in range(grid.dimension):
-            acc += grad_hats[c] * sfft.fftn(grid.embed(grad_src[c]), s=pshape)
-    full = sfft.ifftn(acc)[tuple(slice(0, nc) for nc in grid.shape)]
-    return grid.extract(full)
-
-
-def _apply_kernels(grid, params, scalar_src, grad_src, method):
+def _apply_kernels(grid, params, sources, method):
+    """Kernels (G, then the d gradient components) applied to the matching
+    ``sources`` (None entries and missing trailing ones are skipped), by
+    dense matrices or by FFT."""
     if method == "auto":
         method = "fft" if grid.n > AUTO_FFT_THRESHOLD else "direct"
+    if method not in ("direct", "fft"):
+        raise ValueError(f"unknown method {method!r}")
+    if all(src is None for src in sources):
+        return np.zeros(grid.n, dtype=np.complex128)
     if method == "direct":
-        return _apply_kernels_direct(grid, params, scalar_src, grad_src)
-    if method == "fft":
-        return _apply_kernels_fft(grid, params, scalar_src, grad_src)
-    raise ValueError(f"unknown method {method!r}")
+        gm, grads = kernel_matrices(grid, params)
+        out = np.zeros(grid.n, dtype=np.complex128)
+        for kern, src in zip((gm, *grads), sources):
+            if src is not None:
+                out += kern @ src
+        return out
+    pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)
+    acc = np.zeros(pshape, dtype=np.complex128)
+    for kern, src in zip((g_hat, *grad_hats), sources):
+        if src is not None:
+            acc += kern * sfft.fftn(grid.embed(src), s=pshape)
+    return grid.extract(sfft.ifftn(acc)[tuple(slice(0, nc) for nc in grid.shape)])
 
 
 def grad_field(grid: VolumeGrid, u: np.ndarray) -> List[np.ndarray]:
     """Finite-difference gradient components of a grid field."""
     u = _check_field(grid, u)
     return [op @ u for op in gradient_ops(grid)]
+
+
+def _sum_at_targets(grid: VolumeGrid, params: WaveParameters, targets: np.ndarray,
+                    out: np.ndarray, sources) -> np.ndarray:
+    """Add the kernel sums of ``sources`` (the G source or None, then none
+    or all d gradient sources) at arbitrary targets to ``out``. A target on
+    a cell center takes that cell's self-cell weight in the G sum; the
+    gradient sums are for targets off the cell centers."""
+    w, d = grid.cell_volume, grid.dimension
+    chunk = max(1, int(2**23 // max(grid.n, 1)))
+    for t0 in range(0, len(targets), chunk):
+        t1 = min(len(targets), t0 + chunk)
+        diff = targets[t0:t1, None, :] - grid.centers[None, :, :]
+        r = np.linalg.norm(diff, axis=-1)
+        if sources[0] is not None:
+            self_mask = r < 1e-9 * grid.h
+            block = w * greens_value(params, np.where(self_mask, grid.h, r))
+            block[self_mask] = self_cell_weight(params, grid.h)
+            out[t0:t1] += block @ sources[0]
+        if len(sources) > 1:
+            gvec = greens_gradient(params, diff.reshape(-1, d)).reshape(t1 - t0, grid.n, d)
+            for c, src in enumerate(sources[1:]):
+                out[t0:t1] += (w * gvec[..., c]) @ src
+    return out
+
+
+def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField, u: np.ndarray):
+    """Sources of A u: ``(beta u, alpha d_1 u, ..., alpha d_d u)``; beta u is
+    None and the gradient terms are left out where that contrast vanishes."""
+    alpha, beta = coeffs.alpha(grid.centers), coeffs.beta(grid.centers)
+    grads = [alpha * g for g in grad_field(grid, u)] if np.any(alpha != 0) else ()
+    return (beta * u if np.any(beta != 0) else None, *grads)
 
 
 # ---------------------------------------------------------------------------
@@ -284,51 +309,26 @@ def newton_potential(grid: VolumeGrid, params: WaveParameters, v: np.ndarray,
     """
     v = _check_field(grid, v)
     if targets is None:
-        return _apply_kernels(grid, params, v, None, method)
+        return _apply_kernels(grid, params, (v,), method)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.empty(len(targets), dtype=np.complex128)
-    w = grid.cell_volume
-    ws = self_cell_weight(params, grid.h)
-    chunk = max(1, int(2**23 // max(grid.n, 1)))
-    for t0 in range(0, len(targets), chunk):
-        t1 = min(len(targets), t0 + chunk)
-        diff = targets[t0:t1, None, :] - grid.centers[None, :, :]
-        r = np.linalg.norm(diff, axis=-1)
-        self_mask = r < 1e-9 * grid.h
-        block = w * greens_value(params, np.where(self_mask, grid.h, r))
-        block[self_mask] = ws
-        out[t0:t1] = block @ v
-    return out
+    return _sum_at_targets(grid, params, targets, np.zeros(len(targets), np.complex128), (v,))
+
+
+def _apply_A(grid, params, coeffs, u, method):
+    return _apply_kernels(grid, params, _contrast_sources(grid, coeffs, _check_field(grid, u)),
+                          method)
 
 
 def apply_A(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientField,
             u: np.ndarray) -> np.ndarray:
     """Direct-summation application of the volume operator A."""
-    u = _check_field(grid, u)
-    alpha = coeffs.alpha(grid.centers)
-    beta = coeffs.beta(grid.centers)
-    grad_src = None
-    if np.any(alpha != 0):
-        grad_src = [alpha * g for g in grad_field(grid, u)]
-    scalar_src = beta * u if np.any(beta != 0) else None
-    if scalar_src is None and grad_src is None:
-        return np.zeros(grid.n, dtype=np.complex128)
-    return _apply_kernels(grid, params, scalar_src, grad_src, "direct")
+    return _apply_A(grid, params, coeffs, u, "direct")
 
 
 def apply_A_fft(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientField,
                 u: np.ndarray) -> np.ndarray:
     """FFT-accelerated application of A; identical quadrature to apply_A."""
-    u = _check_field(grid, u)
-    alpha = coeffs.alpha(grid.centers)
-    beta = coeffs.beta(grid.centers)
-    grad_src = None
-    if np.any(alpha != 0):
-        grad_src = [alpha * g for g in grad_field(grid, u)]
-    scalar_src = beta * u if np.any(beta != 0) else None
-    if scalar_src is None and grad_src is None:
-        return np.zeros(grid.n, dtype=np.complex128)
-    return _apply_kernels(grid, params, scalar_src, grad_src, "fft")
+    return _apply_A(grid, params, coeffs, u, "fft")
 
 
 def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
@@ -354,9 +354,8 @@ def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
     beta = coeffs.beta(grid.centers)
     galpha = coeffs.grad_alpha(grid.centers)
     k2 = params.k ** 2
-    scalar_src = (beta - k2 * alpha) * u
-    grad_src = [-(galpha[:, c]) * u for c in range(grid.dimension)]
-    return -alpha * u + _apply_kernels(grid, params, scalar_src, grad_src, method)
+    sources = ((beta - k2 * alpha) * u, *(-(galpha[:, c]) * u for c in range(grid.dimension)))
+    return -alpha * u + _apply_kernels(grid, params, sources, method)
 
 
 def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,

@@ -13,7 +13,7 @@ from vielab import (
     incident_point_source,
     mie_reference_disc,
 )
-from vielab.scattering import plane_wave_function, point_source_function
+from vielab.scattering import _log_derivative_j, plane_wave_function, point_source_function
 from vielab.volume import discrete_laplacian, identity_minus_A
 
 
@@ -189,6 +189,19 @@ class TestMieSeries:
         mie = mie_reference_disc(1.0, WaveParameters(k, 2), 2.0, 2.0 * k * k)
         assert mie.truncated is truncated
         assert ("truncated" in caplog.text) is truncated
+
+    def test_underflowing_interior_modes_do_not_raise(self):
+        # kappa R = 1 with 203 orders: J_m(kappa R) underflows at the top modes
+        mie = mie_reference_disc(1.0, WaveParameters(195.0, 2), 2.0, 2.0)
+        assert mie.truncated
+        assert np.all(np.isfinite(mie.b_coeffs)) and np.all(np.isfinite(mie.c_coeffs))
+        assert mie.c_coeffs[0] == mie.c_coeffs[-1] == 0
+
+    @pytest.mark.parametrize("m, z", [(5, 1.0), (-60, 1.0), (30, 10 + 2j), (8, 20.0)])
+    def test_log_derivative_matches_scipy(self, m, z):
+        from scipy import special as sp
+        ref = sp.jvp(m, z) / sp.jv(m, z)
+        assert abs(_log_derivative_j(m, z) - ref) <= 1e-12 * abs(ref)
 
     def test_zero_interior_coefficient_rejected(self, params_k1):
         with pytest.raises(ValueError, match="nonzero"):

@@ -17,6 +17,8 @@ from vielab import (
     operator_norm_estimate,
     smooth_bump_a,
 )
+from vielab import volume
+from vielab.special import greens_gradient
 from vielab.volume import (
     DenseOperator,
     discrete_laplacian,
@@ -25,6 +27,21 @@ from vielab.volume import (
     kernel_matrices,
     self_cell_weight,
 )
+
+
+def pairwise_kernel_matrices(grid, params):
+    """Reference: the kernels evaluated at every ordered pair of cell centers."""
+    n, d = grid.n, grid.dimension
+    w = grid.cell_volume
+    diff = grid.centers[:, None, :] - grid.centers[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    self_mask = r < 1e-9 * grid.h
+    gm = w * greens_value(params, np.where(self_mask, grid.h, r))
+    gm[self_mask] = self_cell_weight(params, grid.h)
+    diff_safe = np.where(self_mask[..., None], grid.h, diff)
+    gvec = w * greens_gradient(params, diff_safe.reshape(-1, d)).reshape(n, n, d)
+    gvec[self_mask] = 0.0
+    return gm, tuple(gvec[..., c] for c in range(d))
 
 
 def bump_density(points, rho=0.8):
@@ -167,6 +184,48 @@ class TestCachedKernels:
         for arr in (gm, *grads, g_hat, *grad_hats):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0.0
+
+    @pytest.mark.parametrize("dim, k, n", [(2, 0.0, 24), (2, 10.0, 24), (3, 1.0, 10)])
+    def test_gathered_matrices_match_pairwise_reference(self, dim, k, n):
+        domain = DomainGeometry.disc(1.0) if dim == 2 else DomainGeometry.ball(1.0)
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(k, dim)
+        gm, grads = kernel_matrices(grid, params)
+        ref_gm, ref_grads = pairwise_kernel_matrices(grid, params)
+        assert len(grads) == dim
+        for got, ref in zip((gm, *grads), (ref_gm, *ref_grads)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_build_samples_each_kernel_once_per_offset(self, params_k1, monkeypatch):
+        points = {"value": 0, "gradient": 0}
+
+        def counted(kind, fn, size):
+            def wrapper(params, x):
+                points[kind] += size(np.asarray(x))
+                return fn(params, x)
+            return wrapper
+
+        monkeypatch.setattr(volume, "greens_value",
+                            counted("value", volume.greens_value, np.size))
+        monkeypatch.setattr(volume, "greens_gradient",
+                            counted("gradient", volume.greens_gradient, len))
+        grid = build_volume_grid(DomainGeometry.disc(1.0), 20)
+        kernel_matrices(grid, params_k1)
+        built = dict(points)
+        pshape, _, _ = fft_kernel_tables(grid, params_k1)
+        assert built["value"] == built["gradient"] == int(np.prod(pshape)) < grid.n ** 2
+
+    def test_size_guard_raises_before_any_kernel_evaluation(self, params_k1, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kernel evaluated above the cap")
+
+        monkeypatch.setattr(volume, "DENSE_CAP", 50)
+        monkeypatch.setattr(volume, "greens_value", forbidden)
+        monkeypatch.setattr(volume, "greens_gradient", forbidden)
+        grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
+        assert grid.n > 50
+        with pytest.raises(ValueError, match="capped"):
+            kernel_matrices(grid, params_k1)
 
 
 class TestDenseAssembly:
