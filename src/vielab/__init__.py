@@ -20,6 +20,7 @@ from .geometry import (
 from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value, hankel1
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
 from .volume import (
+    DenseBudgetError,
     DenseOperator,
     apply_A,
     apply_A_fft,

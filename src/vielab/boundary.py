@@ -41,7 +41,7 @@ from scipy.spatial import cKDTree
 from .coefficients import CoefficientField
 from .geometry import BoundaryMesh, VolumeGrid, build_boundary_mesh
 from .special import WaveParameters, greens_gradient
-from .volume import DenseOperator
+from .volume import DenseOperator, check_dense_budget
 
 logger = logging.getLogger(__name__)
 
@@ -214,6 +214,7 @@ def assemble_K(mesh: BoundaryMesh, params: WaveParameters) -> DenseOperator:
     """
     _require_2d(mesh)
     m = mesh.m
+    check_dense_budget("boundary operator K", 8, m, m)  # (M, M, 2) arrays and temporaries
     diff = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
     eye = np.eye(m, dtype=bool)
     diff_safe = np.where(eye[..., None], 1.0, diff)

@@ -10,9 +10,9 @@ Outputs are machine readable: eigenvalues and fields as CSV (full
 precision, LF line endings), reports as JSON with a stable key schema.
 Every output file carries the configuration hash and artifact version.
 
-Exit codes: 0 success, 2 configuration/validation failure (no outputs),
-3 numerical failure (divergence or near-singular solve; the report
-records the failure and partial outputs are flagged incomplete).
+Exit codes: 0 success, 2 configuration/validation failure or an input over
+the dense memory budget (no outputs), 3 numerical failure (divergence or
+near-singular solve; the report records it, partial outputs flagged incomplete).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .spectral import (
     spectral_operator_matrix,
 )
 from .volume import (
+    DenseBudgetError,
     apply_A,
     apply_A_fft,
     apply_A_smooth_form,
@@ -62,9 +63,6 @@ from .volume import (
 )
 
 logger = logging.getLogger(__name__)
-
-DESK_SCALE_CAP = 6000
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration (exit code 2)."""
@@ -294,11 +292,9 @@ def _spectrum_matrix(scenario: Scenario, n_level: int) -> np.ndarray:
                                         n_level, 4 * n_level)
     if op == "volume":
         grid = scenario.grid(n_level)
-        _check_desk_scale(grid.n)
         return assemble_A_dense(grid, scenario.params, scenario.coeffs).matrix
     if op == "contrast":
         grid = scenario.grid(n_level)
-        _check_desk_scale(grid.n)
         dense = assemble_A_dense(grid, scenario.params, scenario.coeffs).matrix
         return np.eye(grid.n, dtype=np.complex128) - dense
     if op == "half-minus-K":
@@ -316,14 +312,13 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
     delta = float(cfg.get("delta", 0.1))
     if delta <= 0:
         raise ConfigError("spectrum.delta must be positive")
-    eigs = {}
-    for lvl in levels:
-        vals, res = eigenvalues_dense(_spectrum_matrix(scenario, int(lvl)))
-        eigs[int(lvl)] = vals
-        rows = np.column_stack([vals.real, vals.imag, res])
-        write_csv(out / f"eigenvalues_{int(lvl)}.csv", scenario,
-                  ["re", "im", "residual"], rows)
-    report = detect_clusters(eigs[int(levels[0])], eigs[int(levels[1])], delta)
+    # both levels are solved before anything is written
+    eigs = {int(lvl): eigenvalues_dense(_spectrum_matrix(scenario, int(lvl)))
+            for lvl in levels}
+    for lvl, (vals, res) in eigs.items():
+        write_csv(out / f"eigenvalues_{lvl}.csv", scenario, ["re", "im", "residual"],
+                  np.column_stack([vals.real, vals.imag, res]))
+    report = detect_clusters(eigs[int(levels[0])][0], eigs[int(levels[1])][0], delta)
     results = {
         "levels": [int(l) for l in levels],
         "delta": delta,
@@ -381,11 +376,6 @@ def task_sweep(scenario: Scenario, out: Path) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suite
 # ---------------------------------------------------------------------------
-def _check_desk_scale(n: int) -> None:
-    if n > DESK_SCALE_CAP:
-        raise ConfigError(f"verification enforces desk scale (N <= {DESK_SCALE_CAP})")
-
-
 def _smooth_probe(points: np.ndarray, rng: np.random.Generator,
                   modes: int = 2, scale: float = 1.5) -> np.ndarray:
     """Random band-limited field: smooth under refinement, random content."""
@@ -404,7 +394,8 @@ def verify_suite(scenario: Scenario) -> dict:
     Boundary checks require a smooth 2D shape and coefficients with a
     boundary term; the pure-wavenumber (compact-operator) cluster check
     runs only in that regime. Any exception inside a check is caught
-    and reported as that check's failure.
+    and reported as that check's failure, except ``DenseBudgetError``,
+    which fails the whole run as a configuration error.
     """
     checks = []
     tag = scenario.coeffs.tag
@@ -417,6 +408,8 @@ def verify_suite(scenario: Scenario) -> dict:
             try:
                 measured, passed, detail = fn()
                 entry.update(measured=measured, passed=bool(passed), detail=detail)
+            except DenseBudgetError:
+                raise
             except Exception as exc:  # noqa: BLE001 - report, do not abort the suite
                 entry.update(passed=False, detail=f"error: {exc}")
         else:
@@ -464,7 +457,6 @@ def verify_suite(scenario: Scenario) -> dict:
         vals = []
         for n in (24, 48):
             grid = build_volume_grid(domain, n)
-            _check_desk_scale(grid.n)
             r2 = (grid.centers ** 2).sum(axis=1) / (0.8 * 0.5 * domain.diameter / np.sqrt(2)) ** 2
             v = np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-12)), 0.0) + 0j
             pot = newton_potential(grid, params, v)
@@ -488,7 +480,6 @@ def verify_suite(scenario: Scenario) -> dict:
 
     def dense_consistency():
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 24))
-        _check_desk_scale(grid.n)
         u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         mv = assemble_A_dense(grid, params, coeffs).matrix @ u
         mf = u - apply_A(grid, params, coeffs, u)
@@ -557,7 +548,6 @@ def verify_suite(scenario: Scenario) -> dict:
 
     def trace_equivalence():
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 32))
-        _check_desk_scale(grid.n)
         mesh = build_boundary_mesh(domain, scenario.boundary_nodes, scenario.grading)
         system = assemble_coupled(grid, mesh, params, coeffs)
         u_inc = incident_plane_wave(grid, params, np.eye(grid.dimension)[0])
@@ -580,7 +570,6 @@ def verify_suite(scenario: Scenario) -> dict:
         counts = {}
         for n in (24, 40):
             grid = build_volume_grid(domain, n)
-            _check_desk_scale(grid.n)
             dense = assemble_A_dense(grid, params, coeffs).matrix
             vals, _ = eigenvalues_dense(np.eye(grid.n) - dense)
             counts[n] = int(np.sum(np.abs(vals) > 0.05))
@@ -635,7 +624,7 @@ def run_scenario(config: dict, task: str, out_dir: str,
     out.mkdir(parents=True, exist_ok=True)
     try:
         results = TASKS[task](scenario, out)
-    except ConfigError as exc:
+    except (ConfigError, DenseBudgetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

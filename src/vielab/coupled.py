@@ -58,7 +58,7 @@ from .boundary import assemble_K, double_layer_matrix, trace_matrix
 from .coefficients import CoefficientField
 from .geometry import BoundaryMesh, VolumeGrid
 from .special import WaveParameters
-from .volume import DenseOperator, kernel_matrices
+from .volume import DenseOperator, check_dense_budget, kernel_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -158,6 +158,8 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     """
     if boundary_operator not in ("trace-consistent", "nystrom"):
         raise ValueError(f"unknown boundary operator {boundary_operator!r}")
+    # the 1 + d kernel matrices, A1, the diagonal block's temporaries and the system
+    check_dense_budget("coupled system", grid.dimension + 4, grid.n + mesh.m, grid.n + mesh.m)
     t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
     a1 = assemble_A1(grid, params, coeffs).matrix
     alpha_nodes = coeffs.alpha(mesh.nodes)

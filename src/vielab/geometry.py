@@ -240,7 +240,6 @@ class VolumeGrid:
 
     domain: DomainGeometry
     h: float
-    origin: np.ndarray          # (d,) lower corner of the covered box
     shape: tuple                # per-axis cell counts
     mask: np.ndarray            # bool, grid shape
     centers: np.ndarray         # (N, d) included cell centers
@@ -303,7 +302,6 @@ def build_volume_grid(domain: DomainGeometry, n_per_axis: int) -> VolumeGrid:
     grid = VolumeGrid(
         domain=domain,
         h=h,
-        origin=box[:, 0].copy(),
         shape=counts,
         mask=mask,
         centers=centers,
@@ -325,8 +323,7 @@ class BoundaryMesh:
     curves (positive for convex boundaries) and zeros for polygon edges;
     it feeds the Nystrom diagonal of the double layer operator.
     ``edge_index`` is -1 for smooth shapes and the edge number for
-    polygon nodes. ``param`` holds the curve parameter for smooth 2D
-    shapes (used for trigonometric resampling).
+    polygon nodes.
     """
 
     domain: DomainGeometry
@@ -336,7 +333,6 @@ class BoundaryMesh:
     curvatures: np.ndarray   # (M,)
     edge_index: np.ndarray   # (M,) int
     grading: float
-    param: Optional[np.ndarray] = None  # (M,) parameter values, smooth 2D only
 
     @property
     def m(self) -> int:
@@ -346,11 +342,6 @@ class BoundaryMesh:
     @property
     def is_smooth(self) -> bool:
         return self.domain.kind in ("disc", "ellipse", "ball")
-
-    @property
-    def spacing(self) -> float:
-        """Largest node weight; a proxy for the local mesh width."""
-        return float(self.weights.max())
 
     def validate(self) -> None:
         """Check unit normals, positive weights, and consistent sizes."""
@@ -395,7 +386,7 @@ def _circle_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh
     weights = np.full(n, 2 * np.pi * r / n)
     curv = np.full(n, 1.0 / r)
     return BoundaryMesh(domain, nodes, normals, weights, curv,
-                        np.full(n, -1, dtype=int), grading, param=t)
+                        np.full(n, -1, dtype=int), grading)
 
 
 def _ellipse_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh:
@@ -408,7 +399,7 @@ def _ellipse_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMes
     normals = np.stack([b * ct, a * st], axis=1) / np.sqrt((b * ct) ** 2 + (a * st) ** 2)[:, None]
     curv = a * b / speed ** 3
     return BoundaryMesh(domain, nodes, normals, weights, curv,
-                        np.full(n, -1, dtype=int), grading, param=t)
+                        np.full(n, -1, dtype=int), grading)
 
 
 def _graded_fractions(m: int, p: float) -> np.ndarray:

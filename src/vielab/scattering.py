@@ -214,7 +214,9 @@ class MieSeries:
 
     def total_field(self, points: np.ndarray) -> np.ndarray:
         """Total field u at arbitrary points (interior series or
-        incident plus scattered series outside)."""
+        incident plus scattered series outside); refused if ``truncated``."""
+        if self.truncated:
+            raise ValueError("a truncated transmission series is not a field oracle")
         r, th = self._polar(points)
         out = np.zeros(len(r), dtype=np.complex128)
         inside = r < self.radius
@@ -232,11 +234,6 @@ class MieSeries:
                 acc += bm * _sp.hankel1(m, self.k * ro) * np.exp(1j * m * th[~inside])
             out[~inside] = acc
         return out
-
-    def scattered_field(self, points: np.ndarray) -> np.ndarray:
-        """u minus the incident plane wave, at arbitrary points."""
-        r, th = self._polar(points)
-        return self.total_field(points) - np.exp(1j * self.k * r * np.cos(th))
 
     def transmission_residual(self, n_angles: int = 64) -> Tuple[float, float]:
         """Self-check: (max |[u]|, max |[a du/dr]|) across the interface."""

@@ -31,11 +31,10 @@ from .coefficients import CoefficientField, constant_a
 from .coupled import assemble_coupled, quadrature_weighted_matrix
 from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid
 from .special import WaveParameters
-from .volume import DenseOperator
+from .volume import DenseOperator, check_dense_budget
 
 logger = logging.getLogger(__name__)
 
-EIG_DIMENSION_CAP = 7000
 RESIDUAL_TOL = 1e-8
 
 
@@ -112,12 +111,13 @@ def eigenvalues_dense(op, residual_tol: float = RESIDUAL_TOL,
     returned sorted by (real, imaginary) part; residuals that still
     exceed the tolerance are reported as-is rather than aborting.
     """
-    matrix = op.matrix if isinstance(op, DenseOperator) else np.asarray(op, dtype=np.complex128)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+    matrix = op.matrix if isinstance(op, DenseOperator) else op
+    n = np.shape(matrix)[0]
+    if np.shape(matrix) != (n, n):
         raise ValueError("eigenvalue computation needs a square matrix")
-    if n > EIG_DIMENSION_CAP:
-        raise ValueError(f"dense eigensolve capped at {EIG_DIMENSION_CAP} unknowns")
+    # complex input, eigenvectors, then LAPACK's copy, residuals or a shift and its LU
+    check_dense_budget("dense eigensolve", 5.5, n, n)
+    matrix = np.asarray(matrix, dtype=np.complex128)
     vals, vecs = sla.eig(matrix)
     res = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
     res /= np.linalg.norm(vecs, axis=0)

@@ -31,6 +31,10 @@ That one table feeds all three consumers: FFT circular convolution
 (d+1 scalar convolutions, O(N log N)), and the direct route and dense
 assemblies, whose pairwise matrices are gathered from it by coordinate
 differences. The routes share identical weights by construction.
+
+Dense memory budget: each dense builder estimates its peak as live
+complex arrays x 16 bytes x rows x cols and, before allocating, refuses
+(``DenseBudgetError``) an estimate above ``DENSE_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -50,11 +54,25 @@ from .special import WaveParameters, greens_gradient, greens_value
 
 logger = logging.getLogger(__name__)
 
-#: Above this many unknowns the "auto" method switches to the FFT route.
-AUTO_FFT_THRESHOLD = 4096
+#: Peak bytes one dense build may allocate (keeps every dense route at desk scale).
+DENSE_BUDGET_BYTES = 2**31
 
-#: Default cap on dense assembly (keeps full eigensolves at desk scale).
-DENSE_CAP = 6000
+
+class DenseBudgetError(ValueError):
+    """A dense build whose estimated peak (``need`` bytes) exceeds the budget."""
+
+    def __init__(self, what: str, need: int):
+        super().__init__(f"{what} capped by the dense memory budget: needs about "
+                         f"{need / 2**20:.1f} MiB, budget {DENSE_BUDGET_BYTES / 2**20:.1f} MiB")
+        self.need = need
+
+
+def check_dense_budget(what: str, live: float, rows: int, cols: int) -> None:
+    """Refuse a build that holds ``live`` complex (rows, cols) arrays at its
+    peak when that exceeds ``DENSE_BUDGET_BYTES``; call before allocating."""
+    need = int(live * 16 * rows * cols)
+    if need > DENSE_BUDGET_BYTES:
+        raise DenseBudgetError(what, need)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +213,12 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
     Entry (i, j) is gathered from the offset table the FFT route
     transforms, at offset coords_i - coords_j: entries carry the cell
     volume, diagonals the self-cell correction (G) and zero (gradient
-    components). Capped at ``DENSE_CAP`` unknowns. The cached matrices
-    are shared by every caller and are read-only.
+    components). The cached matrices are shared by every caller and are
+    read-only.
     """
     n = grid.n
-    if n > DENSE_CAP:
-        raise ValueError(f"dense kernel matrices capped at {DENSE_CAP} unknowns (N = {n})")
+    # the 1 + d matrices, the int64 gather index (at most half of one) and the tables
+    check_dense_budget("dense kernel matrices", grid.dimension + 2.5, n, n)
     pshape, tables = _kernel_tables(grid, params)
     # On the unwrapped offsets 1-s..s-1 per axis, the flat index of
     # coords_i - coords_j is pos_i - pos_j + (index of the center).
@@ -235,8 +253,6 @@ def _apply_kernels(grid, params, sources, method):
     """Kernels (G, then the d gradient components) applied to the matching
     ``sources`` (None entries and missing trailing ones are skipped), by
     dense matrices or by FFT."""
-    if method == "auto":
-        method = "fft" if grid.n > AUTO_FFT_THRESHOLD else "direct"
     if method not in ("direct", "fft"):
         raise ValueError(f"unknown method {method!r}")
     if all(src is None for src in sources):
@@ -299,7 +315,7 @@ def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField, u: np.ndarray)
 # ---------------------------------------------------------------------------
 def newton_potential(grid: VolumeGrid, params: WaveParameters, v: np.ndarray,
                      targets: Optional[np.ndarray] = None,
-                     method: str = "auto") -> np.ndarray:
+                     method: str = "fft") -> np.ndarray:
     """Volume potential (G_k * v) of a grid density.
 
     With ``targets=None`` the potential is returned at the grid's own
@@ -333,7 +349,7 @@ def apply_A_fft(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientFie
 
 def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
                         coeffs: CoefficientField, u: np.ndarray,
-                        method: str = "auto") -> np.ndarray:
+                        method: str = "fft") -> np.ndarray:
     """Apply A in the integrated-by-parts form valid when alpha = 0 on Gamma.
 
     For coefficients smooth across the boundary,
@@ -359,14 +375,14 @@ def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
 
 
 def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
-                     coeffs: CoefficientField, cap: int = DENSE_CAP) -> DenseOperator:
+                     coeffs: CoefficientField) -> DenseOperator:
     """Assemble the dense matrix of I - A with the apply_A quadrature.
 
     Column j is (I - A) e_j by construction, so matrix-vector products
     reproduce ``u - apply_A(u)`` to rounding.
     """
-    if grid.n > cap:
-        raise ValueError(f"dense assembly capped at {cap} unknowns (N = {grid.n})")
+    # the 1 + d kernel matrices (and their gather index), then A, I and I - A
+    check_dense_budget("dense assembly", grid.dimension + 4.5, grid.n, grid.n)
     gm, grads = kernel_matrices(grid, params)
     alpha = coeffs.alpha(grid.centers)
     beta = coeffs.beta(grid.centers)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vielab import DomainGeometry, WaveParameters, build_volume_grid
+from vielab import DomainGeometry, WaveParameters, build_volume_grid, volume
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -12,6 +12,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def desk_scale_budget():
+    """The whole suite runs within a 512 MiB dense budget (desk scale)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volume, "DENSE_BUDGET_BYTES", 512 * 2**20)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vielab.cli import ConfigError, Scenario, config_hash, main, run_scenario, verify_suite
+from vielab import volume
+from vielab.cli import (
+    ConfigError,
+    Scenario,
+    _spectrum_matrix,
+    config_hash,
+    main,
+    run_scenario,
+    verify_suite,
+)
+from vielab.spectral import eigenvalues_dense
 from vielab.presets import get_preset, preset_names
 
 
@@ -50,6 +60,37 @@ class TestConfigValidation:
         cfg["wave"]["k"] = [1.0, -2.0]  # decaying exterior wavenumber
         with pytest.raises(ConfigError):
             Scenario(cfg, "solve")
+
+
+class TestDenseBudget:
+    """Inputs over the dense budget exit 2 and leave the output directory empty."""
+
+    @pytest.mark.parametrize("preset, operator, levels", [
+        ("disc-a2-spectrum", "coupled", [8, 16]),
+        ("disc-a2-spectrum", "volume", [8, 16]),
+        ("beta-only-spectrum", "contrast", [8, 16]),
+        ("circle-sigma-spectrum", "half-minus-K", [64, 128]),
+    ])
+    def test_spectrum_over_budget_at_fine_level(self, tmp_path, monkeypatch, capsys,
+                                                preset, operator, levels):
+        cfg = get_preset(preset)
+        cfg["spectrum"].update(operator=operator, levels=levels)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
+        eigenvalues_dense(_spectrum_matrix(Scenario(cfg, "spectrum"), levels[0]))  # fits
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "spectrum", str(out)) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("preset", ["breakdown-sweep", "verify-default"])
+    def test_sweep_and_verify_over_budget(self, tmp_path, monkeypatch, capsys, preset):
+        cfg = get_preset(preset)
+        cfg["discretization"].update(n_per_axis=16, boundary_nodes=64)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, cfg["task"], str(out)) == 2
+        assert "capped by the dense memory budget" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestSolveTask:

@@ -189,6 +189,12 @@ class TestMieSeries:
         mie = mie_reference_disc(1.0, WaveParameters(k, 2), 2.0, 2.0 * k * k)
         assert mie.truncated is truncated
         assert ("truncated" in caplog.text) is truncated
+        points = np.array([[0.5, 0.0], [0.0, -1.5]])
+        if truncated:
+            with pytest.raises(ValueError, match="truncated"):
+                mie.total_field(points)
+        else:
+            assert np.all(np.isfinite(mie.total_field(points)))
 
     def test_underflowing_interior_modes_do_not_raise(self):
         # kappa R = 1 with 203 orders: J_m(kappa R) underflows at the top modes
@@ -196,6 +202,8 @@ class TestMieSeries:
         assert mie.truncated
         assert np.all(np.isfinite(mie.b_coeffs)) and np.all(np.isfinite(mie.c_coeffs))
         assert mie.c_coeffs[0] == mie.c_coeffs[-1] == 0
+        with pytest.raises(ValueError, match="not a field oracle"):
+            mie.total_field(np.array([[0.5, 0.0]]))
 
     @pytest.mark.parametrize("m, z", [(5, 1.0), (-60, 1.0), (30, 10 + 2j), (8, 20.0)])
     def test_log_derivative_matches_scipy(self, m, z):

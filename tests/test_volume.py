@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from vielab import (
     operator_norm_estimate,
     smooth_bump_a,
 )
-from vielab import volume
+from vielab import assemble_K, assemble_coupled, build_boundary_mesh, eigenvalues_dense
+from vielab import coupled, volume
+from vielab.boundary import trace_matrix
 from vielab.special import greens_gradient
 from vielab.volume import (
+    DenseBudgetError,
     DenseOperator,
     discrete_laplacian,
     fft_kernel_tables,
@@ -217,14 +222,14 @@ class TestCachedKernels:
 
     def test_size_guard_raises_before_any_kernel_evaluation(self, params_k1, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("kernel evaluated above the cap")
+            raise AssertionError("kernel evaluated above the budget")
 
-        monkeypatch.setattr(volume, "DENSE_CAP", 50)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 4.5 * 16 * 50 ** 2)
         monkeypatch.setattr(volume, "greens_value", forbidden)
         monkeypatch.setattr(volume, "greens_gradient", forbidden)
         grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
         assert grid.n > 50
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(DenseBudgetError, match="capped.*budget"):
             kernel_matrices(grid, params_k1)
 
 
@@ -250,15 +255,79 @@ class TestDenseAssembly:
         m = assemble_A_dense(grid, params_k1, cf).matrix
         assert np.abs(m - m.conj().T).max() > 1e-3
 
-    def test_cap_enforced(self, params_k1):
+    def test_cap_enforced(self, params_k1, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kernel evaluated above the budget")
+
         grid = build_volume_grid(DomainGeometry.disc(1.0), 40)
         cf = constant_a(grid.domain, params_k1.k, 2.0)
-        with pytest.raises(ValueError, match="capped"):
-            assemble_A_dense(grid, params_k1, cf, cap=100)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 6.5 * 16 * 100 ** 2)
+        monkeypatch.setattr(volume, "greens_value", forbidden)
+        monkeypatch.setattr(volume, "greens_gradient", forbidden)
+        with pytest.raises(DenseBudgetError, match="capped.*budget"):
+            assemble_A_dense(grid, params_k1, cf)
 
     def test_dense_operator_validates_shape(self):
         with pytest.raises(ValueError):
             DenseOperator(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+def _cold_dense_builds(n):
+    """Budgeted dense builds on a disc (2D) or ball (3D) of n cells per axis,
+    as zero-argument calls; the eigensolve input is real and so badly scaled
+    that every eigenpair takes the inverse-iteration refinement."""
+    disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
+    square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
+    grid, grid3 = build_volume_grid(disc, n), build_volume_grid(ball, n // 2)
+    mesh, k_mesh = build_boundary_mesh(disc, 4 * n), build_boundary_mesh(square, 10 * n)
+    cf, cf3 = constant_a(disc, 1.0, 2.0), constant_a(ball, 1.0, 2.0)
+    stiff = 1e9 * np.random.default_rng(n).standard_normal((8 * n, 8 * n))
+    return {
+        "kernel_matrices": lambda: kernel_matrices(grid, p2),
+        "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
+        "assemble_A_dense": lambda: assemble_A_dense(grid, p2, cf),
+        "assemble_A_dense-3d": lambda: assemble_A_dense(grid3, p3, cf3),
+        "assemble_coupled": lambda: assemble_coupled(grid, mesh, p2, cf),
+        "assemble_coupled-nystrom": lambda: assemble_coupled(grid, mesh, p2, cf,
+                                                             boundary_operator="nystrom"),
+        "assemble_K": lambda: assemble_K(k_mesh, p2),
+        "eigenvalues_dense": lambda: eigenvalues_dense(stiff),
+    }
+
+
+def _traced_peak(call):
+    """Bytes allocated by ``call`` at its peak, from cold caches; the call's
+    result or the exception it raised."""
+    for cached in (kernel_matrices, volume.gradient_ops, trace_matrix,
+                   coupled._coefficient_free_blocks):
+        cached.cache_clear()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        outcome = call()
+    except DenseBudgetError as exc:
+        outcome = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.stop()
+    return peak, outcome
+
+
+class TestDenseBudget:
+    @pytest.mark.parametrize("builder", sorted(_cold_dense_builds(16)))
+    def test_estimate_bounds_peak_and_rejection_allocates_nothing(self, builder, monkeypatch):
+        for n in (16, 24):
+            call = _cold_dense_builds(n)[builder]
+            monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 0)
+            rejected_peak, err = _traced_peak(call)
+            assert isinstance(err, DenseBudgetError)
+            assert "capped" in str(err) and "budget" in str(err)
+            assert rejected_peak < 2**20
+            monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", err.need)
+            peak, result = _traced_peak(call)
+            assert not isinstance(result, DenseBudgetError)
+            assert peak <= err.need, f"n={n}: peak {peak} above the estimate {err.need}"
 
 
 class TestSmoothForm:
