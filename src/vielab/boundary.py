@@ -118,6 +118,8 @@ def refine_mesh(mesh: BoundaryMesh, factor: int = NEAR_OVERSAMPLE) -> BoundaryMe
 
 def _trig_resample_matrix(m: int, mf: int) -> np.ndarray:
     """Trigonometric interpolation from m to mf equispaced periodic nodes."""
+    # the padded spectrum and its inverse FFT (measured peak 2.1-4.2 live (mf, m) arrays)
+    check_dense_budget("density interpolation", 4.25, mf, m)
     spec = np.fft.fft(np.eye(m), axis=0)
     pad = np.zeros((mf, m), dtype=complex)
     half = m // 2
@@ -183,14 +185,25 @@ def double_layer_matrix(mesh: BoundaryMesh, params: WaveParameters,
     """
     _require_2d(mesh)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    mat = _kernel_block(params, targets, mesh)
+    near = np.zeros(len(targets), dtype=bool)
     if near_distance is not None and near_distance > 0:
         near = mesh.domain.boundary_distance(targets) < near_distance
-        if np.any(near):
-            fine = refine_mesh(mesh, oversample)
-            interp = density_interp_matrix(mesh, fine)
-            mat[near] = _kernel_block(params, targets[near], fine) @ interp
+    # the upgraded rows first: the interpolation's budget check then precedes
+    # every kernel block, and its temporaries are gone before the full block
+    rows = _refined_rows(mesh, params, targets[near], oversample) if np.any(near) else None
+    mat = _kernel_block(params, targets, mesh)
+    if rows is not None:
+        mat[near] = rows
     return mat
+
+
+def _refined_rows(mesh: BoundaryMesh, params: WaveParameters, targets: np.ndarray,
+                  oversample: int) -> np.ndarray:
+    """Double layer rows at ``targets`` by an ``oversample``-times finer mesh
+    with the density interpolated onto it."""
+    fine = refine_mesh(mesh, oversample)
+    interp = density_interp_matrix(mesh, fine)
+    return _kernel_block(params, targets, fine) @ interp
 
 
 def double_layer_potential(mesh: BoundaryMesh, params: WaveParameters,

@@ -196,20 +196,16 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 # Output writers
 # ---------------------------------------------------------------------------
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _header(scenario: Scenario) -> str:
     return f"# vielab {__version__} config_hash={scenario.hash}\n"
 
 
 def write_csv(path: Path, scenario: Scenario, columns, rows) -> None:
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(_header(scenario))
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+        fh.write("".join(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist()))
 
 
 def write_report(path: Path, scenario: Scenario, status: str, results: dict,

@@ -115,26 +115,26 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
         if cycle_start <= tol:
             return x, GmresResult(True, "converged", total_iters, cycle_start,
                                   np.asarray(history))
-        v = np.zeros((n, restart + 1), dtype=np.complex128)
+        v = np.zeros((restart + 1, n), dtype=np.complex128)  # basis vectors as rows
         h = np.zeros((restart + 1, restart), dtype=np.complex128)
         cs = np.zeros(restart)
         sn = np.zeros(restart, dtype=np.complex128)
         g = np.zeros(restart + 1, dtype=np.complex128)
-        v[:, 0] = r / (cycle_start * bnorm)
+        v[0] = r / (cycle_start * bnorm)
         g[0] = cycle_start * bnorm
         j_last = -1
         for j in range(restart):
             if total_iters >= maxiter:
                 break
             # copy defensively: the applier may return (a view of) its input
-            w = np.array(applier(v[:, j]), dtype=np.complex128, copy=True)
+            w = np.array(applier(v[j]), dtype=np.complex128, copy=True)
             total_iters += 1
             for i in range(j + 1):
-                h[i, j] = np.vdot(v[:, i], w)
-                w -= h[i, j] * v[:, i]
+                h[i, j] = np.vdot(v[i], w)
+                w -= h[i, j] * v[i]
             h[j + 1, j] = np.linalg.norm(w)
             if abs(h[j + 1, j]) > 1e-300:
-                v[:, j + 1] = w / h[j + 1, j]
+                v[j + 1] = w / h[j + 1, j]
             for i in range(j):
                 tmp = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
                 h[i + 1, j] = -np.conj(sn[i]) * h[i, j] + cs[i] * h[i + 1, j]
@@ -163,7 +163,7 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
                 break
         if j_last >= 0:
             y = np.linalg.solve(h[: j_last + 1, : j_last + 1], g[: j_last + 1])
-            x = x + v[:, : j_last + 1] @ y
+            x = x + y @ v[: j_last + 1]
         r = b - applier(x)
         rel_end = float(np.linalg.norm(r)) / bnorm
         if rel_end <= tol:
@@ -371,4 +371,4 @@ def extend_solution(grid: VolumeGrid, params: WaveParameters,
     if np.any(grid.domain.contains(targets)):
         raise ValueError("extension targets must lie outside the scatterer")
     out = np.asarray(incident(targets), dtype=np.complex128).reshape(len(targets)).copy()
-    return _sum_at_targets(grid, params, targets, out, _contrast_sources(grid, coeffs, u))
+    return _sum_at_targets(grid, params, targets, out, _contrast_sources(grid, coeffs)(u))

@@ -140,8 +140,10 @@ def _inverse_iteration(matrix, lam, vec, steps):
     best = (lam, vec, np.inf)
     v = vec / np.linalg.norm(vec)
     for _ in range(steps):
+        shifted = np.array(matrix, order="F")  # LAPACK's layout: factored in place
+        shifted.flat[:: n + 1] -= lam + jitter
         try:
-            lu = sla.lu_factor(matrix - (lam + jitter) * np.eye(n))
+            lu = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
             v = sla.lu_solve(lu, v)
         except sla.LinAlgError:
             break

@@ -26,11 +26,17 @@ differences inside the mask and one-sided first-order differences at
 mask-boundary cells.
 
 Application routes: the kernels, which depend only on the integer
-offset between cells, are sampled once on the zero-padded offset grid.
+offset between cells, are tabulated once on the zero-padded offset grid,
+sampled on its non-negative orthant of offset magnitudes (G and the
+radial factor of grad G depend only on |offset|) and gathered by sign.
 That one table feeds all three consumers: FFT circular convolution
-(d+1 scalar convolutions, O(N log N)), and the direct route and dense
-assemblies, whose pairwise matrices are gathered from it by coordinate
-differences. The routes share identical weights by construction.
+(d+1 scalar convolutions, O(N log N), whose padded transforms run one
+axis at a time over only the lines that can be nonzero, or on the way
+back only those the grid keeps), and the direct
+route and dense assemblies, whose pairwise matrices are gathered from it
+by coordinate differences. The routes share identical weights by
+construction. The matrix-free system map ``identity_minus_A`` samples
+the contrasts at the cell centers once, not at every application.
 
 Dense memory budget: each dense builder estimates its peak as live
 complex arrays x 16 bytes x rows x cols and, before allocating, refuses
@@ -189,21 +195,37 @@ def _neighbor_index(grid: VolumeGrid, axis: int, step: int) -> np.ndarray:
 def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
     """``(pshape, (G, grad G_1, ..., grad G_d))``: the kernels times the cell
     volume at every offset of the zero-padded grid (wrapped past the grid
-    extent), with the self-cell weight and zero at the origin."""
+    extent), with the self-cell weight and zero at the origin.
+
+    G and the radial factor of grad G depend only on |offset|, so the
+    kernels are sampled once on the non-negative orthant of offset
+    magnitudes and gathered by |offset| per axis; gradient component c is
+    negated (as 0 - x, which also keeps the signed zeros) where offset c is
+    negative. Both steps are exact: the tables equal a sampling of the full
+    padded grid bit for bit.
+    """
     pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
-    offs = [np.where(np.arange(pc) < nc, np.arange(pc), np.arange(pc) - pc) * grid.h
+    # |offset| per axis: 0..nc-1, then (negative offsets) pc-nc down to 1
+    mags = [np.where(np.arange(pc) < nc, np.arange(pc), pc - np.arange(pc))
             for nc, pc in zip(grid.shape, pshape)]
-    mesh = np.meshgrid(*offs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)  # (P, d)
+    qshape = tuple(int(m.max()) + 1 for m in mags)
+    mesh = np.meshgrid(*(np.arange(qc) * grid.h for qc in qshape), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)  # (Q, d), offsets >= 0
     r = np.linalg.norm(pts, axis=1)
     origin = r == 0.0
     w = grid.cell_volume
-    g_tab = w * greens_value(params, np.where(origin, grid.h, r))
-    g_tab[origin] = self_cell_weight(params, grid.h)
+    g_q = w * greens_value(params, np.where(origin, grid.h, r))
+    g_q[origin] = self_cell_weight(params, grid.h)
     gvec = w * greens_gradient(params, np.where(origin[:, None], grid.h, pts))
     gvec[origin] = 0.0
-    return pshape, (g_tab.reshape(pshape),
-                    *(gvec[:, c].reshape(pshape) for c in range(grid.dimension)))
+    gather = np.ix_(*mags)
+    tables = [g_q.reshape(qshape)[gather]]
+    for c in range(grid.dimension):
+        tab = gvec[:, c].reshape(qshape)[gather]
+        negative = tab[(slice(None),) * c + (slice(grid.shape[c], None),)]
+        np.subtract(0.0, negative, out=negative)
+        tables.append(tab)
+    return pshape, tuple(tables)
 
 
 @functools.lru_cache(maxsize=2)
@@ -265,11 +287,26 @@ def _apply_kernels(grid, params, sources, method):
                 out += kern @ src
         return out
     pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)
-    acc = np.zeros(pshape, dtype=np.complex128)
+    acc = None
     for kern, src in zip((g_hat, *grad_hats), sources):
-        if src is not None:
-            acc += kern * sfft.fftn(grid.embed(src), s=pshape)
-    return grid.extract(sfft.ifftn(acc)[tuple(slice(0, nc) for nc in grid.shape)])
+        if src is None:
+            continue
+        # padded transform one axis at a time, each axis padded just before
+        # its pass: every pass runs only over lines that can be nonzero
+        spec = np.zeros(pshape[:1] + grid.shape[1:], dtype=np.complex128)
+        spec[: grid.shape[0]][grid.mask] = src
+        for ax, pc in enumerate(pshape):
+            spec = sfft.fft(spec, n=pc, axis=ax, overwrite_x=True)
+        spec *= kern
+        if acc is None:
+            acc = spec
+        else:
+            acc += spec
+    # inverse, keeping after each pass only the grid's extent along that axis
+    for ax in reversed(range(grid.dimension)):
+        acc = sfft.ifft(acc, axis=ax, overwrite_x=True)[(slice(None),) * ax
+                                                        + (slice(0, grid.shape[ax]),)]
+    return grid.extract(acc)
 
 
 def grad_field(grid: VolumeGrid, u: np.ndarray) -> List[np.ndarray]:
@@ -302,12 +339,15 @@ def _sum_at_targets(grid: VolumeGrid, params: WaveParameters, targets: np.ndarra
     return out
 
 
-def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField, u: np.ndarray):
-    """Sources of A u: ``(beta u, alpha d_1 u, ..., alpha d_d u)``; beta u is
-    None and the gradient terms are left out where that contrast vanishes."""
+def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField) -> Callable:
+    """``u -> (beta u, alpha d_1 u, ..., alpha d_d u)``, the sources of A u
+    for a checked field u, with alpha and beta sampled at the cell centers
+    once; beta u is None and the gradient terms are left out where that
+    contrast vanishes."""
     alpha, beta = coeffs.alpha(grid.centers), coeffs.beta(grid.centers)
-    grads = [alpha * g for g in grad_field(grid, u)] if np.any(alpha != 0) else ()
-    return (beta * u if np.any(beta != 0) else None, *grads)
+    ops = gradient_ops(grid) if np.any(alpha != 0) else ()
+    beta = beta if np.any(beta != 0) else None
+    return lambda u: (None if beta is None else beta * u, *(alpha * (op @ u) for op in ops))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +371,7 @@ def newton_potential(grid: VolumeGrid, params: WaveParameters, v: np.ndarray,
 
 
 def _apply_A(grid, params, coeffs, u, method):
-    return _apply_kernels(grid, params, _contrast_sources(grid, coeffs, _check_field(grid, u)),
+    return _apply_kernels(grid, params, _contrast_sources(grid, coeffs)(_check_field(grid, u)),
                           method)
 
 
@@ -396,9 +436,17 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
 
 def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
                      coeffs: CoefficientField, method: str = "fft") -> Callable:
-    """Matrix-free applier u -> u - A u (the volume-integral system map)."""
-    apply_op = apply_A_fft if method == "fft" else apply_A
-    return lambda u: u - apply_op(grid, params, coeffs, u)
+    """Matrix-free applier u -> u - A u (the volume-integral system map).
+
+    The contrasts are sampled at the cell centers once, when the applier
+    is built; each application checks its field and convolves.
+    """
+    sources = _contrast_sources(grid, coeffs)
+
+    def applier(u):
+        u = _check_field(grid, u)
+        return u - _apply_kernels(grid, params, sources(u), method)
+    return applier
 
 
 def operator_norm_estimate(applier: Callable, size: int, trials: int = 3,

@@ -191,6 +191,18 @@ class TestDeterminism:
                         + (out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_identical_solve_config_and_seed_byte_identical_outputs(self, tmp_path):
+        cfg = get_preset("disc-a2-solve")
+        cfg["discretization"]["n_per_axis"] = 24
+        cfg["solve"]["exterior_radii"] = [1.5, 3.0]
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert run_scenario(cfg, "solve", str(out), seed_override=42) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("field.csv", "exterior.csv", "report.json")])
+        assert outs[0] == outs[1]
+
     def test_hash_ignores_output_dir(self):
         cfg = get_preset("verify-default")
         h1 = config_hash(cfg)

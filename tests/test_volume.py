@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from conftest import random_field, smooth_probe
 from vielab import (
@@ -21,7 +22,7 @@ from vielab import (
 )
 from vielab import assemble_K, assemble_coupled, build_boundary_mesh, eigenvalues_dense
 from vielab import coupled, volume
-from vielab.boundary import trace_matrix
+from vielab.boundary import density_interp_matrix, refine_mesh, trace_matrix
 from vielab.special import greens_gradient
 from vielab.volume import (
     DenseBudgetError,
@@ -29,6 +30,7 @@ from vielab.volume import (
     discrete_laplacian,
     fft_kernel_tables,
     grad_field,
+    identity_minus_A,
     kernel_matrices,
     self_cell_weight,
 )
@@ -47,6 +49,24 @@ def pairwise_kernel_matrices(grid, params):
     gvec = w * greens_gradient(params, diff_safe.reshape(-1, d)).reshape(n, n, d)
     gvec[self_mask] = 0.0
     return gm, tuple(gvec[..., c] for c in range(d))
+
+
+def full_offset_kernel_tables(grid, params):
+    """Reference: the kernels sampled at every offset of the zero-padded grid."""
+    pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
+    offs = [np.where(np.arange(pc) < nc, np.arange(pc), np.arange(pc) - pc) * grid.h
+            for nc, pc in zip(grid.shape, pshape)]
+    mesh = np.meshgrid(*offs, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    r = np.linalg.norm(pts, axis=1)
+    origin = r == 0.0
+    w = grid.cell_volume
+    g_tab = w * greens_value(params, np.where(origin, grid.h, r))
+    g_tab[origin] = self_cell_weight(params, grid.h)
+    gvec = w * greens_gradient(params, np.where(origin[:, None], grid.h, pts))
+    gvec[origin] = 0.0
+    return pshape, (g_tab.reshape(pshape),
+                    *(gvec[:, c].reshape(pshape) for c in range(grid.dimension)))
 
 
 def bump_density(points, rho=0.8):
@@ -169,6 +189,40 @@ class TestApplyA:
         fast = apply_A_fft(grid, params_k1, cf, u)
         assert np.linalg.norm(direct - fast) / np.linalg.norm(direct) < 1e-10
 
+    @pytest.mark.parametrize("dim, n", [(2, 40), (3, 12)])
+    def test_fft_matches_direct_with_both_contrasts(self, dim, n, rng):
+        # a non-square grid (ellipse) and a 3D one, alpha and beta both nonzero
+        domain = DomainGeometry.ellipse((1.0, 0.6)) if dim == 2 else DomainGeometry.ball(1.0)
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(2.0, dim)
+        cf = constant_a(domain, params.k, 2.0 + 0.5j, k2_inside=6.0 + 1.0j)
+        u = random_field(grid.n, rng)
+        direct = apply_A(grid, params, cf, u)
+        scale = np.linalg.norm(direct)
+        assert np.linalg.norm(apply_A_fft(grid, params, cf, u) - direct) <= 1e-12 * scale
+        system = identity_minus_A(grid, params, cf)(u)
+        assert np.linalg.norm(system - (u - direct)) <= 1e-12 * np.linalg.norm(u - direct)
+
+    def test_identity_minus_A_samples_contrasts_once(self, params_k1, rng, monkeypatch):
+        grid = build_volume_grid(DomainGeometry.disc(1.0), 16)
+        cf = constant_a(grid.domain, params_k1.k, 2.0, k2_inside=3.0)
+        u = random_field(grid.n, rng)
+        calls = []
+        contains = DomainGeometry.contains
+        monkeypatch.setattr(DomainGeometry, "contains",
+                            lambda self, pts: calls.append(len(pts)) or contains(self, pts))
+        counts = []
+        for applications in (1, 5):
+            calls.clear()
+            applier = identity_minus_A(grid, params_k1, cf)
+            for _ in range(applications):
+                applier(u)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        for bad in (np.full(grid.n, np.nan), u[:-1]):
+            with pytest.raises(ValueError, match="field"):
+                applier(bad)
+
     def test_fft_zero_field(self, disc_grid_32, params_k1):
         cf = constant_a(disc_grid_32.domain, params_k1.k, 2.0)
         assert np.all(apply_A_fft(disc_grid_32, params_k1, cf,
@@ -218,7 +272,22 @@ class TestCachedKernels:
         kernel_matrices(grid, params_k1)
         built = dict(points)
         pshape, _, _ = fft_kernel_tables(grid, params_k1)
-        assert built["value"] == built["gradient"] == int(np.prod(pshape)) < grid.n ** 2
+        # one point per offset magnitude: the non-negative orthant of the padded grid
+        qshape = [max(nc - 1, pc - nc) + 1 for nc, pc in zip(grid.shape, pshape)]
+        assert built["value"] == built["gradient"] == int(np.prod(qshape))
+        assert int(np.prod(qshape)) < int(np.prod(pshape)) < grid.n ** 2
+
+    @pytest.mark.parametrize("dim, n", [(2, 47), (3, 10)])
+    def test_orthant_tables_equal_full_offset_sampling(self, dim, n):
+        # n = 47 pads to 96 > 2n, so the negative offsets reach past the grid extent
+        domain = DomainGeometry.disc(1.0) if dim == 2 else DomainGeometry.ball(1.0)
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(1.0, dim)
+        pshape, tables = volume._kernel_tables(grid, params)
+        ref_pshape, ref_tables = full_offset_kernel_tables(grid, params)
+        assert pshape == ref_pshape and len(tables) == len(ref_tables) == dim + 1
+        for got, ref in zip(tables, ref_tables):
+            assert np.array_equal(got, ref)
 
     def test_size_guard_raises_before_any_kernel_evaluation(self, params_k1, monkeypatch):
         def forbidden(*args):
@@ -293,6 +362,7 @@ def _cold_dense_builds(n):
                                                              boundary_operator="nystrom"),
         "assemble_K": lambda: assemble_K(k_mesh, p2),
         "eigenvalues_dense": lambda: eigenvalues_dense(stiff),
+        "density_interp_matrix": lambda: density_interp_matrix(mesh, refine_mesh(mesh)),
     }
 
 
@@ -328,6 +398,18 @@ class TestDenseBudget:
             peak, result = _traced_peak(call)
             assert not isinstance(result, DenseBudgetError)
             assert peak <= err.need, f"n={n}: peak {peak} above the estimate {err.need}"
+
+    def test_coupled_refuses_density_interpolation_before_allocating(self, monkeypatch):
+        # a boundary mesh large against the grid: the coupled estimate on (N + M)^2
+        # fits, the (8M, M) interpolation of the near-field upgrade does not
+        grid = build_volume_grid(DomainGeometry.disc(1.0), 8)
+        mesh = build_boundary_mesh(grid.domain, 400)
+        cf = constant_a(grid.domain, 1.0, 2.0)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 18 * 2**20)
+        peak, err = _traced_peak(lambda: assemble_coupled(
+            grid, mesh, WaveParameters(1.0, 2), cf, boundary_operator="nystrom"))
+        assert isinstance(err, DenseBudgetError) and "density interpolation" in str(err)
+        assert peak < 10**6
 
 
 class TestSmoothForm:
