@@ -27,7 +27,6 @@ from .volume import (
     apply_A_smooth_form,
     assemble_A_dense,
     newton_potential,
-    operator_norm_estimate,
 )
 from .boundary import (
     assemble_K,

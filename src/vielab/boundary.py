@@ -131,7 +131,7 @@ def _trig_resample_matrix(m: int, mf: int) -> np.ndarray:
         else:
             pad[freq % mf] += spec[j]
     fine = np.fft.ifft(pad, axis=0) * (mf / m)
-    return fine.real
+    return np.ascontiguousarray(fine.real)  # owned: a view would keep fine alive
 
 
 def density_interp_matrix(mesh: BoundaryMesh, fine: BoundaryMesh) -> np.ndarray:
@@ -145,6 +145,8 @@ def density_interp_matrix(mesh: BoundaryMesh, fine: BoundaryMesh) -> np.ndarray:
         if fine.m % mesh.m != 0:
             raise ValueError("refined smooth mesh must be an integer multiple")
         return _trig_resample_matrix(mesh.m, fine.m)
+    # one float (Mf, M) matrix, half a complex one (measured peak 0.50-0.55)
+    check_dense_budget("density interpolation", 0.625, fine.m, mesh.m)
     out = np.zeros((fine.m, mesh.m))
     verts = mesh.domain.vertices
     for e in range(len(verts)):

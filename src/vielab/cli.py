@@ -354,8 +354,7 @@ def task_sweep(scenario: Scenario, out: Path) -> dict:
     from .spectral import condition_sweep
     records = condition_sweep(scenario.domain, scenario.params, a_values,
                               n_per_axis=int(cfg.get("n_per_axis", scenario.n_per_axis)),
-                              boundary_nodes=scenario.boundary_nodes,
-                              rng=scenario.rng)
+                              boundary_nodes=scenario.boundary_nodes)
     rows = [[a.real, a.imag, cond] for a, cond in records]
     write_csv(out / "sweep.csv", scenario, ["a_re", "a_im", "condition"], rows)
     results = {

@@ -94,8 +94,8 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
 
     Solves ``applier(x) = rhs`` for a general complex linear map.
     Stagnation over a full restart cycle is reported distinctly from
-    iteration-budget exhaustion; the true residual is recomputed at
-    every restart.
+    iteration-budget exhaustion; the true residual is recomputed once
+    per restart and carried into the next cycle.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
@@ -109,12 +109,11 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
     x = np.zeros(n, dtype=np.complex128)
     history: list = []
     total_iters = 0
-    while total_iters < maxiter:
-        r = b - applier(x)
-        cycle_start = float(np.linalg.norm(r)) / bnorm
-        if cycle_start <= tol:
-            return x, GmresResult(True, "converged", total_iters, cycle_start,
-                                  np.asarray(history))
+    r = b - applier(x)
+    rel_end = float(np.linalg.norm(r)) / bnorm
+    # the residual closing one cycle opens the next; a NaN one is not converged
+    while not rel_end <= tol and total_iters < maxiter:
+        cycle_start = rel_end
         v = np.zeros((restart + 1, n), dtype=np.complex128)  # basis vectors as rows
         h = np.zeros((restart + 1, restart), dtype=np.complex128)
         cs = np.zeros(restart)
@@ -166,16 +165,12 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
             x = x + y @ v[: j_last + 1]
         r = b - applier(x)
         rel_end = float(np.linalg.norm(r)) / bnorm
-        if rel_end <= tol:
-            return x, GmresResult(True, "converged", total_iters, rel_end,
-                                  np.asarray(history))
-        if rel_end >= 0.999 * cycle_start:
+        if rel_end > tol and rel_end >= 0.999 * cycle_start:
             logger.warning("GMRES stagnated at relative residual %.3e", rel_end)
             return x, GmresResult(False, "stagnation", total_iters, rel_end,
                                   np.asarray(history))
-    r = b - applier(x)
-    rel_end = float(np.linalg.norm(r)) / bnorm
-    return x, GmresResult(rel_end <= tol, "maxiter" if rel_end > tol else "converged",
+    converged = rel_end <= tol
+    return x, GmresResult(converged, "converged" if converged else "maxiter",
                           total_iters, rel_end, np.asarray(history))
 
 

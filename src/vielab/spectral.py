@@ -16,6 +16,9 @@ Fredholm verdicts check (i) that the coefficient never vanishes on the
 closed domain and (ii) that no boundary coefficient value maps into
 Sigma; for coefficients constant on the boundary the two conditions are
 necessary and sufficient, otherwise sufficient only.
+
+Condition sweeps toward the breakdown locus take exact 2-norm condition
+numbers from the singular values, so they depend on no seed.
 """
 
 from __future__ import annotations
@@ -307,49 +310,22 @@ def fredholm_verdict(coeffs: CoefficientField, domain: DomainGeometry,
 # ---------------------------------------------------------------------------
 # Condition sweeps toward the breakdown locus
 # ---------------------------------------------------------------------------
-def condition_estimate(matrix: np.ndarray, iters: int = 20, restarts: int = 3,
-                       rng: Optional[np.random.Generator] = None) -> float:
-    """Power-iteration estimate of the l2 condition number of a matrix.
+def condition_estimate(matrix: np.ndarray) -> float:
+    """Exact l2 condition number s_max / s_min of a square matrix.
 
-    Norm and inverse-norm are estimated by power iteration on M*M and on
-    solves with the LU factorization; returns inf for singular systems.
+    Computed from all singular values, so it is deterministic. Returns
+    inf for non-finite input and for numerically singular matrices,
+    s_min <= n eps s_max (numpy's ``matrix_rank`` tolerance).
     """
-    rng = rng or np.random.default_rng(0)
-    n = matrix.shape[0]
-    try:
-        lu = sla.lu_factor(matrix)
-    except sla.LinAlgError:
+    n = max(np.shape(matrix))
+    # LAPACK's copy of the input and its workspace (measured: under 86 columns)
+    check_dense_budget("condition number", 1.0, n, n + 96)
+    if not np.all(np.isfinite(matrix)):
         return float("inf")
-    if not np.all(np.isfinite(lu[0])):
+    s = sla.svdvals(matrix, check_finite=False)
+    if s[-1] <= n * np.finfo(s.dtype).eps * s[0]:
         return float("inf")
-
-    def power(apply_pair):
-        best = 0.0
-        for _ in range(restarts):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            s = 0.0
-            for _ in range(iters):
-                try:
-                    w = apply_pair(v)
-                except (ValueError, sla.LinAlgError):
-                    return float("inf")
-                s = float(np.linalg.norm(w))
-                if not np.isfinite(s):
-                    return float("inf")
-                if s == 0.0:
-                    break
-                v = w / s
-            best = max(best, np.sqrt(s))
-        return best
-
-    adjoint = matrix.conj().T
-    norm = power(lambda v: adjoint @ (matrix @ v))
-    inv_norm = power(lambda v: sla.lu_solve(lu, sla.lu_solve(lu, v, check_finite=False),
-                                            trans=2, check_finite=False))
-    if not (np.isfinite(norm) and np.isfinite(inv_norm)):
-        return float("inf")
-    return float(norm * inv_norm)
+    return float(s[0] / s[-1])
 
 
 def _instrument(domain: DomainGeometry, params: WaveParameters, n_per_axis: int,
@@ -381,8 +357,7 @@ def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
 def condition_sweep(domain: DomainGeometry, params: WaveParameters,
                     a_values: Sequence[complex], n_per_axis: int = 24,
                     boundary_nodes: Optional[int] = None,
-                    k2_inside: Optional[complex] = None,
-                    rng: Optional[np.random.Generator] = None) -> List[Tuple[complex, float]]:
+                    k2_inside: Optional[complex] = None) -> List[Tuple[complex, float]]:
     """Condition of the discretized volume system for each coefficient value.
 
     Uses the spectral instrument at one shared discretization so the
@@ -392,13 +367,14 @@ def condition_sweep(domain: DomainGeometry, params: WaveParameters,
 
     The grid and mesh are built once, so the coefficient-free blocks are
     built once per (grid, mesh, params, variant); each value costs only
-    their diagonal scalings, one LU and the power iterations.
+    their diagonal scalings and one singular-value decomposition. The
+    condition numbers are exact and depend on no seed.
     """
     matrix = _instrument(domain, params, n_per_axis, boundary_nodes)
     out = []
     for a_val in a_values:
         coeffs = constant_a(domain, params.k, a_val, k2_inside)
-        cond = condition_estimate(matrix(coeffs), rng=rng)
+        cond = condition_estimate(matrix(coeffs))
         logger.debug("condition sweep: a=%s cond=%.3e", a_val, cond)
         out.append((complex(a_val), cond))
     return out

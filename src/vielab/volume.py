@@ -449,30 +449,6 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
     return applier
 
 
-def operator_norm_estimate(applier: Callable, size: int, trials: int = 3,
-                           iters: int = 20, rng: Optional[np.random.Generator] = None) -> float:
-    """Power-iteration estimate of the l2 operator norm of a linear map.
-
-    Runs ``iters`` normalized power steps from a random complex start and
-    returns the largest final amplification over ``trials`` restarts
-    (exact for normal operators, a sound lower estimate otherwise).
-    """
-    rng = rng or np.random.default_rng(0)
-    best = 0.0
-    for _ in range(trials):
-        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        v /= np.linalg.norm(v)
-        amp = 0.0
-        for _ in range(iters):
-            w = applier(v)
-            amp = float(np.linalg.norm(w))
-            if amp == 0.0:
-                break
-            v = w / amp
-        best = max(best, amp)
-    return best
-
-
 def discrete_laplacian(grid: VolumeGrid, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Five/seven-point discrete Laplacian and its full-stencil mask.
 

@@ -182,8 +182,7 @@ def test_criterion_07_cluster_prediction(disc, k1, a_val, expected):
 
 
 def test_criterion_08_breakdown_condition_growth(disc, k1):
-    records = condition_sweep(disc, k1, [-3.0, -1.4, -1.2, -1.1, -1.05],
-                              n_per_axis=24, rng=np.random.default_rng(3))
+    records = condition_sweep(disc, k1, [-3.0, -1.4, -1.2, -1.1, -1.05], n_per_axis=24)
     conds = {complex(a): c for a, c in records}
     seq = [conds[complex(a)] for a in (-1.4, -1.2, -1.1, -1.05)]
     monotone = all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))

@@ -14,7 +14,7 @@ from vielab import (
     linear_a,
     trace,
 )
-from vielab.boundary import double_layer_matrix
+from vielab.boundary import _trig_resample_matrix, double_layer_matrix
 from vielab.special import greens_gradient
 
 
@@ -150,6 +150,25 @@ class TestAssembleK:
         mesh = build_boundary_mesh(ball, 64)
         with pytest.raises(ValueError, match="2D"):
             assemble_K(mesh, WaveParameters(1.0, 3))
+
+
+class TestTrigResample:
+    def test_owned_real_matrix(self, monkeypatch):
+        # the result owns its float64 values, bit for bit the real part of
+        # the complex interpolation, and keeps no complex array alive
+        m, mf = 24, 192
+        spectra = []
+        ifft = np.fft.ifft
+
+        def recorded(*args, **kwargs):
+            spectra.append(ifft(*args, **kwargs))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.fft, "ifft", recorded)
+        out = _trig_resample_matrix(m, mf)
+        assert np.array_equal(out, (spectra[0] * (mf / m)).real)
+        assert out.dtype == np.float64 and out.flags.owndata and out.flags.c_contiguous
+        assert out.nbytes == 8 * mf * m
 
 
 class TestJumpRelation:

@@ -130,6 +130,27 @@ class TestGmres:
         _, info = gmres_solve(lambda v: m @ v, b, tol=1e-14, restart=10, maxiter=12)
         assert not info.converged and info.reason == "maxiter"
 
+    @pytest.mark.parametrize("maxiter", [400, 25])
+    def test_one_residual_per_restart(self, unit_disc, maxiter):
+        # each cycle's closing residual opens the next: the applier runs once
+        # per iteration, once per cycle and once for the initial residual
+        params = WaveParameters(4.0, 2)
+        grid = build_volume_grid(unit_disc, 24)
+        applier = identity_minus_A(grid, params, constant_a(unit_disc, params.k, 3.0), "fft")
+        calls = []
+
+        def counted(v):
+            calls.append(np.array(v, copy=True))
+            return applier(v)
+
+        u_inc = incident_plane_wave(grid, params, (1.0, 0.0))
+        _, info = gmres_solve(counted, u_inc, tol=1e-12, restart=10, maxiter=maxiter)
+        assert info.reason == ("converged" if maxiter == 400 else "maxiter")
+        cycles = -(-info.iterations // 10)
+        assert cycles >= 3
+        assert len(calls) == info.iterations + cycles + 1
+        assert not any(np.array_equal(x, y) for x, y in zip(calls, calls[1:]))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gmres_solve(lambda v: v, np.ones(4, complex), tol=2.0)

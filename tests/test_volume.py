@@ -17,10 +17,10 @@ from vielab import (
     constant_a,
     greens_value,
     newton_potential,
-    operator_norm_estimate,
     smooth_bump_a,
 )
 from vielab import assemble_K, assemble_coupled, build_boundary_mesh, eigenvalues_dense
+from vielab.spectral import condition_estimate
 from vielab import coupled, volume
 from vielab.boundary import density_interp_matrix, refine_mesh, trace_matrix
 from vielab.special import greens_gradient
@@ -344,7 +344,8 @@ class TestDenseAssembly:
 def _cold_dense_builds(n):
     """Budgeted dense builds on a disc (2D) or ball (3D) of n cells per axis,
     as zero-argument calls; the eigensolve input is real and so badly scaled
-    that every eigenpair takes the inverse-iteration refinement."""
+    that every eigenpair takes the inverse-iteration refinement, and the
+    condition number's input is its complex counterpart."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
@@ -352,6 +353,7 @@ def _cold_dense_builds(n):
     mesh, k_mesh = build_boundary_mesh(disc, 4 * n), build_boundary_mesh(square, 10 * n)
     cf, cf3 = constant_a(disc, 1.0, 2.0), constant_a(ball, 1.0, 2.0)
     stiff = 1e9 * np.random.default_rng(n).standard_normal((8 * n, 8 * n))
+    stiff_c = stiff + 1j * stiff.T
     return {
         "kernel_matrices": lambda: kernel_matrices(grid, p2),
         "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
@@ -363,6 +365,9 @@ def _cold_dense_builds(n):
         "assemble_K": lambda: assemble_K(k_mesh, p2),
         "eigenvalues_dense": lambda: eigenvalues_dense(stiff),
         "density_interp_matrix": lambda: density_interp_matrix(mesh, refine_mesh(mesh)),
+        "density_interp_matrix-polygon": lambda: density_interp_matrix(k_mesh,
+                                                                       refine_mesh(k_mesh)),
+        "condition_estimate": lambda: condition_estimate(stiff_c),
     }
 
 
@@ -411,6 +416,16 @@ class TestDenseBudget:
         assert isinstance(err, DenseBudgetError) and "density interpolation" in str(err)
         assert peak < 10**6
 
+    def test_polygon_density_interpolation_refused_before_allocating(self, monkeypatch):
+        # the (8M, M) float matrix is 10 MB at M = 400; a refusal allocates none of it
+        square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+        mesh = build_boundary_mesh(square, 400)
+        fine = refine_mesh(mesh)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 0)
+        peak, err = _traced_peak(lambda: density_interp_matrix(mesh, fine))
+        assert isinstance(err, DenseBudgetError) and "density interpolation" in str(err)
+        assert peak < 10**6
+
 
 class TestSmoothForm:
     def test_laplace_case_is_identical(self, disc_grid_32, params_k1, rng):
@@ -448,28 +463,6 @@ class TestSmoothForm:
         with pytest.raises(ValueError, match="alpha = 0 on Gamma"):
             apply_A_smooth_form(disc_grid_32, params_k1, cf,
                                 np.zeros(disc_grid_32.n, complex))
-
-
-class TestOperatorNorm:
-    def test_identity(self, rng):
-        est = operator_norm_estimate(lambda v: v, 50, rng=rng)
-        assert est == pytest.approx(1.0, abs=1e-6)
-
-    def test_zero_operator(self, rng):
-        est = operator_norm_estimate(lambda v: 0 * v, 50, rng=rng)
-        assert est == 0.0
-
-    def test_stable_across_refinement_for_smooth_coefficient(self, unit_disc, params_k1):
-        # boundedness signature: estimates vary < 25% between levels
-        ests = []
-        for n in (24, 48, 96):
-            grid = build_volume_grid(unit_disc, n)
-            cf = smooth_bump_a(unit_disc, params_k1.k, 2.0)
-            ests.append(operator_norm_estimate(
-                lambda v: apply_A_fft(grid, params_k1, cf, v), grid.n,
-                rng=np.random.default_rng(5)))
-        assert abs(ests[1] - ests[0]) / ests[0] < 0.25
-        assert abs(ests[2] - ests[1]) / ests[1] < 0.25
 
 
 class TestDiscreteLaplacian:
