@@ -21,7 +21,6 @@ from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
 from .volume import (
     DenseBudgetError,
-    DenseOperator,
     apply_A,
     apply_A_fft,
     apply_A_smooth_form,
@@ -30,7 +29,6 @@ from .volume import (
 )
 from .boundary import (
     assemble_K,
-    commutator_K_alpha,
     double_layer_potential,
     jump_relation_check,
     trace,

@@ -38,10 +38,9 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.spatial import cKDTree
 
-from .coefficients import CoefficientField
 from .geometry import BoundaryMesh, VolumeGrid, build_boundary_mesh
 from .special import WaveParameters, greens_gradient
-from .volume import DenseOperator, check_dense_budget
+from .volume import check_dense_budget
 
 logger = logging.getLogger(__name__)
 
@@ -111,27 +110,36 @@ def trace(grid: VolumeGrid, mesh: BoundaryMesh, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Density resampling (for near-boundary quadrature upgrades)
 # ---------------------------------------------------------------------------
-def refine_mesh(mesh: BoundaryMesh, factor: int = NEAR_OVERSAMPLE) -> BoundaryMesh:
-    """Rebuild the mesh with ``factor`` times as many nodes."""
-    return build_boundary_mesh(mesh.domain, mesh.m * factor, mesh.grading)
+def refine_mesh(mesh: BoundaryMesh) -> BoundaryMesh:
+    """Rebuild the mesh with ``NEAR_OVERSAMPLE`` times as many nodes."""
+    return build_boundary_mesh(mesh.domain, mesh.m * NEAR_OVERSAMPLE, mesh.grading)
 
 
 def _trig_resample_matrix(m: int, mf: int) -> np.ndarray:
-    """Trigonometric interpolation from m to mf equispaced periodic nodes."""
-    # the padded spectrum and its inverse FFT (measured peak 2.1-4.2 live (mf, m) arrays)
-    check_dense_budget("density interpolation", 4.25, mf, m)
-    spec = np.fft.fft(np.eye(m), axis=0)
-    pad = np.zeros((mf, m), dtype=complex)
+    """Trigonometric interpolation from m to mf equispaced periodic nodes,
+    mf a multiple of m.
+
+    Column j interpolates the unit density at coarse node j, which is the
+    column of node 0 shifted by j * mf / m fine nodes; only that column is
+    transformed.
+    """
+    # the float result plus about eight complex columns: the FFT's and the
+    # caller's refined mesh (measured peak 0.52-0.61 (mf, m) arrays at m = 64-400)
+    check_dense_budget("density interpolation", 0.5 + 8.0 / m, mf, m)
+    # spectrum of the unit density at node 0 (all ones), zero-padded; an even
+    # m splits its Nyquist mode evenly between +m/2 and -m/2
     half = m // 2
+    pad = np.zeros(mf, dtype=complex)
+    pad[:half + 1] = 1.0              # frequencies 0 .. m // 2
+    pad[mf - (m - 1) // 2:] = 1.0     # frequencies -(m - 1) // 2 .. -1
+    if m % 2 == 0:
+        pad[half] = 0.5
+        pad[mf - half] += 0.5
+    col = np.fft.ifft(pad).real * (mf / m)
+    out = np.empty((mf, m))
     for j in range(m):
-        freq = j if j <= half else j - m
-        if m % 2 == 0 and j == half:
-            pad[half] += 0.5 * spec[j]
-            pad[mf - half] += 0.5 * spec[j]
-        else:
-            pad[freq % mf] += spec[j]
-    fine = np.fft.ifft(pad, axis=0) * (mf / m)
-    return np.ascontiguousarray(fine.real)  # owned: a view would keep fine alive
+        out[:, j] = np.roll(col, j * (mf // m))
+    return out
 
 
 def density_interp_matrix(mesh: BoundaryMesh, fine: BoundaryMesh) -> np.ndarray:
@@ -177,12 +185,11 @@ def _kernel_block(params: WaveParameters, targets: np.ndarray,
 
 def double_layer_matrix(mesh: BoundaryMesh, params: WaveParameters,
                         targets: np.ndarray,
-                        near_distance: Optional[float] = None,
-                        oversample: int = NEAR_OVERSAMPLE) -> np.ndarray:
+                        near_distance: Optional[float] = None) -> np.ndarray:
     """Matrix evaluating D phi at volume targets from nodal densities.
 
     Targets closer to Gamma than ``near_distance`` get their quadrature
-    upgraded by an ``oversample``-times finer mesh with the density
+    upgraded by a ``NEAR_OVERSAMPLE``-times finer mesh with the density
     interpolated onto it.
     """
     _require_2d(mesh)
@@ -192,18 +199,18 @@ def double_layer_matrix(mesh: BoundaryMesh, params: WaveParameters,
         near = mesh.domain.boundary_distance(targets) < near_distance
     # the upgraded rows first: the interpolation's budget check then precedes
     # every kernel block, and its temporaries are gone before the full block
-    rows = _refined_rows(mesh, params, targets[near], oversample) if np.any(near) else None
+    rows = _refined_rows(mesh, params, targets[near]) if np.any(near) else None
     mat = _kernel_block(params, targets, mesh)
     if rows is not None:
         mat[near] = rows
     return mat
 
 
-def _refined_rows(mesh: BoundaryMesh, params: WaveParameters, targets: np.ndarray,
-                  oversample: int) -> np.ndarray:
-    """Double layer rows at ``targets`` by an ``oversample``-times finer mesh
-    with the density interpolated onto it."""
-    fine = refine_mesh(mesh, oversample)
+def _refined_rows(mesh: BoundaryMesh, params: WaveParameters,
+                  targets: np.ndarray) -> np.ndarray:
+    """Double layer rows at ``targets`` by the refined mesh with the density
+    interpolated onto it."""
+    fine = refine_mesh(mesh)
     interp = density_interp_matrix(mesh, fine)
     return _kernel_block(params, targets, fine) @ interp
 
@@ -219,7 +226,7 @@ def double_layer_potential(mesh: BoundaryMesh, params: WaveParameters,
 # ---------------------------------------------------------------------------
 # Boundary operator K
 # ---------------------------------------------------------------------------
-def assemble_K(mesh: BoundaryMesh, params: WaveParameters) -> DenseOperator:
+def assemble_K(mesh: BoundaryMesh, params: WaveParameters) -> np.ndarray:
     """Nystrom matrix of the on-boundary double layer operator K.
 
     Smooth curves: continuous-kernel quadrature with the curvature
@@ -239,46 +246,35 @@ def assemble_K(mesh: BoundaryMesh, params: WaveParameters) -> DenseOperator:
         kern[eye] = -mesh.curvatures / (4.0 * np.pi)
     else:
         kern[eye] = 0.0
-    return DenseOperator(kern * mesh.weights[None, :], mesh.nodes, mesh.nodes)
+    return kern * mesh.weights[None, :]
 
 
 def jump_relation_check(mesh: BoundaryMesh, params: WaveParameters,
-                        phi: np.ndarray, offset_scale: Optional[float] = None,
-                        levels: int = 3) -> float:
+                        phi: np.ndarray) -> float:
     """Max-norm discrepancy of the interior trace of D phi vs -phi/2 + K phi.
 
     D phi is evaluated at interior points receding from each node along
-    -n at offsets eps, eps/2, eps/4 (oversampled quadrature) and
-    Richardson-extrapolated to the boundary with three levels.
+    -n at offsets eps, eps/2, eps/4 (eps a tenth of the smallest radius or
+    semi-axis; oversampled quadrature) and Richardson-extrapolated to the
+    boundary with three levels.
     """
     _require_2d(mesh)
     if not mesh.is_smooth:
         raise ValueError("quantitative jump relation check requires a smooth curve")
-    if levels != 3:
-        raise ValueError("the extrapolation rule is calibrated for 3 levels")
     phi = _check_density(mesh, phi)
-    if offset_scale is None:
-        if mesh.domain.kind == "disc":
-            offset_scale = 0.1 * mesh.domain.radius
-        else:
-            offset_scale = 0.1 * float(np.min(mesh.domain.semi_axes))
-    fine = refine_mesh(mesh, NEAR_OVERSAMPLE)
+    if mesh.domain.kind == "disc":
+        offset_scale = 0.1 * mesh.domain.radius
+    else:
+        offset_scale = 0.1 * float(np.min(mesh.domain.semi_axes))
+    fine = refine_mesh(mesh)
     phi_fine = density_interp_matrix(mesh, fine) @ phi
     values = []
-    for j in range(levels):
+    for j in range(3):
         eps = offset_scale * 0.5 ** j
         targets = mesh.nodes - eps * mesh.normals
         values.append(_kernel_block(params, targets, fine) @ phi_fine)
     f0, f1, f2 = values
     gamma_d = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
-    rhs = -0.5 * phi + assemble_K(mesh, params).matrix @ phi
+    rhs = -0.5 * phi + assemble_K(mesh, params) @ phi
     return float(np.max(np.abs(gamma_d - rhs)))
 
-
-def commutator_K_alpha(mesh: BoundaryMesh, params: WaveParameters,
-                       coeffs: CoefficientField, phi: np.ndarray) -> np.ndarray:
-    """Commutator action [K, alpha] phi = K(alpha phi) - alpha K(phi)."""
-    phi = _check_density(mesh, phi)
-    alpha = coeffs.alpha(mesh.nodes)
-    k_mat = assemble_K(mesh, params).matrix
-    return k_mat @ (alpha * phi) - alpha * (k_mat @ phi)

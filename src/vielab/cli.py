@@ -248,7 +248,7 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     else:
         raise ConfigError(f"unknown incident field {incident_kind!r}")
 
-    applier = identity_minus_A(grid, scenario.params, scenario.coeffs, method="fft")
+    applier = identity_minus_A(grid, scenario.params, scenario.coeffs)
     u, info = gmres_solve(applier, u_inc, tol=float(cfg.get("tol", 1e-8)),
                           restart=int(cfg.get("restart", 30)),
                           maxiter=int(cfg.get("maxiter", 400)))
@@ -288,15 +288,15 @@ def _spectrum_matrix(scenario: Scenario, n_level: int) -> np.ndarray:
                                         n_level, 4 * n_level)
     if op == "volume":
         grid = scenario.grid(n_level)
-        return assemble_A_dense(grid, scenario.params, scenario.coeffs).matrix
+        return assemble_A_dense(grid, scenario.params, scenario.coeffs)
     if op == "contrast":
         grid = scenario.grid(n_level)
-        dense = assemble_A_dense(grid, scenario.params, scenario.coeffs).matrix
+        dense = assemble_A_dense(grid, scenario.params, scenario.coeffs)
         return np.eye(grid.n, dtype=np.complex128) - dense
     if op == "half-minus-K":
         mesh = scenario.mesh(n_level)
         return 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(
-            mesh, scenario.params).matrix
+            mesh, scenario.params)
     raise ConfigError(f"unknown spectrum operator {op!r}")
 
 
@@ -329,8 +329,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
     if coeff_name in ("constant-a", "polygon-constant-a") and \
             cfg.get("operator", "coupled") in ("coupled", "volume"):
         a_val = _as_complex(scenario.config["coefficients"]["a"], "a")
-        sigma = [0.5] if scenario.domain.kind in ("disc", "ellipse") else \
-            [0.5]  # polygon interval estimated separately via half-minus-K runs
+        sigma = [0.5]  # every shape; ROADMAP item 4 replaces it by intervals on corners
         pred = predict_clusters([a_val], a_val, sigma)
         results["predicted_clusters"] = [_c2pair(p) for p in pred]
         verdict = fredholm_verdict(scenario.coeffs, scenario.domain, sigma,
@@ -476,7 +475,7 @@ def verify_suite(scenario: Scenario) -> dict:
     def dense_consistency():
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 24))
         u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        mv = assemble_A_dense(grid, params, coeffs).matrix @ u
+        mv = assemble_A_dense(grid, params, coeffs) @ u
         mf = u - apply_A(grid, params, coeffs, u)
         rel = float(np.linalg.norm(mv - mf) / np.linalg.norm(mv))
         return rel, rel <= 1e-12, "assembled matrix vs matrix-free action"
@@ -533,7 +532,7 @@ def verify_suite(scenario: Scenario) -> dict:
         vals = double_layer_potential(mesh, p0, np.ones(mesh.m, complex), inner)
         dev = float(np.max(np.abs(np.abs(vals) - 1.0)))
         sign = float(np.sign(np.real(vals).mean()))
-        k0 = assemble_K(mesh, p0).matrix
+        k0 = assemble_K(mesh, p0)
         jump_side = float(np.real(-0.5 + (k0 @ np.ones(mesh.m))[0]))
         consistent = abs(jump_side - sign) <= 1e-8
         return dev, dev <= 1e-8 and consistent, \
@@ -565,7 +564,7 @@ def verify_suite(scenario: Scenario) -> dict:
         counts = {}
         for n in (24, 40):
             grid = build_volume_grid(domain, n)
-            dense = assemble_A_dense(grid, params, coeffs).matrix
+            dense = assemble_A_dense(grid, params, coeffs)
             vals, _ = eigenvalues_dense(np.eye(grid.n) - dense)
             counts[n] = int(np.sum(np.abs(vals) > 0.05))
         change = abs(counts[40] - counts[24])

@@ -53,12 +53,13 @@ from typing import Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import zgecon
 
 from .boundary import assemble_K, double_layer_matrix, trace_matrix
 from .coefficients import CoefficientField
 from .geometry import BoundaryMesh, VolumeGrid
 from .special import WaveParameters
-from .volume import DenseOperator, check_dense_budget, kernel_matrices
+from .volume import a1_weights, check_dense_budget, kernel_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -72,17 +73,16 @@ class CoupledOperator:
 
     ``matrix`` is ordered volume unknowns first, then boundary unknowns.
     ``boundary_K`` is the realization of K used in the boundary row
-    (``variant`` records which); ``a1``, ``dl``, ``trace_op`` expose the
-    blocks for structural experiments. ``dl``, ``trace_op`` and
-    ``boundary_K`` are shared by every system assembled on the same
-    discretization and are read-only.
+    (``variant`` records which); ``dl`` and ``trace_op`` expose the
+    coefficient-free blocks for structural experiments. All three are
+    shared by every system assembled on the same discretization and are
+    read-only.
     """
 
     matrix: np.ndarray
     grid: VolumeGrid
     mesh: BoundaryMesh
     variant: str
-    a1: np.ndarray         # (N, N)
     dl: np.ndarray         # (N, M) double layer into the volume
     trace_op: np.ndarray   # (M, N)
     boundary_K: np.ndarray  # (M, M)
@@ -114,22 +114,18 @@ class CoupledSolveInfo:
 
 
 def assemble_A1(grid: VolumeGrid, params: WaveParameters,
-                coeffs: CoefficientField) -> DenseOperator:
+                coeffs: CoefficientField) -> np.ndarray:
     """Dense matrix of the compact volume part A1 of the split operator.
 
     Uses the same kernels, weights, and self-cell correction as the
-    volume operator assembly.
+    volume operator assembly, with the weights of ``a1_weights``.
     """
     gm, grads = kernel_matrices(grid, params)
-    centers = grid.centers
-    alpha = coeffs.alpha(centers)
-    beta = coeffs.beta(centers)
-    galpha = coeffs.grad_alpha(centers)
-    k2 = params.k ** 2
-    mat = gm * (k2 * alpha - beta)[None, :]
-    for c in range(grid.dimension):
-        mat += grads[c] * galpha[:, c][None, :]
-    return DenseOperator(mat, centers, centers)
+    g_weight, *grad_weights = a1_weights(grid, params, coeffs)
+    mat = gm * g_weight[None, :]
+    for kern, weight in zip(grads, grad_weights):
+        mat += kern * weight[None, :]
+    return mat
 
 
 @functools.lru_cache(maxsize=2)
@@ -137,10 +133,13 @@ def _coefficient_free_blocks(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveP
                              boundary_operator: str):
     """Dense trace (M, N), double layer (N, M) and K (M, M), shared (hence
     read-only) by every coupled system assembled on this discretization."""
+    # the Nystrom K first: its budget check, above the density interpolation's,
+    # then refuses a large boundary before the double layer allocates
+    k_mat = assemble_K(mesh, params) if boundary_operator == "nystrom" else None
     t_mat = trace_matrix(grid, mesh).toarray()
     dl = double_layer_matrix(mesh, params, grid.centers, near_distance=0.5 * grid.h)
-    k_mat = (0.5 * np.eye(mesh.m, dtype=np.complex128) + t_mat @ dl
-             if boundary_operator == "trace-consistent" else assemble_K(mesh, params).matrix)
+    if k_mat is None:
+        k_mat = 0.5 * np.eye(mesh.m, dtype=np.complex128) + t_mat @ dl
     for block in (t_mat, dl, k_mat):
         block.setflags(write=False)
     return t_mat, dl, k_mat
@@ -161,7 +160,7 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     # the 1 + d kernel matrices, A1, the diagonal block's temporaries and the system
     check_dense_budget("coupled system", grid.dimension + 4, grid.n + mesh.m, grid.n + mesh.m)
     t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
-    a1 = assemble_A1(grid, params, coeffs).matrix
+    a1 = assemble_A1(grid, params, coeffs)
     alpha_nodes = coeffs.alpha(mesh.nodes)
     a_nodes = 1.0 + alpha_nodes
     a_cells = 1.0 + coeffs.alpha(grid.centers)
@@ -173,7 +172,7 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     matrix = np.block([[b11, b12], [b21, b22]])
     logger.debug("coupled system (%s): N=%d volume + M=%d boundary unknowns",
                  boundary_operator, grid.n, mesh.m)
-    return CoupledOperator(matrix, grid, mesh, boundary_operator, a1, dl, t_mat,
+    return CoupledOperator(matrix, grid, mesh, boundary_operator, dl, t_mat,
                            k_mat, alpha_nodes, a_nodes, a_cells)
 
 
@@ -218,23 +217,12 @@ def solve_coupled(system: CoupledOperator, u_inc: np.ndarray,
     rhs = np.concatenate([u_inc, psi])
     anorm = np.linalg.norm(system.matrix, 1)
     lu, piv = sla.lu_factor(system.matrix)
-    rcond = _rcond_from_lu(lu, anorm)
+    rcond = float(zgecon(lu, anorm)[0])
     sol = sla.lu_solve((lu, piv), rhs)
     info = CoupledSolveInfo(rcond=rcond, near_singular=rcond < NEAR_SINGULAR_RCOND)
     if info.near_singular:
         logger.warning("coupled solve near singular: rcond=%.3e", rcond)
     return sol[:n], sol[n:], info
-
-
-def _rcond_from_lu(lu: np.ndarray, anorm: float) -> float:
-    try:
-        from scipy.linalg.lapack import zgecon
-        rcond, info = zgecon(lu, anorm)
-        if info == 0:
-            return float(rcond)
-    except Exception:  # pragma: no cover - lapack wrapper availability
-        pass
-    return float(1.0 / max(np.linalg.cond(lu, 1), 1.0))
 
 
 def check_equivalence(u: np.ndarray, phi: np.ndarray, mesh: BoundaryMesh,

@@ -259,15 +259,6 @@ class VolumeGrid:
     def cell_volume(self) -> float:
         return self.h ** self.dimension
 
-    def embed(self, values: np.ndarray) -> np.ndarray:
-        """Scatter unknown values into the full grid box (zeros outside)."""
-        values = np.asarray(values)
-        if values.shape != (self.n,):
-            raise ValueError(f"expected {self.n} values, got shape {values.shape}")
-        full = np.zeros(self.shape, dtype=np.result_type(values.dtype, np.complex128))
-        full[self.mask] = values
-        return full
-
     def extract(self, full: np.ndarray) -> np.ndarray:
         """Gather values at the included cells from a full grid array."""
         if full.shape != self.shape:

@@ -26,6 +26,9 @@ from .volume import _check_field, _contrast_sources, _sum_at_targets
 
 logger = logging.getLogger(__name__)
 
+#: Truncation target of the transmission series: the last mode's contribution.
+SERIES_TAIL_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Incident fields
@@ -196,7 +199,7 @@ class MieSeries:
     orders: int
     b_coeffs: np.ndarray  # index m + orders, m = -orders..orders
     c_coeffs: np.ndarray
-    truncated: bool = False  # order cap reached before the tail met tail_tol
+    truncated: bool = False  # order cap reached before the tail met SERIES_TAIL_TOL
 
     def _polar(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -288,14 +291,13 @@ def _log_derivative_j(m: int, z) -> complex:
 
 
 def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
-                       k2_in: complex, direction: Sequence[float] = (1.0, 0.0),
-                       tail_tol: float = 1e-12) -> MieSeries:
+                       k2_in: complex, direction: Sequence[float] = (1.0, 0.0)) -> MieSeries:
     """Transmission series for a plane wave hitting a penetrable disc.
 
     Interior medium: coefficient ``a_in`` and squared wavenumber
     ``k2_in`` (effective interior wavenumber sqrt(k2_in / a_in)).
     Truncation grows until the last mode's contribution drops below
-    ``tail_tol`` relative to the leading one, or until the order passes
+    ``SERIES_TAIL_TOL`` relative to the leading one, or until the order passes
     200; the latter logs a warning and sets ``truncated``.
     """
     if params.dimension != 2:
@@ -331,13 +333,13 @@ def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
     while True:
         bq, cq = solve_mode(orders)
         tail = max(abs(bq * _sp.hankel1(orders, kr)), abs(cq * _sp.jv(orders, qr)))
-        if tail < tail_tol or orders > 200:
+        if tail < SERIES_TAIL_TOL or orders > 200:
             break
         orders += 4
-    truncated = not tail < tail_tol
+    truncated = not tail < SERIES_TAIL_TOL
     if truncated:
         logger.warning("transmission series truncated at %d orders (kR=%.3g): "
-                       "last-mode tail %.2e above %.1e", orders, abs(kr), tail, tail_tol)
+                       "last-mode tail %.2e above %.1e", orders, abs(kr), tail, SERIES_TAIL_TOL)
     ms = np.arange(-orders, orders + 1)
     b = np.empty(len(ms), dtype=complex)
     c = np.empty(len(ms), dtype=complex)

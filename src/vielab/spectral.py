@@ -34,11 +34,15 @@ from .coefficients import CoefficientField, constant_a
 from .coupled import assemble_coupled, quadrature_weighted_matrix
 from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid
 from .special import WaveParameters
-from .volume import DenseOperator, check_dense_budget
+from .volume import check_dense_budget
 
 logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-8
+#: A candidate cluster must hold this many fine-level eigenvalues ...
+CLUSTER_MIN_COUNT = 4
+#: ... and grow by this factor from the coarse to the fine level.
+CLUSTER_GROWTH = 1.3
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +75,11 @@ class ClusterReport:
         z = self.clustered_fine
         return float(np.max(np.abs(z[:, None] - z[None, :])))
 
-    def contains(self, value: complex, tol: Optional[float] = None) -> bool:
-        """Whether some clustered eigenvalue lies within tol (default delta)."""
+    def contains(self, value: complex) -> bool:
+        """Whether some clustered eigenvalue lies within ``delta`` of value."""
         if len(self.clustered_fine) == 0:
             return False
-        tol = self.delta if tol is None else tol
-        return bool(np.min(np.abs(self.clustered_fine - value)) <= tol)
+        return bool(np.min(np.abs(self.clustered_fine - value)) <= self.delta)
 
 
 @dataclass
@@ -104,17 +107,15 @@ class FredholmVerdict:
 # ---------------------------------------------------------------------------
 # Dense eigensolve with residual certification
 # ---------------------------------------------------------------------------
-def eigenvalues_dense(op, residual_tol: float = RESIDUAL_TOL,
-                      refine_steps: int = 3) -> Tuple[np.ndarray, np.ndarray]:
+def eigenvalues_dense(matrix) -> Tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a complex matrix, each with a certified residual.
 
     Residuals are ||M v - lambda v|| / ||v|| from the computed right
-    eigenvectors; eigenpairs above ``residual_tol`` get up to
-    ``refine_steps`` inverse-iteration refinements. Eigenvalues are
-    returned sorted by (real, imaginary) part; residuals that still
-    exceed the tolerance are reported as-is rather than aborting.
+    eigenvectors; eigenpairs above ``RESIDUAL_TOL`` get up to three
+    inverse-iteration refinements. Eigenvalues are returned sorted by
+    (real, imaginary) part; residuals that still exceed the tolerance
+    are reported as-is rather than aborting.
     """
-    matrix = op.matrix if isinstance(op, DenseOperator) else op
     n = np.shape(matrix)[0]
     if np.shape(matrix) != (n, n):
         raise ValueError("eigenvalue computation needs a square matrix")
@@ -124,25 +125,25 @@ def eigenvalues_dense(op, residual_tol: float = RESIDUAL_TOL,
     vals, vecs = sla.eig(matrix)
     res = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
     res /= np.linalg.norm(vecs, axis=0)
-    bad = np.flatnonzero(res > residual_tol)
+    bad = np.flatnonzero(res > RESIDUAL_TOL)
     for idx in bad:
-        lam, vec, r = _inverse_iteration(matrix, vals[idx], vecs[:, idx], refine_steps)
+        lam, vec, r = _inverse_iteration(matrix, vals[idx], vecs[:, idx])
         if r < res[idx]:
             vals[idx], res[idx] = lam, r
     order = np.lexsort((vals.imag, vals.real))
-    if np.any(res[order] > residual_tol):
+    if np.any(res[order] > RESIDUAL_TOL):
         worst = float(res.max())
         logger.warning("eigensolve: %d residuals above %.1e (worst %.2e)",
-                       int(np.sum(res > residual_tol)), residual_tol, worst)
+                       int(np.sum(res > RESIDUAL_TOL)), RESIDUAL_TOL, worst)
     return vals[order], res[order]
 
 
-def _inverse_iteration(matrix, lam, vec, steps):
+def _inverse_iteration(matrix, lam, vec):
     n = matrix.shape[0]
     jitter = 1e-12 * np.linalg.norm(matrix, np.inf)
     best = (lam, vec, np.inf)
     v = vec / np.linalg.norm(vec)
-    for _ in range(steps):
+    for _ in range(3):
         shifted = np.array(matrix, order="F")  # LAPACK's layout: factored in place
         shifted.flat[:: n + 1] -= lam + jitter
         try:
@@ -181,13 +182,14 @@ def a_to_sigma(a):
 
 
 def predict_clusters(a_interior: Iterable[complex], a_boundary: complex,
-                     sigma_set: Iterable[complex], tol: float = 1e-6) -> np.ndarray:
+                     sigma_set: Iterable[complex]) -> np.ndarray:
     """Predicted accumulation points of the assembled volume system I - A.
 
     Interior coefficient values accumulate as-is; each sigma in the
     essential set of I/2 - K contributes the boundary-symbol value
     (1 + a)/2 + (a - 1)(1/2 - sigma). For smooth boundaries the set
-    {1/2} collapses the boundary prediction to (1 + a)/2.
+    {1/2} collapses the boundary prediction to (1 + a)/2. Points within
+    1e-6 of an earlier one are merged into it.
     """
     points: List[complex] = []
     for val in a_interior:
@@ -197,7 +199,7 @@ def predict_clusters(a_interior: Iterable[complex], a_boundary: complex,
         points.append(0.5 * (1.0 + ab) + (ab - 1.0) * (0.5 - complex(sigma)))
     reps: List[complex] = []
     for z in points:
-        if not any(abs(z - r) <= tol for r in reps):
+        if not any(abs(z - r) <= 1e-6 for r in reps):
             reps.append(z)
     reps.sort(key=lambda z: (z.real, z.imag))
     return np.array(reps, dtype=complex)
@@ -206,13 +208,14 @@ def predict_clusters(a_interior: Iterable[complex], a_boundary: complex,
 # ---------------------------------------------------------------------------
 # Cluster detection (two-level accumulation test)
 # ---------------------------------------------------------------------------
-def detect_clusters(eigs_coarse: np.ndarray, eigs_fine: np.ndarray, delta: float,
-                    growth_threshold: float = 1.3, min_count: int = 4) -> ClusterReport:
+def detect_clusters(eigs_coarse: np.ndarray, eigs_fine: np.ndarray,
+                    delta: float) -> ClusterReport:
     """Greedy density clustering of eigenvalues across two resolutions.
 
     Candidate centers are taken at the densest fine-level eigenvalues;
-    a candidate becomes a cluster when the count within ``delta`` grows
-    by at least ``growth_threshold`` from the coarse to the fine level.
+    a candidate becomes a cluster when it holds at least
+    ``CLUSTER_MIN_COUNT`` fine-level eigenvalues within ``delta`` and that
+    count grows by at least ``CLUSTER_GROWTH`` from the coarse level.
     Dense but non-growing spots (stable outliers, e.g. isolated
     eigenvalues of fixed multiplicity) are rejected and counted outside.
     """
@@ -222,19 +225,19 @@ def detect_clusters(eigs_coarse: np.ndarray, eigs_fine: np.ndarray, delta: float
     centers: List[complex] = []
     counts_c: List[int] = []
     counts_f: List[int] = []
-    while len(remaining) >= min_count:
+    while len(remaining) >= CLUSTER_MIN_COUNT:
         dist = np.abs(remaining[:, None] - remaining[None, :])
         counts = (dist <= delta).sum(axis=1)
         best = int(np.argmax(counts))
-        if counts[best] < min_count:
+        if counts[best] < CLUSTER_MIN_COUNT:
             break
         local = remaining[dist[best] <= delta]
         center = complex(np.mean(local))
         c_fine = int(np.sum(np.abs(eigs_fine - center) <= delta))
         c_coarse = int(np.sum(np.abs(eigs_coarse - center) <= delta))
-        grows = (c_fine >= growth_threshold * c_coarse) if c_coarse > 0 \
-            else (c_fine >= 3 * min_count)
-        if grows and c_fine >= min_count:
+        grows = (c_fine >= CLUSTER_GROWTH * c_coarse) if c_coarse > 0 \
+            else (c_fine >= 3 * CLUSTER_MIN_COUNT)
+        if grows and c_fine >= CLUSTER_MIN_COUNT:
             centers.append(center)
             counts_c.append(c_coarse)
             counts_f.append(c_fine)
@@ -261,42 +264,36 @@ def detect_clusters(eigs_coarse: np.ndarray, eigs_fine: np.ndarray, delta: float
 # ---------------------------------------------------------------------------
 def fredholm_verdict(coeffs: CoefficientField, domain: DomainGeometry,
                      sigma_estimate: Sequence[complex],
-                     interior_samples: int = 2000,
-                     boundary_samples: int = 256,
-                     zero_tol: float = 1e-9,
-                     breakdown_tol: float = 1e-6,
-                     inconclusive_band: float = 0.02,
                      rng: Optional[np.random.Generator] = None) -> FredholmVerdict:
     """Evaluate the two Fredholm conditions on sampled coefficient values.
 
-    (i) min |a| over a dense sample of the closed domain exceeds
-    ``zero_tol``; (ii) every boundary value stays farther than
-    ``breakdown_tol`` from every breakdown coefficient sigma/(sigma-1),
-    sigma in the supplied essential-set estimate. Verdicts whose
-    boundary values approach the breakdown set within
-    ``inconclusive_band`` (without violating it) are flagged
+    (i) min |a| over 2000 interior samples and 256 boundary nodes exceeds
+    1e-9; (ii) every boundary value stays farther than 1e-6 from every
+    breakdown coefficient sigma/(sigma-1), sigma in the supplied
+    essential-set estimate. Verdicts whose boundary values approach the
+    breakdown set within 0.02 (without violating it) are flagged
     inconclusive when Sigma itself is a numeric estimate.
     """
     rng = rng or np.random.default_rng(0)
     box = domain.bounding_box
-    pts = rng.uniform(box[:, 0], box[:, 1], size=(8 * interior_samples, domain.dimension))
-    pts = pts[domain.contains(pts)][:interior_samples]
-    mesh = build_boundary_mesh(domain, boundary_samples)
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(8 * 2000, domain.dimension))
+    pts = pts[domain.contains(pts)][:2000]
+    mesh = build_boundary_mesh(domain, 256)
     a_in = coeffs.a(pts)
     a_bd = coeffs.a(mesh.nodes)
     min_abs_a = float(min(np.min(np.abs(a_in)), np.min(np.abs(a_bd))))
-    cond_i = min_abs_a > zero_tol
+    cond_i = min_abs_a > 1e-9
 
     sigma_arr = np.array([complex(s) for s in sigma_estimate])
     breakdown = sigma_arr / (sigma_arr - 1.0)
     dist = np.min(np.abs(a_bd[:, None] - breakdown[None, :]), axis=1)
     min_dist = float(np.min(dist))
-    cond_ii = min_dist > breakdown_tol
+    cond_ii = min_dist > 1e-6
 
     const_dev = float(np.max(np.abs(a_bd - a_bd.mean())))
     strength = "iff" if const_dev <= 1e-10 else "sufficient-only"
     numeric_sigma = len(sigma_arr) > 1
-    inconclusive = bool(numeric_sigma and cond_ii and min_dist <= inconclusive_band)
+    inconclusive = bool(numeric_sigma and cond_ii and min_dist <= 0.02)
     details = {
         "min_abs_a": min_abs_a,
         "min_breakdown_distance": min_dist,

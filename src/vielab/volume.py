@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -79,36 +78,6 @@ def check_dense_budget(what: str, live: float, rows: int, cols: int) -> None:
     need = int(live * 16 * rows * cols)
     if need > DENSE_BUDGET_BYTES:
         raise DenseBudgetError(what, need)
-
-
-# ---------------------------------------------------------------------------
-# Dense operator container
-# ---------------------------------------------------------------------------
-@dataclass(eq=False)
-class DenseOperator:
-    """Square complex matrix with coordinate maps for its unknowns.
-
-    Attributes
-    ----------
-    matrix : np.ndarray, complex, shape (n, n)
-    row_points, col_points : np.ndarray, shape (n, d)
-        Coordinates of the unknowns the rows/columns refer to.
-    """
-
-    matrix: np.ndarray
-    row_points: np.ndarray
-    col_points: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if len(self.row_points) != m.shape[0] or len(self.col_points) != m.shape[1]:
-            raise ValueError("index maps do not match the matrix dimensions")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _check_field(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
@@ -387,6 +356,18 @@ def apply_A_fft(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientFie
     return _apply_A(grid, params, coeffs, u, "fft")
 
 
+def a1_weights(grid: VolumeGrid, params: WaveParameters,
+               coeffs: CoefficientField) -> List[np.ndarray]:
+    """Cell-center weights of the compact part of the split operator,
+    A1 u = int G (k^2 alpha - beta) u + sum_c int d_c G (d_c alpha) u:
+    ``[k^2 alpha - beta, d_1 alpha, ..., d_d alpha]``, one per kernel."""
+    centers = grid.centers
+    galpha = coeffs.grad_alpha(centers)
+    k2 = params.k ** 2
+    return [k2 * coeffs.alpha(centers) - coeffs.beta(centers),
+            *(galpha[:, c] for c in range(grid.dimension))]
+
+
 def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
                         coeffs: CoefficientField, u: np.ndarray,
                         method: str = "fft") -> np.ndarray:
@@ -395,7 +376,7 @@ def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
     For coefficients smooth across the boundary,
 
         A u = -alpha u + int G_k (beta - k^2 alpha) u
-                        - div int G_k (grad alpha) u,
+                        - div int G_k (grad alpha) u  = -alpha u - A1 u,
 
     which involves only weakly singular kernels acting on scalar
     densities (no derivative of the unknown). Rejects coefficient tags
@@ -406,16 +387,12 @@ def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
         raise ValueError(
             f"smooth-form operator requires alpha = 0 on Gamma; got tag {coeffs.tag!r}")
     u = _check_field(grid, u)
-    alpha = coeffs.alpha(grid.centers)
-    beta = coeffs.beta(grid.centers)
-    galpha = coeffs.grad_alpha(grid.centers)
-    k2 = params.k ** 2
-    sources = ((beta - k2 * alpha) * u, *(-(galpha[:, c]) * u for c in range(grid.dimension)))
-    return -alpha * u + _apply_kernels(grid, params, sources, method)
+    sources = [w * u for w in a1_weights(grid, params, coeffs)]
+    return -coeffs.alpha(grid.centers) * u - _apply_kernels(grid, params, sources, method)
 
 
 def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
-                     coeffs: CoefficientField) -> DenseOperator:
+                     coeffs: CoefficientField) -> np.ndarray:
     """Assemble the dense matrix of I - A with the apply_A quadrature.
 
     Column j is (I - A) e_j by construction, so matrix-vector products
@@ -430,22 +407,21 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
     for c, dop in enumerate(gradient_ops(grid)):
         scaled = dop.multiply(alpha[:, None]).tocsc()  # diag(alpha) @ D_c
         a_mat += (scaled.T @ grads[c].T).T
-    matrix = np.eye(grid.n, dtype=np.complex128) - a_mat
-    return DenseOperator(matrix, grid.centers, grid.centers)
+    return np.eye(grid.n, dtype=np.complex128) - a_mat
 
 
 def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
-                     coeffs: CoefficientField, method: str = "fft") -> Callable:
+                     coeffs: CoefficientField) -> Callable:
     """Matrix-free applier u -> u - A u (the volume-integral system map).
 
     The contrasts are sampled at the cell centers once, when the applier
-    is built; each application checks its field and convolves.
+    is built; each application checks its field and convolves by FFT.
     """
     sources = _contrast_sources(grid, coeffs)
 
     def applier(u):
         u = _check_field(grid, u)
-        return u - _apply_kernels(grid, params, sources(u), method)
+        return u - _apply_kernels(grid, params, sources(u), "fft")
     return applier
 
 

@@ -33,7 +33,7 @@ class TestAssembleA1:
     def test_zero_contrasts_give_zero_matrix(self, unit_disc, params_k1):
         grid = build_volume_grid(unit_disc, 16)
         cf = constant_a(unit_disc, params_k1.k, 1.0)
-        assert np.all(assemble_A1(grid, params_k1, cf).matrix == 0)
+        assert np.all(assemble_A1(grid, params_k1, cf) == 0)
 
     def test_split_reassembly_consistency_decays(self, unit_disc, params_k1):
         # I - A (stencil route) vs a*I + A1 + D gamma(alpha .) on smooth fields
@@ -43,13 +43,13 @@ class TestAssembleA1:
             grid = build_volume_grid(unit_disc, n)
             mesh = build_boundary_mesh(unit_disc, 4 * n)
             cf = constant_a(unit_disc, params_k1.k, 2.0)
-            m1 = assemble_A_dense(grid, params_k1, cf).matrix
+            m1 = assemble_A_dense(grid, params_k1, cf)
             t = trace_matrix(grid, mesh).toarray()
             dl = double_layer_matrix(mesh, params_k1, grid.centers,
                                      near_distance=0.5 * grid.h)
             alpha = cf.alpha(mesh.nodes)
             m2 = np.diag(1.0 + cf.alpha(grid.centers)) \
-                + assemble_A1(grid, params_k1, cf).matrix \
+                + assemble_A1(grid, params_k1, cf) \
                 + (dl * alpha[None, :]) @ t
             u = smooth_probe(grid.centers)
             vals.append(np.linalg.norm((m1 - m2) @ u) / np.linalg.norm(u))
@@ -58,7 +58,7 @@ class TestAssembleA1:
     def test_compactness_signature(self, unit_disc, params_k1):
         grid = build_volume_grid(unit_disc, 32)
         cf = constant_a(unit_disc, params_k1.k, 2.0)
-        s = np.linalg.svd(assemble_A1(grid, params_k1, cf).matrix, compute_uv=False)
+        s = np.linalg.svd(assemble_A1(grid, params_k1, cf), compute_uv=False)
         assert s[19] / s[0] <= 0.1
 
 
@@ -149,7 +149,7 @@ class TestEquivalence:
             u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
             psi = trace(grid, mesh, u_inc)
             u_coupled, _, _ = solve_coupled(system, u_inc, psi)
-            u_vie, info = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"),
+            u_vie, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                                       u_inc, tol=1e-10)
             assert info.converged
             diffs.append(np.linalg.norm(u_coupled - u_vie) / np.linalg.norm(u_vie))

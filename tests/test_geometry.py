@@ -100,10 +100,6 @@ class TestVolumeGrid:
         errs = [abs(a - np.pi) for a in areas]
         assert errs[2] < errs[0]
 
-    def test_embed_extract_roundtrip(self, disc_grid_32, rng):
-        vals = rng.standard_normal(disc_grid_32.n) + 0j
-        assert np.array_equal(disc_grid_32.extract(disc_grid_32.embed(vals)), vals)
-
     def test_too_coarse_rejected(self, unit_disc):
         with pytest.raises(ValueError):
             build_volume_grid(unit_disc, 3)

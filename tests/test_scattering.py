@@ -87,7 +87,7 @@ class TestGmres:
     def test_zero_contrast_returns_incident(self, disc_grid_32, params_k1):
         cf = constant_a(disc_grid_32.domain, params_k1.k, 1.0)
         u_inc = incident_plane_wave(disc_grid_32, params_k1, (1.0, 0.0))
-        u, info = gmres_solve(identity_minus_A(disc_grid_32, params_k1, cf, "fft"),
+        u, info = gmres_solve(identity_minus_A(disc_grid_32, params_k1, cf),
                               u_inc, tol=1e-10)
         assert info.iterations == 1
         assert np.allclose(u, u_inc, atol=1e-10)
@@ -97,17 +97,17 @@ class TestGmres:
         grid = build_volume_grid(unit_disc, 24)
         cf = constant_a(unit_disc, params_k1.k, 2.0)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
-        u_it, info = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"),
+        u_it, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                                  u_inc, tol=1e-8)
         assert info.converged
-        u_direct = np.linalg.solve(assemble_A_dense(grid, params_k1, cf).matrix, u_inc)
+        u_direct = np.linalg.solve(assemble_A_dense(grid, params_k1, cf), u_inc)
         assert np.linalg.norm(u_it - u_direct) / np.linalg.norm(u_direct) < 1e-6
 
     def test_history_recorded_and_decreasing_overall(self, unit_disc, params_k1):
         grid = build_volume_grid(unit_disc, 32)
         cf = constant_a(unit_disc, params_k1.k, 2.0)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
-        _, info = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"),
+        _, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                               u_inc, tol=1e-8)
         assert len(info.history) == info.iterations
         assert info.history[-1] <= 1e-8
@@ -136,7 +136,7 @@ class TestGmres:
         # per iteration, once per cycle and once for the initial residual
         params = WaveParameters(4.0, 2)
         grid = build_volume_grid(unit_disc, 24)
-        applier = identity_minus_A(grid, params, constant_a(unit_disc, params.k, 3.0), "fft")
+        applier = identity_minus_A(grid, params, constant_a(unit_disc, params.k, 3.0))
         calls = []
 
         def counted(v):
@@ -240,7 +240,7 @@ class TestMieSeries:
         grid = build_volume_grid(unit_disc, 64)
         cf = constant_a(unit_disc, params_k1.k, 2.0, k2_inside=2.0)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
-        u, info = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"),
+        u, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                               u_inc, tol=1e-8)
         assert info.converged
         ref = mie_a2.total_field(grid.centers)
@@ -268,7 +268,7 @@ class TestExtension:
         grid = build_volume_grid(unit_disc, 64)
         cf = constant_a(unit_disc, params_k1.k, 2.0, k2_inside=2.0)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
-        u, _ = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"), u_inc, tol=1e-8)
+        u, _ = gmres_solve(identity_minus_A(grid, params_k1, cf), u_inc, tol=1e-8)
         th = 2 * np.pi * np.arange(16) / 16
         targets = 2.0 * np.stack([np.cos(th), np.sin(th)], axis=1)
         vals = extend_solution(grid, params_k1, cf, u, targets,
@@ -280,7 +280,7 @@ class TestExtension:
         grid = build_volume_grid(unit_disc, 64)
         cf = constant_a(unit_disc, params_k1.k, 2.0, k2_inside=2.0)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
-        u, _ = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"), u_inc, tol=1e-8)
+        u, _ = gmres_solve(identity_minus_A(grid, params_k1, cf), u_inc, tol=1e-8)
         th = 2 * np.pi * np.arange(32) / 32
         rms = {}
         for rho in (4.0, 8.0):
@@ -297,7 +297,7 @@ class TestExtension:
         responses = []
         for src, rec in ((s1, s2), (s2, s1)):
             u_inc = incident_point_source(grid, params_k1, src)
-            u, info = gmres_solve(identity_minus_A(grid, params_k1, cf, "fft"),
+            u, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                                   u_inc, tol=1e-10)
             assert info.converged
             responses.append(extend_solution(grid, params_k1, cf, u, rec[None, :],

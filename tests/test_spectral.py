@@ -226,7 +226,7 @@ class TestSpectralInstrument:
         for n in (24, 40):
             grid = build_volume_grid(unit_disc, n)
             cf = beta_only(unit_disc, params_k1.k, 3.0)
-            dense = assemble_A_dense(grid, params_k1, cf).matrix
+            dense = assemble_A_dense(grid, params_k1, cf)
             eigs[n], _ = eigenvalues_dense(np.eye(grid.n) - dense)
         rep = detect_clusters(eigs[24], eigs[40], 0.05)
         assert len(rep.centers) == 1

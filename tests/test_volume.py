@@ -26,7 +26,6 @@ from vielab.boundary import density_interp_matrix, refine_mesh, trace_matrix
 from vielab.special import greens_gradient
 from vielab.volume import (
     DenseBudgetError,
-    DenseOperator,
     discrete_laplacian,
     fft_kernel_tables,
     grad_field,
@@ -306,22 +305,20 @@ class TestDenseAssembly:
     def test_zero_contrasts_give_identity(self, params_k1):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
         cf = constant_a(grid.domain, params_k1.k, 1.0)
-        op = assemble_A_dense(grid, params_k1, cf)
-        assert np.array_equal(op.matrix, np.eye(grid.n))
+        assert np.array_equal(assemble_A_dense(grid, params_k1, cf), np.eye(grid.n))
 
     def test_matvec_matches_matrix_free(self, params_k1, rng):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 24)
         cf = constant_a(grid.domain, params_k1.k, 2.0)
-        op = assemble_A_dense(grid, params_k1, cf)
         u = random_field(grid.n, rng)
-        mv = op.matrix @ u
+        mv = assemble_A_dense(grid, params_k1, cf) @ u
         mf = u - apply_A(grid, params_k1, cf, u)
         assert np.linalg.norm(mv - mf) / np.linalg.norm(mv) < 1e-12
 
     def test_not_hermitian(self, params_k1):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 16)
         cf = constant_a(grid.domain, params_k1.k, 2.0)
-        m = assemble_A_dense(grid, params_k1, cf).matrix
+        m = assemble_A_dense(grid, params_k1, cf)
         assert np.abs(m - m.conj().T).max() > 1e-3
 
     def test_cap_enforced(self, params_k1, monkeypatch):
@@ -335,10 +332,6 @@ class TestDenseAssembly:
         monkeypatch.setattr(volume, "greens_gradient", forbidden)
         with pytest.raises(DenseBudgetError, match="capped.*budget"):
             assemble_A_dense(grid, params_k1, cf)
-
-    def test_dense_operator_validates_shape(self):
-        with pytest.raises(ValueError):
-            DenseOperator(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def _cold_dense_builds(n):
@@ -404,16 +397,17 @@ class TestDenseBudget:
             assert not isinstance(result, DenseBudgetError)
             assert peak <= err.need, f"n={n}: peak {peak} above the estimate {err.need}"
 
-    def test_coupled_refuses_density_interpolation_before_allocating(self, monkeypatch):
+    def test_coupled_refuses_large_boundary_before_allocating(self, monkeypatch):
         # a boundary mesh large against the grid: the coupled estimate on (N + M)^2
-        # fits, the (8M, M) interpolation of the near-field upgrade does not
+        # fits, K on M^2 does not, and is refused before the (8M, M) interpolation
+        # of the near-field upgrade allocates
         grid = build_volume_grid(DomainGeometry.disc(1.0), 8)
         mesh = build_boundary_mesh(grid.domain, 400)
         cf = constant_a(grid.domain, 1.0, 2.0)
         monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 18 * 2**20)
         peak, err = _traced_peak(lambda: assemble_coupled(
             grid, mesh, WaveParameters(1.0, 2), cf, boundary_operator="nystrom"))
-        assert isinstance(err, DenseBudgetError) and "density interpolation" in str(err)
+        assert isinstance(err, DenseBudgetError) and "boundary operator K" in str(err)
         assert peak < 10**6
 
     def test_polygon_density_interpolation_refused_before_allocating(self, monkeypatch):
