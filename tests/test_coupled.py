@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_probe
+from conftest import random_field, smooth_probe
 from vielab import (
     assemble_A1,
     assemble_A_dense,
@@ -14,11 +14,12 @@ from vielab import (
     eigenvalues_dense,
     incident_plane_wave,
     quadrature_weighted_matrix,
+    smooth_bump_a,
     reduced_coupled_matrix,
     solve_coupled,
 )
 from vielab.boundary import trace
-from vielab.volume import identity_minus_A
+from vielab.volume import apply_A_smooth_form, identity_minus_A
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,15 @@ class TestAssembleA1:
             u = smooth_probe(grid.centers)
             vals.append(np.linalg.norm((m1 - m2) @ u) / np.linalg.norm(u))
         assert vals[1] < vals[0]
+
+    def test_smooth_form_is_minus_alpha_minus_A1(self, unit_disc, params_k1, rng):
+        # both read the weights of volume.a1_weights: A u = -alpha u - A1 u
+        grid = build_volume_grid(unit_disc, 24)
+        cf = smooth_bump_a(unit_disc, params_k1.k, 2.0)
+        u = random_field(grid.n, rng)
+        ref = -cf.alpha(grid.centers) * u - assemble_A1(grid, params_k1, cf) @ u
+        got = apply_A_smooth_form(grid, params_k1, cf, u, method="direct")
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-13
 
     def test_compactness_signature(self, unit_disc, params_k1):
         grid = build_volume_grid(unit_disc, 32)

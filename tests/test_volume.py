@@ -307,6 +307,16 @@ class TestDenseAssembly:
         cf = constant_a(grid.domain, params_k1.k, 1.0)
         assert np.array_equal(assemble_A_dense(grid, params_k1, cf), np.eye(grid.n))
 
+    def test_dense_builders_return_square_complex_arrays(self, params_k1):
+        grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
+        mesh = build_boundary_mesh(grid.domain, 32)
+        cf = constant_a(grid.domain, params_k1.k, 2.0)
+        for mat, size in ((assemble_A_dense(grid, params_k1, cf), grid.n),
+                          (coupled.assemble_A1(grid, params_k1, cf), grid.n),
+                          (assemble_K(mesh, params_k1), mesh.m)):
+            assert type(mat) is np.ndarray
+            assert mat.shape == (size, size) and mat.dtype == np.complex128
+
     def test_matvec_matches_matrix_free(self, params_k1, rng):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 24)
         cf = constant_a(grid.domain, params_k1.k, 2.0)
