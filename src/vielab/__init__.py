@@ -34,7 +34,6 @@ from .boundary import (
     trace,
 )
 from .coupled import (
-    CoupledOperator,
     assemble_A1,
     assemble_coupled,
     check_equivalence,

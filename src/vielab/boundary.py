@@ -173,12 +173,11 @@ def density_interp_matrix(mesh: BoundaryMesh, fine: BoundaryMesh) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Double layer potential into the volume
 # ---------------------------------------------------------------------------
-def _kernel_block(params: WaveParameters, targets: np.ndarray,
+def _kernel_block(params: WaveParameters, diff: np.ndarray,
                   mesh: BoundaryMesh) -> np.ndarray:
-    """Quadrature matrix (P, M): weight-scaled double layer kernel."""
-    p = len(targets)
-    diff = targets[:, None, :] - mesh.nodes[None, :, :]  # (P, M, 2)
-    grad = greens_gradient(params, diff.reshape(-1, 2)).reshape(p, mesh.m, 2)
+    """Quadrature matrix (P, M) of the weight-scaled double layer kernel,
+    from the target-minus-node offsets ``diff`` (P, M, 2)."""
+    grad = greens_gradient(params, diff.reshape(-1, 2)).reshape(diff.shape)
     kern = -np.sum(grad * mesh.normals[None, :, :], axis=-1)  # (P, M)
     return kern * mesh.weights[None, :]
 
@@ -200,7 +199,7 @@ def double_layer_matrix(mesh: BoundaryMesh, params: WaveParameters,
     # the upgraded rows first: the interpolation's budget check then precedes
     # every kernel block, and its temporaries are gone before the full block
     rows = _refined_rows(mesh, params, targets[near]) if np.any(near) else None
-    mat = _kernel_block(params, targets, mesh)
+    mat = _kernel_block(params, targets[:, None, :] - mesh.nodes, mesh)
     if rows is not None:
         mat[near] = rows
     return mat
@@ -212,7 +211,7 @@ def _refined_rows(mesh: BoundaryMesh, params: WaveParameters,
     interpolated onto it."""
     fine = refine_mesh(mesh)
     interp = density_interp_matrix(mesh, fine)
-    return _kernel_block(params, targets, fine) @ interp
+    return _kernel_block(params, targets[:, None, :] - fine.nodes, fine) @ interp
 
 
 def double_layer_potential(mesh: BoundaryMesh, params: WaveParameters,
@@ -237,16 +236,13 @@ def assemble_K(mesh: BoundaryMesh, params: WaveParameters) -> np.ndarray:
     _require_2d(mesh)
     m = mesh.m
     check_dense_budget("boundary operator K", 8, m, m)  # (M, M, 2) arrays and temporaries
-    diff = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
-    eye = np.eye(m, dtype=bool)
-    diff_safe = np.where(eye[..., None], 1.0, diff)
-    grad = greens_gradient(params, diff_safe.reshape(-1, 2)).reshape(m, m, 2)
-    kern = -np.sum(grad * mesh.normals[None, :, :], axis=-1)
-    if mesh.is_smooth:
-        kern[eye] = -mesh.curvatures / (4.0 * np.pi)
-    else:
-        kern[eye] = 0.0
-    return kern * mesh.weights[None, :]
+    diff = mesh.nodes[:, None, :] - mesh.nodes
+    diag = np.arange(m)
+    diff[diag, diag] = 1.0  # keeps the kernel away from r = 0; the diagonal is set below
+    mat = _kernel_block(params, diff, mesh)
+    mat[diag, diag] = (-mesh.curvatures / (4.0 * np.pi) if mesh.is_smooth else 0.0) \
+        * mesh.weights
+    return mat
 
 
 def jump_relation_check(mesh: BoundaryMesh, params: WaveParameters,
@@ -272,7 +268,7 @@ def jump_relation_check(mesh: BoundaryMesh, params: WaveParameters,
     for j in range(3):
         eps = offset_scale * 0.5 ** j
         targets = mesh.nodes - eps * mesh.normals
-        values.append(_kernel_block(params, targets, fine) @ phi_fine)
+        values.append(_kernel_block(params, targets[:, None, :] - fine.nodes, fine) @ phi_fine)
     f0, f1, f2 = values
     gamma_d = (8.0 * f2 - 6.0 * f1 + f0) / 3.0
     rhs = -0.5 * phi + assemble_K(mesh, params) @ phi

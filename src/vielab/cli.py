@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .boundary import assemble_K, jump_relation_check, trace
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
-from .coupled import assemble_coupled, check_equivalence, solve_coupled
+from .coupled import NEAR_SINGULAR_RCOND, assemble_coupled, check_equivalence, solve_coupled
 from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid
 from .presets import get_preset, preset_names
 from .scattering import (
@@ -332,8 +332,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
         sigma = [0.5]  # every shape; ROADMAP item 4 replaces it by intervals on corners
         pred = predict_clusters([a_val], a_val, sigma)
         results["predicted_clusters"] = [_c2pair(p) for p in pred]
-        verdict = fredholm_verdict(scenario.coeffs, scenario.domain, sigma,
-                                   rng=scenario.rng)
+        verdict = fredholm_verdict(scenario.coeffs, scenario.domain, sigma)
         results["fredholm"] = {
             "condition_i": verdict.condition_i,
             "condition_ii": verdict.condition_ii,
@@ -370,15 +369,15 @@ def task_sweep(scenario: Scenario, out: Path) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suite
 # ---------------------------------------------------------------------------
-def _smooth_probe(points: np.ndarray, rng: np.random.Generator,
-                  modes: int = 2, scale: float = 1.5) -> np.ndarray:
-    """Random band-limited field: smooth under refinement, random content."""
+def _smooth_probe(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random band-limited field, 25 plane waves exp(i pi f.x / 1.5) with
+    integer frequencies |f_i| <= 2: smooth under refinement, random content."""
     out = np.zeros(len(points), dtype=np.complex128)
     d = points.shape[1]
-    for _ in range((2 * modes + 1) ** 2):
-        freq = rng.integers(-modes, modes + 1, size=d)
+    for _ in range(25):
+        freq = rng.integers(-2, 3, size=d)
         coef = rng.standard_normal() + 1j * rng.standard_normal()
-        out += coef * np.exp(1j * np.pi * (points @ freq) / scale)
+        out += coef * np.exp(1j * np.pi * (points @ freq) / 1.5)
     return out
 
 
@@ -543,11 +542,11 @@ def verify_suite(scenario: Scenario) -> dict:
     def trace_equivalence():
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 32))
         mesh = build_boundary_mesh(domain, scenario.boundary_nodes, scenario.grading)
-        system = assemble_coupled(grid, mesh, params, coeffs)
+        matrix = assemble_coupled(grid, mesh, params, coeffs)
         u_inc = incident_plane_wave(grid, params, np.eye(grid.dimension)[0])
         psi = trace(grid, mesh, u_inc)
-        u, phi, info = solve_coupled(system, u_inc, psi)
-        if info.near_singular:
+        u, phi, rcond = solve_coupled(matrix, grid, u_inc, psi)
+        if rcond < NEAR_SINGULAR_RCOND:
             raise NumericalFailure("coupled solve near singular")
         rel = check_equivalence(u, phi, mesh, grid) / float(np.abs(phi).max())
         return rel, rel <= 1e-8, "relative trace defect of the coupled solve"

@@ -16,7 +16,9 @@ independent unknown phi and using the jump relation gamma(D psi) =
 
 solvable directly at desk scale. Whenever a does not vanish on the
 boundary and psi is the trace of u_inc, the solution satisfies
-phi = gamma(u) and u solves the volume equation.
+phi = gamma(u) and u solves the volume equation. ``assemble_coupled``
+returns this system as a plain (N + M, N + M) complex matrix, volume
+unknowns first.
 
 Two discrete realizations of the boundary operator are provided:
 
@@ -40,15 +42,14 @@ L2(volume) x L2(boundary) norms (eigenvalues are unchanged).
 Reuse: the trace, double layer and K blocks do not depend on the
 coefficient. They are built once per (grid, mesh, params, variant) and
 cached read-only, keyed on the grid and mesh objects like the kernel
-matrices behind A1; the coefficient enters each system only as diagonal
-scalings of these blocks.
+matrices behind A1. Each system is written into one preallocated matrix
+as diagonal scalings of these blocks and of A1, plus the two diagonals.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -65,52 +66,6 @@ logger = logging.getLogger(__name__)
 
 #: Reciprocal-condition threshold below which a solve is flagged singular.
 NEAR_SINGULAR_RCOND = 1e-13
-
-
-@dataclass(eq=False)
-class CoupledOperator:
-    """Assembled (N + M) block operator with its ingredients retained.
-
-    ``matrix`` is ordered volume unknowns first, then boundary unknowns.
-    ``boundary_K`` is the realization of K used in the boundary row
-    (``variant`` records which); ``dl`` and ``trace_op`` expose the
-    coefficient-free blocks for structural experiments. All three are
-    shared by every system assembled on the same discretization and are
-    read-only.
-    """
-
-    matrix: np.ndarray
-    grid: VolumeGrid
-    mesh: BoundaryMesh
-    variant: str
-    dl: np.ndarray         # (N, M) double layer into the volume
-    trace_op: np.ndarray   # (M, N)
-    boundary_K: np.ndarray  # (M, M)
-    alpha_nodes: np.ndarray
-    a_nodes: np.ndarray
-    a_cells: np.ndarray
-
-    @property
-    def n_volume(self) -> int:
-        return self.grid.n
-
-    @property
-    def n_boundary(self) -> int:
-        return self.mesh.m
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """View of block (i, j) with 0 = volume, 1 = boundary."""
-        n = self.n_volume
-        sl = [slice(0, n), slice(n, n + self.n_boundary)]
-        return self.matrix[sl[i], sl[j]]
-
-
-@dataclass
-class CoupledSolveInfo:
-    """Diagnostics of a direct coupled solve."""
-
-    rcond: float
-    near_singular: bool
 
 
 def assemble_A1(grid: VolumeGrid, params: WaveParameters,
@@ -147,8 +102,8 @@ def _coefficient_free_blocks(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveP
 
 def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
                      coeffs: CoefficientField,
-                     boundary_operator: str = "trace-consistent") -> CoupledOperator:
-    """Assemble the four blocks of the boundary-domain system.
+                     boundary_operator: str = "trace-consistent") -> np.ndarray:
+    """Assemble the boundary-domain system, volume unknowns first.
 
     ``boundary_operator`` selects the realization of K in the boundary
     row: ``"trace-consistent"`` for exact discrete equivalence with the
@@ -157,72 +112,73 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     """
     if boundary_operator not in ("trace-consistent", "nystrom"):
         raise ValueError(f"unknown boundary operator {boundary_operator!r}")
-    # the 1 + d kernel matrices, A1, the diagonal block's temporaries and the system
-    check_dense_budget("coupled system", grid.dimension + 4, grid.n + mesh.m, grid.n + mesh.m)
+    n, size = grid.n, grid.n + mesh.m
+    # the 1 + d kernel matrices, A1 and the system; A1 is built before the
+    # system is allocated, so its temporary product is gone by then
+    check_dense_budget("coupled system", grid.dimension + 3, size, size)
     t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
     a1 = assemble_A1(grid, params, coeffs)
     alpha_nodes = coeffs.alpha(mesh.nodes)
-    a_nodes = 1.0 + alpha_nodes
-    a_cells = 1.0 + coeffs.alpha(grid.centers)
-
-    b11 = a1 + np.diag(a_cells)
-    b12 = dl * alpha_nodes[None, :]
-    b21 = t_mat @ a1
-    b22 = 0.5 * np.diag(1.0 + a_nodes).astype(np.complex128) + k_mat * alpha_nodes[None, :]
-    matrix = np.block([[b11, b12], [b21, b22]])
+    matrix = np.empty((size, size), dtype=np.complex128)
+    matrix[:n, :n] = a1
+    np.multiply(dl, alpha_nodes[None, :], out=matrix[:n, n:])
+    np.matmul(t_mat, a1, out=matrix[n:, :n])
+    np.multiply(k_mat, alpha_nodes[None, :], out=matrix[n:, n:])
+    diagonal = matrix.reshape(-1)[::size + 1]
+    diagonal[:n] += 1.0 + coeffs.alpha(grid.centers)
+    diagonal[n:] += 0.5 * (1.0 + (1.0 + alpha_nodes))  # (1 + a)/2, rounded as a = 1 + alpha
     logger.debug("coupled system (%s): N=%d volume + M=%d boundary unknowns",
-                 boundary_operator, grid.n, mesh.m)
-    return CoupledOperator(matrix, grid, mesh, boundary_operator, dl, t_mat,
-                           k_mat, alpha_nodes, a_nodes, a_cells)
+                 boundary_operator, n, mesh.m)
+    return matrix
 
 
-def reduced_coupled_matrix(system: CoupledOperator) -> np.ndarray:
-    """Upper-triangular reduction: A1, the trace coupling, and [K, alpha]
-    replaced by zero. Its spectrum carries only the diagonal symbols."""
-    n, m = system.n_volume, system.n_boundary
-    out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n] = np.diag(system.a_cells)
-    out[:n, n:] = system.block(0, 1)
-    out[n:, n:] = (0.5 * np.diag(1.0 + system.a_nodes)
-                   + system.alpha_nodes[:, None] * system.boundary_K)
+def reduced_coupled_matrix(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
+                           coeffs: CoefficientField) -> np.ndarray:
+    """The Nystrom system with A1, the trace coupling, and [K, alpha]
+    replaced by zero: upper triangular, so its spectrum carries only the
+    diagonal symbols."""
+    _, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, "nystrom")
+    n = grid.n
+    alpha_nodes = coeffs.alpha(mesh.nodes)
+    out = np.zeros((n + mesh.m, n + mesh.m), dtype=np.complex128)
+    out[:n, :n] = np.diag(1.0 + coeffs.alpha(grid.centers))
+    out[:n, n:] = dl * alpha_nodes[None, :]
+    out[n:, n:] = 0.5 * np.diag(1.0 + (1.0 + alpha_nodes)) + alpha_nodes[:, None] * k_mat
     return out
 
 
-def quadrature_weighted_matrix(system: CoupledOperator) -> np.ndarray:
+def quadrature_weighted_matrix(matrix: np.ndarray, grid: VolumeGrid,
+                               mesh: BoundaryMesh) -> np.ndarray:
     """Similarity-transform the system so Euclidean norms approximate the
     L2 function norms of both unknowns (cell volumes on the grid,
     arclength weights on the boundary). Eigenvalues are unchanged;
     singular values and condition numbers become norm-meaningful."""
-    scale = np.sqrt(np.concatenate([
-        np.full(system.n_volume, system.grid.cell_volume),
-        system.mesh.weights,
-    ]))
-    return scale[:, None] * system.matrix / scale[None, :]
+    scale = np.sqrt(np.concatenate([np.full(grid.n, grid.cell_volume), mesh.weights]))
+    return scale[:, None] * matrix / scale[None, :]
 
 
-def solve_coupled(system: CoupledOperator, u_inc: np.ndarray,
-                  psi: np.ndarray) -> Tuple[np.ndarray, np.ndarray, CoupledSolveInfo]:
+def solve_coupled(matrix: np.ndarray, grid: VolumeGrid, u_inc: np.ndarray,
+                  psi: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
     """Direct dense solve of the coupled system for (u, phi).
 
     ``psi`` is an independent right-hand side; passing the trace of
-    ``u_inc`` activates the equivalence with the volume equation. The
-    returned info carries a reciprocal-condition estimate and flags
-    near-singular systems (rcond below 1e-13).
+    ``u_inc`` activates the equivalence with the volume equation. Also
+    returns the reciprocal-condition estimate, and logs a warning below
+    ``NEAR_SINGULAR_RCOND``.
     """
-    n, m = system.n_volume, system.n_boundary
+    n = grid.n
     u_inc = np.asarray(u_inc, dtype=np.complex128)
     psi = np.asarray(psi, dtype=np.complex128)
-    if u_inc.shape != (n,) or psi.shape != (m,):
+    if u_inc.shape != (n,) or psi.shape != (len(matrix) - n,):
         raise ValueError("right-hand side sizes do not match the system blocks")
     rhs = np.concatenate([u_inc, psi])
-    anorm = np.linalg.norm(system.matrix, 1)
-    lu, piv = sla.lu_factor(system.matrix)
+    anorm = np.linalg.norm(matrix, 1)
+    lu, piv = sla.lu_factor(matrix)
     rcond = float(zgecon(lu, anorm)[0])
     sol = sla.lu_solve((lu, piv), rhs)
-    info = CoupledSolveInfo(rcond=rcond, near_singular=rcond < NEAR_SINGULAR_RCOND)
-    if info.near_singular:
+    if rcond < NEAR_SINGULAR_RCOND:
         logger.warning("coupled solve near singular: rcond=%.3e", rcond)
-    return sol[:n], sol[n:], info
+    return sol[:n], sol[n:], rcond
 
 
 def check_equivalence(u: np.ndarray, phi: np.ndarray, mesh: BoundaryMesh,

@@ -140,12 +140,12 @@ class DomainGeometry:
         if self.kind in ("disc", "ball"):
             return np.abs(np.linalg.norm(pts, axis=1) - self.radius)
         if self.kind == "polygon":
-            return _polyline_distance(self.vertices, pts, closed=True)
+            return _polyline_distance(self.vertices, pts)
         if self.kind == "ellipse":
             a, b = self.semi_axes
             t = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
             curve = np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
-            return _polyline_distance(curve, pts, closed=True)
+            return _polyline_distance(curve, pts)
         raise ValueError(f"unknown shape kind {self.kind!r}")
 
 
@@ -203,23 +203,19 @@ def _polygon_contains(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
             x_hit = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (x < x_hit)
     scale = float(np.max(np.abs(verts))) or 1.0
-    on_edge = _polyline_distance(verts, pts, closed=True) <= ON_BOUNDARY_TOL * scale
+    on_edge = _polyline_distance(verts, pts) <= ON_BOUNDARY_TOL * scale
     return inside | on_edge
 
 
-def _polyline_distance(verts: np.ndarray, pts: np.ndarray, closed: bool) -> np.ndarray:
-    """Distance from points (P, 2) to a polyline given by vertices (V, 2)."""
-    a = verts
-    b = np.roll(verts, -1, axis=0) if closed else verts[1:]
-    if not closed:
-        a = verts[:-1]
-    ab = b - a  # (E, 2)
+def _polyline_distance(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from points (P, 2) to the closed polyline through vertices (V, 2)."""
+    ab = np.roll(verts, -1, axis=0) - verts  # (E, 2)
     ab2 = np.maximum((ab * ab).sum(axis=1), 1e-300)
     best = np.full(len(pts), np.inf)
-    for e in range(len(a)):
-        ap = pts - a[e]
+    for e in range(len(verts)):
+        ap = pts - verts[e]
         t = np.clip((ap @ ab[e]) / ab2[e], 0.0, 1.0)
-        proj = a[e] + t[:, None] * ab[e]
+        proj = verts[e] + t[:, None] * ab[e]
         best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
     return best
 

@@ -263,20 +263,19 @@ def detect_clusters(eigs_coarse: np.ndarray, eigs_fine: np.ndarray,
 # Fredholm verdicts
 # ---------------------------------------------------------------------------
 def fredholm_verdict(coeffs: CoefficientField, domain: DomainGeometry,
-                     sigma_estimate: Sequence[complex],
-                     rng: Optional[np.random.Generator] = None) -> FredholmVerdict:
+                     sigma_estimate: Sequence[complex]) -> FredholmVerdict:
     """Evaluate the two Fredholm conditions on sampled coefficient values.
 
-    (i) min |a| over 2000 interior samples and 256 boundary nodes exceeds
-    1e-9; (ii) every boundary value stays farther than 1e-6 from every
-    breakdown coefficient sigma/(sigma-1), sigma in the supplied
-    essential-set estimate. Verdicts whose boundary values approach the
+    (i) min |a| over 2000 interior samples (seed 0) and 256 boundary
+    nodes exceeds 1e-9; (ii) every boundary value stays farther than 1e-6
+    from every breakdown coefficient sigma/(sigma-1), sigma in the
+    supplied essential-set estimate. Verdicts whose boundary values approach the
     breakdown set within 0.02 (without violating it) are flagged
     inconclusive when Sigma itself is a numeric estimate.
     """
-    rng = rng or np.random.default_rng(0)
     box = domain.bounding_box
-    pts = rng.uniform(box[:, 0], box[:, 1], size=(8 * 2000, domain.dimension))
+    pts = np.random.default_rng(0).uniform(box[:, 0], box[:, 1],
+                                           size=(8 * 2000, domain.dimension))
     pts = pts[domain.contains(pts)][:2000]
     mesh = build_boundary_mesh(domain, 256)
     a_in = coeffs.a(pts)
@@ -332,7 +331,7 @@ def _instrument(domain: DomainGeometry, params: WaveParameters, n_per_axis: int,
     grid = build_volume_grid(domain, n_per_axis)
     mesh = build_boundary_mesh(domain, boundary_nodes or 4 * n_per_axis)
     return lambda coeffs: quadrature_weighted_matrix(
-        assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom"))
+        assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom"), grid, mesh)
 
 
 def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
@@ -353,8 +352,7 @@ def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
 
 def condition_sweep(domain: DomainGeometry, params: WaveParameters,
                     a_values: Sequence[complex], n_per_axis: int = 24,
-                    boundary_nodes: Optional[int] = None,
-                    k2_inside: Optional[complex] = None) -> List[Tuple[complex, float]]:
+                    boundary_nodes: Optional[int] = None) -> List[Tuple[complex, float]]:
     """Condition of the discretized volume system for each coefficient value.
 
     Uses the spectral instrument at one shared discretization so the
@@ -370,7 +368,7 @@ def condition_sweep(domain: DomainGeometry, params: WaveParameters,
     matrix = _instrument(domain, params, n_per_axis, boundary_nodes)
     out = []
     for a_val in a_values:
-        coeffs = constant_a(domain, params.k, a_val, k2_inside)
+        coeffs = constant_a(domain, params.k, a_val)
         cond = condition_estimate(matrix(coeffs))
         logger.debug("condition sweep: a=%s cond=%.3e", a_val, cond)
         out.append((complex(a_val), cond))

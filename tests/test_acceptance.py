@@ -132,12 +132,12 @@ def test_criterion_05_coupled_equivalence(disc, k1):
     grid = build_volume_grid(disc, 32)
     mesh = build_boundary_mesh(disc, 128)
     cf = constant_a(disc, k1.k, 2.0)
-    system = assemble_coupled(grid, mesh, k1, cf)
+    matrix = assemble_coupled(grid, mesh, k1, cf)
     u_inc = incident_plane_wave(grid, k1, (1.0, 0.0))
     psi = trace(grid, mesh, u_inc)
-    u, phi, _ = solve_coupled(system, u_inc, psi)
+    u, phi, _ = solve_coupled(matrix, grid, u_inc, psi)
     rel = check_equivalence(u, phi, mesh, grid) / float(np.abs(phi).max())
-    u2, phi2, _ = solve_coupled(system, u_inc, psi + 1.0)
+    u2, phi2, _ = solve_coupled(matrix, grid, u_inc, psi + 1.0)
     rel2 = check_equivalence(u2, phi2, mesh, grid) / float(np.abs(phi2).max())
     ok = rel <= 1e-8 and rel2 > 1e-3
     record(5, "boundary-domain equivalence", ok,

@@ -13,12 +13,15 @@ from vielab import (
     detect_clusters,
     eigenvalues_dense,
     incident_plane_wave,
+    linear_a,
     quadrature_weighted_matrix,
     smooth_bump_a,
     reduced_coupled_matrix,
     solve_coupled,
 )
+from vielab import coupled
 from vielab.boundary import trace
+from vielab.coupled import NEAR_SINGULAR_RCOND
 from vielab.volume import apply_A_smooth_form, identity_minus_A
 
 
@@ -72,44 +75,85 @@ class TestAssembleA1:
         assert s[19] / s[0] <= 0.1
 
 
+def _four_block_reference(grid, mesh, params, coeffs, variant):
+    """The system glued from its four blocks with np.block, the construction
+    the in-place assembly must reproduce bit for bit."""
+    t_mat, dl, k_mat = coupled._coefficient_free_blocks(grid, mesh, params, variant)
+    a1 = assemble_A1(grid, params, coeffs)
+    alpha_nodes = coeffs.alpha(mesh.nodes)
+    a_nodes = 1.0 + alpha_nodes
+    a_cells = 1.0 + coeffs.alpha(grid.centers)
+    b11 = a1 + np.diag(a_cells)
+    b12 = dl * alpha_nodes[None, :]
+    b21 = t_mat @ a1
+    b22 = 0.5 * np.diag(1.0 + a_nodes).astype(np.complex128) + k_mat * alpha_nodes[None, :]
+    return np.block([[b11, b12], [b21, b22]])
+
+
 class TestAssembleCoupled:
     def test_no_contrast_gives_identity(self, unit_disc, params_k1):
         grid = build_volume_grid(unit_disc, 16)
         mesh = build_boundary_mesh(unit_disc, 64)
         cf = constant_a(unit_disc, params_k1.k, 1.0)
-        system = assemble_coupled(grid, mesh, params_k1, cf)
-        assert np.allclose(system.matrix, np.eye(grid.n + mesh.m), atol=1e-14)
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        assert np.allclose(matrix, np.eye(grid.n + mesh.m), atol=1e-14)
 
     def test_boundary_block_form_for_constant_alpha(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        _, _, k_mat = coupled._coefficient_free_blocks(grid, mesh, params_k1,
+                                                       "trace-consistent")
         alpha = 1.0  # a = 2
-        expected = 0.5 * np.diag(np.full(mesh.m, 3.0)) + alpha * system.boundary_K
-        assert np.array_equal(system.block(1, 1), expected)
+        expected = 0.5 * np.diag(np.full(mesh.m, 3.0)) + alpha * k_mat
+        assert np.array_equal(matrix[grid.n:, grid.n:], expected)
+
+    @pytest.mark.parametrize("variant", ["trace-consistent", "nystrom"])
+    @pytest.mark.parametrize("field", ["a=2", "a=-0.5", "a=3+i", "linear-a"])
+    def test_equals_four_block_construction(self, setup32, params_k1, unit_disc,
+                                            variant, field):
+        grid, mesh, _ = setup32
+        cf = {"a=2": lambda: constant_a(unit_disc, params_k1.k, 2.0),
+              "a=-0.5": lambda: constant_a(unit_disc, params_k1.k, -0.5),
+              "a=3+i": lambda: constant_a(unit_disc, params_k1.k, 3.0 + 1.0j),
+              "linear-a": lambda: linear_a(unit_disc, params_k1.k, 2.0,
+                                           np.array([0.5, -0.3]))}[field]()
+        ref = _four_block_reference(grid, mesh, params_k1, cf, variant)
+        assert np.array_equal(assemble_coupled(grid, mesh, params_k1, cf, variant), ref)
 
     @pytest.mark.parametrize("variant", ["trace-consistent", "nystrom"])
     def test_coefficient_free_blocks_shared_and_read_only(self, setup32, params_k1,
                                                           unit_disc, variant):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf, variant)
-        other = assemble_coupled(grid, mesh, params_k1,
-                                 constant_a(unit_disc, params_k1.k, -0.5), variant)
-        for name in ("dl", "trace_op", "boundary_K"):
-            block = getattr(system, name)
-            assert getattr(other, name) is block
+        coupled._coefficient_free_blocks.cache_clear()
+        assemble_coupled(grid, mesh, params_k1, cf, variant)
+        assemble_coupled(grid, mesh, params_k1,
+                         constant_a(unit_disc, params_k1.k, -0.5), variant)
+        info = coupled._coefficient_free_blocks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for block in coupled._coefficient_free_blocks(grid, mesh, params_k1, variant):
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 0.0
 
     def test_solvability_smoke(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
         psi = trace(grid, mesh, u_inc)
-        u, phi, info = solve_coupled(system, u_inc, psi)
+        u, phi, rcond = solve_coupled(matrix, grid, u_inc, psi)
         rhs = np.concatenate([u_inc, psi])
-        res = np.linalg.norm(system.matrix @ np.concatenate([u, phi]) - rhs)
+        res = np.linalg.norm(matrix @ np.concatenate([u, phi]) - rhs)
         assert res / np.linalg.norm(rhs) < 1e-10
-        assert not info.near_singular
+        assert rcond >= NEAR_SINGULAR_RCOND
+
+    def test_near_singular_solve_warns(self, setup32, params_k1, caplog):
+        grid, mesh, cf = setup32
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix[0] *= 1e-20
+        rhs = np.ones(len(matrix), complex)
+        with caplog.at_level("WARNING", logger="vielab.coupled"):
+            _, _, rcond = solve_coupled(matrix, grid, rhs[:grid.n], rhs[grid.n:])
+        assert rcond < NEAR_SINGULAR_RCOND
+        assert "near singular" in caplog.text
 
     def test_unknown_variant_rejected(self, setup32, params_k1):
         grid, mesh, cf = setup32
@@ -120,25 +164,25 @@ class TestAssembleCoupled:
 class TestEquivalence:
     def test_zero_data_zero_solution(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf)
-        u, phi, _ = solve_coupled(system, np.zeros(grid.n, complex),
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        u, phi, _ = solve_coupled(matrix, grid, np.zeros(grid.n, complex),
                                   np.zeros(mesh.m, complex))
         assert np.abs(u).max() == 0 and np.abs(phi).max() == 0
 
     def test_trace_equivalence_to_solver_precision(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
         psi = trace(grid, mesh, u_inc)
-        u, phi, _ = solve_coupled(system, u_inc, psi)
+        u, phi, _ = solve_coupled(matrix, grid, u_inc, psi)
         assert check_equivalence(u, phi, mesh, grid) / np.abs(phi).max() <= 1e-8
 
     def test_perturbed_psi_breaks_equivalence(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
         psi = trace(grid, mesh, u_inc) + 1.0
-        u, phi, _ = solve_coupled(system, u_inc, psi)
+        u, phi, _ = solve_coupled(matrix, grid, u_inc, psi)
         assert check_equivalence(u, phi, mesh, grid) / np.abs(phi).max() > 1e-3
 
     def test_check_equivalence_vanishes_on_exact_trace(self, setup32, params_k1, rng):
@@ -155,10 +199,10 @@ class TestEquivalence:
             grid = build_volume_grid(unit_disc, n)
             mesh = build_boundary_mesh(unit_disc, 4 * n)
             cf = constant_a(unit_disc, params_k1.k, 2.0)
-            system = assemble_coupled(grid, mesh, params_k1, cf)
+            matrix = assemble_coupled(grid, mesh, params_k1, cf)
             u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
             psi = trace(grid, mesh, u_inc)
-            u_coupled, _, _ = solve_coupled(system, u_inc, psi)
+            u_coupled, _, _ = solve_coupled(matrix, grid, u_inc, psi)
             u_vie, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                                       u_inc, tol=1e-10)
             assert info.converged
@@ -167,9 +211,13 @@ class TestEquivalence:
 
     def test_rhs_size_validated(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(grid, mesh, params_k1, cf)
         with pytest.raises(ValueError):
-            solve_coupled(system, np.zeros(3, complex), np.zeros(mesh.m, complex))
+            solve_coupled(matrix, grid, np.zeros(3, complex), np.zeros(mesh.m, complex))
+        # the right total length, split at the wrong place
+        with pytest.raises(ValueError):
+            solve_coupled(matrix, grid, np.zeros(grid.n - 1, complex),
+                          np.zeros(mesh.m + 1, complex))
 
 
 class TestStructure:
@@ -181,10 +229,10 @@ class TestStructure:
             grid = build_volume_grid(unit_disc, n)
             mesh = build_boundary_mesh(unit_disc, 4 * n)
             cf = constant_a(unit_disc, params_k1.k, 2.0)
-            system = assemble_coupled(grid, mesh, params_k1, cf,
-                                      boundary_operator="nystrom")
-            eigs_full[n], _ = eigenvalues_dense(system.matrix)
-            eigs_reduced[n], _ = eigenvalues_dense(reduced_coupled_matrix(system))
+            eigs_full[n], _ = eigenvalues_dense(assemble_coupled(
+                grid, mesh, params_k1, cf, boundary_operator="nystrom"))
+            eigs_reduced[n], _ = eigenvalues_dense(
+                reduced_coupled_matrix(grid, mesh, params_k1, cf))
         rep_full = detect_clusters(eigs_full[16], eigs_full[24], 0.1)
         rep_red = detect_clusters(eigs_reduced[16], eigs_reduced[24], 0.1)
         for c in rep_full.centers:
@@ -192,9 +240,8 @@ class TestStructure:
 
     def test_weighted_similarity_preserves_eigenvalues(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        system = assemble_coupled(grid, mesh, params_k1, cf,
-                                  boundary_operator="nystrom")
-        w = quadrature_weighted_matrix(system)
-        e1 = np.sort_complex(np.linalg.eigvals(system.matrix))
+        matrix = assemble_coupled(grid, mesh, params_k1, cf, boundary_operator="nystrom")
+        w = quadrature_weighted_matrix(matrix, grid, mesh)
+        e1 = np.sort_complex(np.linalg.eigvals(matrix))
         e2 = np.sort_complex(np.linalg.eigvals(w))
         assert np.abs(e1 - e2).max() < 1e-8 * np.abs(e1).max()

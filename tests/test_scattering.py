@@ -166,9 +166,9 @@ class TestGmres:
         iters = []
         for a in (-0.5, -0.8, -0.9):
             cf = constant_a(unit_disc, params_k1.k, a)
-            system = assemble_coupled(grid, mesh, params_k1, cf,
-                                      boundary_operator="nystrom")
-            mat = quadrature_weighted_matrix(system)
+            mat = quadrature_weighted_matrix(
+                assemble_coupled(grid, mesh, params_k1, cf, boundary_operator="nystrom"),
+                grid, mesh)
             scale = np.sqrt(np.concatenate([np.full(grid.n, grid.cell_volume),
                                             mesh.weights]))
             u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))

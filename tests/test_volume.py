@@ -313,6 +313,9 @@ class TestDenseAssembly:
         cf = constant_a(grid.domain, params_k1.k, 2.0)
         for mat, size in ((assemble_A_dense(grid, params_k1, cf), grid.n),
                           (coupled.assemble_A1(grid, params_k1, cf), grid.n),
+                          (assemble_coupled(grid, mesh, params_k1, cf), grid.n + mesh.m),
+                          (assemble_coupled(grid, mesh, params_k1, cf, "nystrom"),
+                           grid.n + mesh.m),
                           (assemble_K(mesh, params_k1), mesh.m)):
             assert type(mat) is np.ndarray
             assert mat.shape == (size, size) and mat.dtype == np.complex128
