@@ -66,7 +66,7 @@ def _check_density(mesh: BoundaryMesh, phi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Trace
 # ---------------------------------------------------------------------------
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh) -> sparse.csr_matrix:
     """Sparse (M, N) interpolation matrix realizing the one-sided trace.
 

@@ -83,7 +83,7 @@ def assemble_A1(grid: VolumeGrid, params: WaveParameters,
     return mat
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _coefficient_free_blocks(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
                              boundary_operator: str):
     """Dense trace (M, N), double layer (N, M) and K (M, M), shared (hence
@@ -152,9 +152,12 @@ def quadrature_weighted_matrix(matrix: np.ndarray, grid: VolumeGrid,
     """Similarity-transform the system so Euclidean norms approximate the
     L2 function norms of both unknowns (cell volumes on the grid,
     arclength weights on the boundary). Eigenvalues are unchanged;
-    singular values and condition numbers become norm-meaningful."""
+    singular values and condition numbers become norm-meaningful.
+    ``matrix`` is scaled in place and returned; no full-size temporary."""
     scale = np.sqrt(np.concatenate([np.full(grid.n, grid.cell_volume), mesh.weights]))
-    return scale[:, None] * matrix / scale[None, :]
+    matrix *= scale[:, None]
+    matrix /= scale[None, :]
+    return matrix
 
 
 def solve_coupled(matrix: np.ndarray, grid: VolumeGrid, u_inc: np.ndarray,

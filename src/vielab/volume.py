@@ -29,18 +29,20 @@ Application routes: the kernels, which depend only on the integer
 offset between cells, are tabulated once on the zero-padded offset grid,
 sampled on its non-negative orthant of offset magnitudes (G and the
 radial factor of grad G depend only on |offset|) and gathered by sign.
-That one table feeds all three consumers: FFT circular convolution
-(d+1 scalar convolutions, O(N log N), whose padded transforms run one
-axis at a time over only the lines that can be nonzero, or on the way
-back only those the grid keeps), and the direct
-route and dense assemblies, whose pairwise matrices are gathered from it
-by coordinate differences. The routes share identical weights by
-construction. The matrix-free system map ``identity_minus_A`` samples
-the contrasts at the cell centers once, not at every application.
+That one table feeds every application on the grid by FFT circular
+convolution (d+1 scalar convolutions, O(N log N), whose padded transforms
+run one axis at a time over only the lines that can be nonzero, or on the
+way back only those the grid keeps), and the dense assemblies and the
+direct-summation reference ``apply_A``, whose pairwise matrices are
+gathered from it by coordinate differences: identical weights by
+construction. The system map ``identity_minus_A`` samples the contrasts
+at the cell centers once, not at every application. Each cache holds one
+discretization: callers work on one grid at a time.
 
 Dense memory budget: each dense builder estimates its peak as live
-complex arrays x 16 bytes x rows x cols and, before allocating, refuses
-(``DenseBudgetError``) an estimate above ``DENSE_BUDGET_BYTES``.
+complex arrays x 16 bytes x rows x cols plus a fixed allowance and,
+before allocating, refuses (``DenseBudgetError``) an estimate above
+``DENSE_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ class DenseBudgetError(ValueError):
 
 def check_dense_budget(what: str, live: float, rows: int, cols: int) -> None:
     """Refuse a build that holds ``live`` complex (rows, cols) arrays at its
-    peak when that exceeds ``DENSE_BUDGET_BYTES``; call before allocating."""
-    need = int(live * 16 * rows * cols)
+    peak (plus 80 KiB) when that exceeds ``DENSE_BUDGET_BYTES``; call first."""
+    # 80 KiB for what does not scale with the arrays (ufunc buffers): small builds
+    # measured 11/21/35 KB over for K at M = 32/48/64, 67 KB for N = M = 32 coupled
+    need = int(live * 16 * rows * cols) + 80 * 2**10
     if need > DENSE_BUDGET_BYTES:
         raise DenseBudgetError(what, need)
 
@@ -114,7 +118,7 @@ def self_cell_weight(params: WaveParameters, h: float) -> complex:
 # ---------------------------------------------------------------------------
 # Cached discrete building blocks
 # ---------------------------------------------------------------------------
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def gradient_ops(grid: VolumeGrid) -> Tuple[sparse.csr_matrix, ...]:
     """Per-axis finite-difference matrices on the included cells.
 
@@ -197,7 +201,7 @@ def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
     return pshape, tuple(tables)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
     """Pairwise quadrature matrices (G-kernel, then d gradient kernels).
 
@@ -227,7 +231,7 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
     return mats[0], tuple(mats[1:])
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
     """FFTs of the sampled kernel tables on the zero-padded offset grid (read-only)."""
     pshape, tables = _kernel_tables(grid, params)
@@ -240,21 +244,11 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
 # ---------------------------------------------------------------------------
 # Kernel application (shared by the Newton potential and the operator)
 # ---------------------------------------------------------------------------
-def _apply_kernels(grid, params, sources, method):
-    """Kernels (G, then the d gradient components) applied to the matching
-    ``sources`` (None entries and missing trailing ones are skipped), by
-    dense matrices or by FFT."""
-    if method not in ("direct", "fft"):
-        raise ValueError(f"unknown method {method!r}")
+def _apply_kernels(grid, params, sources):
+    """Kernels (G, then the d gradient components) applied by FFT to the matching
+    ``sources`` (None entries and missing trailing ones are skipped)."""
     if all(src is None for src in sources):
         return np.zeros(grid.n, dtype=np.complex128)
-    if method == "direct":
-        gm, grads = kernel_matrices(grid, params)
-        out = np.zeros(grid.n, dtype=np.complex128)
-        for kern, src in zip((gm, *grads), sources):
-            if src is not None:
-                out += kern @ src
-        return out
     pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)
     acc = None
     for kern, src in zip((g_hat, *grad_hats), sources):
@@ -323,37 +317,37 @@ def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField) -> Callable:
 # Public operations
 # ---------------------------------------------------------------------------
 def newton_potential(grid: VolumeGrid, params: WaveParameters, v: np.ndarray,
-                     targets: Optional[np.ndarray] = None,
-                     method: str = "fft") -> np.ndarray:
+                     targets: Optional[np.ndarray] = None) -> np.ndarray:
     """Volume potential (G_k * v) of a grid density.
 
     With ``targets=None`` the potential is returned at the grid's own
-    cell centers (self-cells corrected); explicit targets are evaluated
-    by direct summation, applying the self-cell correction whenever a
-    target coincides with a cell center.
+    cell centers (self-cells corrected), by FFT; explicit targets are
+    evaluated by direct summation, applying the self-cell correction
+    whenever a target coincides with a cell center.
     """
     v = _check_field(grid, v)
     if targets is None:
-        return _apply_kernels(grid, params, (v,), method)
+        return _apply_kernels(grid, params, (v,))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     return _sum_at_targets(grid, params, targets, np.zeros(len(targets), np.complex128), (v,))
 
 
-def _apply_A(grid, params, coeffs, u, method):
-    return _apply_kernels(grid, params, _contrast_sources(grid, coeffs)(_check_field(grid, u)),
-                          method)
-
-
 def apply_A(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientField,
             u: np.ndarray) -> np.ndarray:
-    """Direct-summation application of the volume operator A."""
-    return _apply_A(grid, params, coeffs, u, "direct")
+    """Direct-summation application of the volume operator A by the dense
+    kernel matrices: the reference for the FFT route."""
+    gm, grads = kernel_matrices(grid, params)
+    out = np.zeros(grid.n, dtype=np.complex128)
+    for kern, src in zip((gm, *grads), _contrast_sources(grid, coeffs)(_check_field(grid, u))):
+        if src is not None:
+            out += kern @ src
+    return out
 
 
 def apply_A_fft(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientField,
                 u: np.ndarray) -> np.ndarray:
     """FFT-accelerated application of A; identical quadrature to apply_A."""
-    return _apply_A(grid, params, coeffs, u, "fft")
+    return _apply_kernels(grid, params, _contrast_sources(grid, coeffs)(_check_field(grid, u)))
 
 
 def a1_weights(grid: VolumeGrid, params: WaveParameters,
@@ -369,8 +363,7 @@ def a1_weights(grid: VolumeGrid, params: WaveParameters,
 
 
 def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
-                        coeffs: CoefficientField, u: np.ndarray,
-                        method: str = "fft") -> np.ndarray:
+                        coeffs: CoefficientField, u: np.ndarray) -> np.ndarray:
     """Apply A in the integrated-by-parts form valid when alpha = 0 on Gamma.
 
     For coefficients smooth across the boundary,
@@ -388,7 +381,7 @@ def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
             f"smooth-form operator requires alpha = 0 on Gamma; got tag {coeffs.tag!r}")
     u = _check_field(grid, u)
     sources = [w * u for w in a1_weights(grid, params, coeffs)]
-    return -coeffs.alpha(grid.centers) * u - _apply_kernels(grid, params, sources, method)
+    return -coeffs.alpha(grid.centers) * u - _apply_kernels(grid, params, sources)
 
 
 def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
@@ -421,7 +414,7 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
 
     def applier(u):
         u = _check_field(grid, u)
-        return u - _apply_kernels(grid, params, sources(u), "fft")
+        return u - _apply_kernels(grid, params, sources(u))
     return applier
 
 

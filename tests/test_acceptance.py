@@ -68,7 +68,7 @@ def test_criterion_01_newton_potential_residual_decay(disc, k1):
         grid = build_volume_grid(disc, n)
         r2 = (grid.centers ** 2).sum(axis=1) / 0.8 ** 2
         v = np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-12)), 0.0) + 0j
-        pot = newton_potential(grid, k1, v, method="fft")
+        pot = newton_potential(grid, k1, v)
         lap, interior = discrete_laplacian(grid, pot)
         res = lap + k1.k ** 2 * pot + v
         residuals.append(float(np.abs(res[interior]).max() / np.abs(v).max()))
@@ -104,8 +104,7 @@ def test_criterion_03_smooth_form_equivalence(disc, k1):
     for n in (32, 64, 128):
         grid = build_volume_grid(disc, n)
         u = smooth_probe(grid.centers, seed=7)
-        d = apply_A_fft(grid, k1, cf, u) - apply_A_smooth_form(grid, k1, cf, u,
-                                                               method="fft")
+        d = apply_A_fft(grid, k1, cf, u) - apply_A_smooth_form(grid, k1, cf, u)
         vals.append(float(np.linalg.norm(d) / np.linalg.norm(u)))
     ok = vals[0] > vals[1] > vals[2]
     record(3, "smooth-form equivalence decay", ok,

@@ -65,7 +65,7 @@ class TestAssembleA1:
         cf = smooth_bump_a(unit_disc, params_k1.k, 2.0)
         u = random_field(grid.n, rng)
         ref = -cf.alpha(grid.centers) * u - assemble_A1(grid, params_k1, cf) @ u
-        got = apply_A_smooth_form(grid, params_k1, cf, u, method="direct")
+        got = apply_A_smooth_form(grid, params_k1, cf, u)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-13
 
     def test_compactness_signature(self, unit_disc, params_k1):
@@ -241,7 +241,7 @@ class TestStructure:
     def test_weighted_similarity_preserves_eigenvalues(self, setup32, params_k1):
         grid, mesh, cf = setup32
         matrix = assemble_coupled(grid, mesh, params_k1, cf, boundary_operator="nystrom")
+        e1 = np.sort_complex(np.linalg.eigvals(matrix))  # before the in-place weighting
         w = quadrature_weighted_matrix(matrix, grid, mesh)
-        e1 = np.sort_complex(np.linalg.eigvals(matrix))
         e2 = np.sort_complex(np.linalg.eigvals(w))
         assert np.abs(e1 - e2).max() < 1e-8 * np.abs(e1).max()

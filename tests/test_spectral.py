@@ -1,7 +1,9 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from vielab import (
     a_to_sigma,
@@ -42,6 +44,17 @@ class TestEigenvaluesDense:
         m = rng.standard_normal((100, 100))
         _, res = eigenvalues_dense(m)
         assert np.all(res <= 1e-8)
+
+    def test_badly_scaled_input_takes_one_eigensolve(self, monkeypatch, caplog):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LU factorization in the eigensolve")
+
+        monkeypatch.setattr(sla, "lu_factor", forbidden)
+        m = 1e9 * np.random.default_rng(0).standard_normal((200, 200))
+        with caplog.at_level(logging.WARNING, logger="vielab.spectral"):
+            _, res = eigenvalues_dense(m)
+        assert not caplog.records
+        assert res.max() <= 1e-13 * np.linalg.norm(m, 1)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="capped"):

@@ -1,4 +1,8 @@
+import gc
+import importlib
+import pkgutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from vielab import (
     smooth_bump_a,
 )
 from vielab import assemble_K, assemble_coupled, build_boundary_mesh, eigenvalues_dense
-from vielab.spectral import condition_estimate
+from vielab.spectral import condition_estimate, spectral_operator_matrix
 from vielab import coupled, volume
 from vielab.boundary import density_interp_matrix, refine_mesh, trace_matrix
 from vielab.special import greens_gradient
@@ -114,7 +118,7 @@ class TestNewtonPotential:
         for n in (32, 64, 128):
             grid = build_volume_grid(unit_disc, n)
             v = bump_density(grid.centers)
-            pot = newton_potential(grid, params_k1, v, method="fft")
+            pot = newton_potential(grid, params_k1, v)
             lap, interior = discrete_laplacian(grid, pot)
             res = lap + params_k1.k**2 * pot + v
             residuals.append(np.abs(res[interior]).max() / np.abs(v).max())
@@ -132,14 +136,14 @@ class TestNewtonPotential:
 
     def test_explicit_targets_match_grid_path(self, disc_grid_32, params_k1, rng):
         v = random_field(disc_grid_32.n, rng)
-        on_grid = newton_potential(disc_grid_32, params_k1, v, method="direct")
+        on_grid = kernel_matrices(disc_grid_32, params_k1)[0] @ v
         explicit = newton_potential(disc_grid_32, params_k1, v, targets=disc_grid_32.centers)
         assert np.allclose(on_grid, explicit, rtol=0, atol=1e-12 * np.abs(on_grid).max())
 
     def test_fft_matches_direct(self, disc_grid_32, params_k1, rng):
         v = random_field(disc_grid_32.n, rng)
-        d = newton_potential(disc_grid_32, params_k1, v, method="direct")
-        f = newton_potential(disc_grid_32, params_k1, v, method="fft")
+        d = kernel_matrices(disc_grid_32, params_k1)[0] @ v
+        f = newton_potential(disc_grid_32, params_k1, v)
         assert np.linalg.norm(d - f) / np.linalg.norm(d) < 1e-12
 
     def test_3d_ball_residual_decays(self):
@@ -149,7 +153,7 @@ class TestNewtonPotential:
         for n in (12, 18, 27):
             grid = build_volume_grid(ball, n)
             v = bump_density(grid.centers, rho=0.8)
-            pot = newton_potential(grid, p, v, method="fft")
+            pot = newton_potential(grid, p, v)
             lap, interior = discrete_laplacian(grid, pot)
             res = lap + p.k**2 * pot + v
             residuals.append(np.abs(res[interior]).max() / np.abs(v).max())
@@ -163,12 +167,12 @@ class TestApplyA:
         assert np.all(apply_A(disc_grid_32, params_k1, cf, u) == 0)
 
     def test_beta_only_equals_newton_potential_exactly(self, disc_grid_32, params_k1, rng):
-        # same code path: A u with alpha == 0 is the Newton potential of beta*u
+        # A u with alpha == 0 is the G-kernel matrix applied to beta*u
         cf = beta_only(disc_grid_32.domain, params_k1.k, 3.0)
         u = random_field(disc_grid_32.n, rng)
         beta = cf.beta(disc_grid_32.centers)
         lhs = apply_A(disc_grid_32, params_k1, cf, u)
-        rhs = newton_potential(disc_grid_32, params_k1, beta * u, method="direct")
+        rhs = kernel_matrices(disc_grid_32, params_k1)[0] @ (beta * u)
         assert np.array_equal(lhs, rhs)
 
     def test_linearity(self, disc_grid_32, params_k1, rng):
@@ -235,6 +239,26 @@ class TestApplyA:
 
 
 class TestCachedKernels:
+    def test_caches_hold_one_discretization(self):
+        import vielab
+        modules = [importlib.import_module(f"vielab.{m.name}")
+                   for m in pkgutil.iter_modules(vielab.__path__)]
+        caches = {f"{mod.__name__}.{name}": obj for mod in modules
+                  for name, obj in vars(mod).items()
+                  if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__}
+        assert len(caches) == 5
+        assert {name: c.cache_parameters()["maxsize"] for name, c in caches.items()} \
+            == dict.fromkeys(caches, 1)
+
+    def test_previous_grid_is_released(self, params_k1):
+        first = build_volume_grid(DomainGeometry.disc(1.0), 12)
+        fft_kernel_tables(first, params_k1)
+        released = weakref.ref(first)
+        del first
+        fft_kernel_tables(build_volume_grid(DomainGeometry.disc(1.0), 14), params_k1)
+        gc.collect()
+        assert released() is None
+
     def test_cached_arrays_are_read_only(self, params_k1):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
         gm, grads = kernel_matrices(grid, params_k1)
@@ -349,14 +373,16 @@ class TestDenseAssembly:
 
 def _cold_dense_builds(n):
     """Budgeted dense builds on a disc (2D) or ball (3D) of n cells per axis,
-    as zero-argument calls; the eigensolve input is real and so badly scaled
-    that every eigenpair takes the inverse-iteration refinement, and the
-    condition number's input is its complex counterpart."""
+    as zero-argument calls; the "-coarse" entries are the small sizes where
+    the fixed allowance, not the arrays, dominates. The eigensolve input is
+    real and badly scaled, and the condition number's input is its complex
+    counterpart."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
     grid, grid3 = build_volume_grid(disc, n), build_volume_grid(ball, n // 2)
     mesh, k_mesh = build_boundary_mesh(disc, 4 * n), build_boundary_mesh(square, 10 * n)
+    coarse = build_volume_grid(disc, n // 2)
     cf, cf3 = constant_a(disc, 1.0, 2.0), constant_a(ball, 1.0, 2.0)
     stiff = 1e9 * np.random.default_rng(n).standard_normal((8 * n, 8 * n))
     stiff_c = stiff + 1j * stiff.T
@@ -368,7 +394,11 @@ def _cold_dense_builds(n):
         "assemble_coupled": lambda: assemble_coupled(grid, mesh, p2, cf),
         "assemble_coupled-nystrom": lambda: assemble_coupled(grid, mesh, p2, cf,
                                                              boundary_operator="nystrom"),
+        "assemble_coupled-coarse": lambda: assemble_coupled(
+            coarse, build_boundary_mesh(disc, 2 * n), p2, cf),
         "assemble_K": lambda: assemble_K(k_mesh, p2),
+        "assemble_K-coarse": lambda: assemble_K(mesh, p2),
+        "spectral_operator_matrix": lambda: spectral_operator_matrix(disc, p2, cf, n),
         "eigenvalues_dense": lambda: eigenvalues_dense(stiff),
         "density_interp_matrix": lambda: density_interp_matrix(mesh, refine_mesh(mesh)),
         "density_interp_matrix-polygon": lambda: density_interp_matrix(k_mesh,
@@ -438,8 +468,8 @@ class TestSmoothForm:
     def test_laplace_case_is_identical(self, disc_grid_32, params_k1, rng):
         cf = beta_only(disc_grid_32.domain, params_k1.k, 3.0)
         u = random_field(disc_grid_32.n, rng)
-        a1 = apply_A(disc_grid_32, params_k1, cf, u)
-        a2 = apply_A_smooth_form(disc_grid_32, params_k1, cf, u, method="direct")
+        a1 = apply_A_fft(disc_grid_32, params_k1, cf, u)
+        a2 = apply_A_smooth_form(disc_grid_32, params_k1, cf, u)
         assert np.array_equal(a1, a2)
 
     def test_mismatch_decays_under_refinement(self, unit_disc, params_k1):
@@ -448,8 +478,7 @@ class TestSmoothForm:
             grid = build_volume_grid(unit_disc, n)
             cf = smooth_bump_a(unit_disc, params_k1.k, 2.0)
             u = smooth_probe(grid.centers)
-            d = apply_A_fft(grid, params_k1, cf, u) \
-                - apply_A_smooth_form(grid, params_k1, cf, u, method="fft")
+            d = apply_A_fft(grid, params_k1, cf, u) - apply_A_smooth_form(grid, params_k1, cf, u)
             vals.append(np.linalg.norm(d) / np.linalg.norm(u))
         assert vals[0] > vals[1] > vals[2]
 
@@ -460,8 +489,7 @@ class TestSmoothForm:
             grid = build_volume_grid(unit_disc, n)
             cf = smooth_bump_a(unit_disc, 0.0, 2.0)
             u = np.ones(grid.n, dtype=complex)
-            d = apply_A_fft(grid, p0, cf, u) \
-                - apply_A_smooth_form(grid, p0, cf, u, method="fft")
+            d = apply_A_fft(grid, p0, cf, u) - apply_A_smooth_form(grid, p0, cf, u)
             vals.append(np.linalg.norm(d) / np.linalg.norm(u))
         assert vals[1] < vals[0] < 0.05
 
