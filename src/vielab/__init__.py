@@ -16,6 +16,8 @@ from .geometry import (
     build_boundary_mesh,
     build_volume_grid,
     classify_point,
+    mesh_reflections,
+    reflections,
 )
 from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value, hankel1
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a

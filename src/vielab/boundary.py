@@ -71,8 +71,11 @@ def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh) -> sparse.csr_matrix:
     """Sparse (M, N) interpolation matrix realizing the one-sided trace.
 
     Each boundary node gets a least-squares linear fit over the nearest
-    included cell centers within three grid spacings (at most six,
-    extended if the fit is rank deficient), evaluated at the node.
+    included cell centers within three grid spacings (six, extended if the
+    fit is rank deficient), evaluated at the node. Cells as far from the
+    node as the last one kept (within 1e-9 h) are kept too, so a stencil
+    never picks one of two mirror-image cells by rounding and the matrix
+    inherits the grid's reflection symmetries.
     """
     tree = cKDTree(grid.centers)
     radius = TRACE_SEARCH_RADIUS * grid.h
@@ -84,19 +87,26 @@ def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh) -> sparse.csr_matrix:
             raise ValueError(
                 f"trace: fewer than 3 included cells within {TRACE_SEARCH_RADIUS}h "
                 f"of boundary node {i}")
-        cand = sorted(cand, key=lambda j: np.linalg.norm(grid.centers[j] - node))
-        k = min(TRACE_MAX_NEIGHBORS, len(cand))
+        dist = np.linalg.norm(grid.centers[cand] - node, axis=1)
+        order = np.argsort(dist, kind="stable")
+        cand, dist = np.asarray(cand)[order], dist[order]
+        k = _with_ties(dist, min(TRACE_MAX_NEIGHBORS, len(cand)), grid.h)
         while True:
             pts = grid.centers[cand[:k]]
             design = np.hstack([np.ones((k, 1)), (pts - node) / grid.h])
             if np.linalg.matrix_rank(design) >= d + 1 or k >= len(cand):
                 break
-            k = min(k + 2, len(cand))
+            k = _with_ties(dist, min(k + 2, len(cand)), grid.h)
         weights = np.linalg.pinv(design)[0]  # fit value at the node
         rows.extend([i] * k)
         cols.extend(cand[:k])
         vals.extend(weights)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(mesh.m, grid.n))
+
+
+def _with_ties(dist: np.ndarray, k: int, h: float) -> int:
+    """How many of the sorted distances lie within 1e-9 h of the k-th."""
+    return int(np.searchsorted(dist, dist[k - 1] + 1e-9 * h, side="right"))
 
 
 def trace(grid: VolumeGrid, mesh: BoundaryMesh, u: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import logging
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from . import __version__
 from .boundary import assemble_K, jump_relation_check, trace
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
 from .coupled import NEAR_SINGULAR_RCOND, assemble_coupled, check_equivalence, solve_coupled
-from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid
+from .geometry import (DomainGeometry, build_boundary_mesh, build_volume_grid, mesh_reflections,
+                       reflections)
 from .presets import get_preset, preset_names
 from .scattering import (
     gmres_solve,
@@ -49,7 +50,7 @@ from .spectral import (
     fredholm_verdict,
     predict_clusters,
     sigma_to_a,
-    spectral_operator_matrix,
+    spectral_instrument,
 )
 from .volume import (
     DenseBudgetError,
@@ -281,22 +282,24 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     return results
 
 
-def _spectrum_matrix(scenario: Scenario, n_level: int) -> np.ndarray:
+def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The spectrum operator at one level and the reflections of its unknowns."""
     op = scenario.config.get("spectrum", {}).get("operator", "coupled")
     if op == "coupled":
-        return spectral_operator_matrix(scenario.domain, scenario.params, scenario.coeffs,
-                                        n_level, 4 * n_level)
+        grid, mesh, matrix = spectral_instrument(scenario.domain, scenario.params,
+                                                 n_level, 4 * n_level)
+        return matrix(scenario.coeffs), reflections(grid, mesh)
     if op == "volume":
         grid = scenario.grid(n_level)
-        return assemble_A_dense(grid, scenario.params, scenario.coeffs)
+        return assemble_A_dense(grid, scenario.params, scenario.coeffs), reflections(grid)
     if op == "contrast":
         grid = scenario.grid(n_level)
         dense = assemble_A_dense(grid, scenario.params, scenario.coeffs)
-        return np.eye(grid.n, dtype=np.complex128) - dense
+        return np.eye(grid.n, dtype=np.complex128) - dense, reflections(grid)
     if op == "half-minus-K":
         mesh = scenario.mesh(n_level)
         return 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(
-            mesh, scenario.params)
+            mesh, scenario.params), mesh_reflections(mesh)
     raise ConfigError(f"unknown spectrum operator {op!r}")
 
 
@@ -309,7 +312,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
     if delta <= 0:
         raise ConfigError("spectrum.delta must be positive")
     # both levels are solved before anything is written
-    eigs = {int(lvl): eigenvalues_dense(_spectrum_matrix(scenario, int(lvl)))
+    eigs = {int(lvl): eigenvalues_dense(*_spectrum_matrix(scenario, int(lvl)))
             for lvl in levels}
     for lvl, (vals, res) in eigs.items():
         write_csv(out / f"eigenvalues_{lvl}.csv", scenario, ["re", "im", "residual"],
@@ -563,7 +566,7 @@ def verify_suite(scenario: Scenario) -> dict:
         for n in (24, 40):
             grid = build_volume_grid(domain, n)
             dense = assemble_A_dense(grid, params, coeffs)
-            vals, _ = eigenvalues_dense(np.eye(grid.n) - dense)
+            vals, _ = eigenvalues_dense(np.eye(grid.n) - dense, reflections(grid))
             counts[n] = int(np.sum(np.abs(vals) > 0.05))
         change = abs(counts[40] - counts[24])
         return counts, change <= 2, "eigenvalues of A outside |lambda| > 0.05"

@@ -114,8 +114,11 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
         raise ValueError(f"unknown boundary operator {boundary_operator!r}")
     n, size = grid.n, grid.n + mesh.m
     # the 1 + d kernel matrices, A1 and the system; A1 is built before the
-    # system is allocated, so its temporary product is gone by then
-    check_dense_budget("coupled system", grid.dimension + 3, size, size)
+    # system is allocated, so its temporary product is gone by then. The
+    # double layer's near rows add the float (8M, M) interpolation and the
+    # complex copy numpy makes of it for their product: 12 M^2 entries
+    check_dense_budget("coupled system", grid.dimension + 3 + 12 * (mesh.m / size) ** 2,
+                       size, size)
     t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
     a1 = assemble_A1(grid, params, coeffs)
     alpha_nodes = coeffs.alpha(mesh.nodes)

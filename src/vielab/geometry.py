@@ -17,9 +17,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 logger = logging.getLogger(__name__)
 
@@ -406,10 +407,17 @@ def _polygon_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMes
     for e in range(V):
         tang = edges[e] / lengths[e]
         nrm = np.array([tang[1], -tang[0]])  # outward for CCW vertices
+        # the grading is symmetric, so the far half mirrors the near half: its
+        # nodes are placed from the far vertex, which keeps their offsets from
+        # it exact to rounding and the mesh mirror-symmetric
         frac = _graded_fractions(counts[e], grading) * lengths[e]
-        mids = 0.5 * (frac[:-1] + frac[1:])
-        nodes.append(verts[e] + mids[:, None] * tang)
-        weights.append(frac[1:] - frac[:-1])
+        near = (counts[e] + 1) // 2
+        offsets = 0.5 * (frac[:near] + frac[1:near + 1])
+        gaps = frac[1:near + 1] - frac[:near]
+        far = counts[e] - near
+        nodes.append(np.vstack([verts[e] + offsets[:, None] * tang,
+                                verts[(e + 1) % V] - offsets[far - 1::-1, None] * tang]))
+        weights.append(np.concatenate([gaps, gaps[far - 1::-1]]))
         normals.append(np.tile(nrm, (counts[e], 1)))
         edge_idx.append(np.full(counts[e], e, dtype=int))
     nodes = np.vstack(nodes)
@@ -436,3 +444,57 @@ def _sphere_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh
     m = len(dirs)
     return BoundaryMesh(domain, r * dirs, dirs, weights, np.full(m, 1.0 / r),
                         np.full(m, -1, dtype=int), grading)
+
+
+# ---------------------------------------------------------------------------
+# Reflection symmetries of the unknowns
+# ---------------------------------------------------------------------------
+def reflections(grid: VolumeGrid, mesh: Optional[BoundaryMesh] = None) -> List[np.ndarray]:
+    """Permutations of the unknowns by the axis reflections of the grid.
+
+    One index array per axis whose reflection maps the grid onto itself
+    (grid index i -> n_c - 1 - i, kept where ``np.flip(mask, axis)`` equals
+    the mask): entry j is the unknown that unknown j is mirrored onto. With a
+    mesh the unknowns are the cells followed by the boundary nodes, and an
+    axis is kept only if every mirrored node matches a node within 1e-9 h.
+    The permutations only propose symmetries; the spectral routines keep
+    those that commute with the matrix at hand.
+    """
+    out = []
+    for axis in range(grid.dimension):
+        if not np.array_equal(np.flip(grid.mask, axis), grid.mask):
+            continue
+        coords = grid.coords.copy()
+        coords[:, axis] = grid.shape[axis] - 1 - coords[:, axis]
+        perm = grid.flat_index[tuple(coords.T)]
+        if mesh is not None:
+            center = grid.domain.bounding_box[axis, 0] + 0.5 * grid.shape[axis] * grid.h
+            nodes = _mirror(mesh.nodes, axis, center, 1e-9 * grid.h)
+            if nodes is None:
+                continue
+            perm = np.concatenate([perm, grid.n + nodes])
+        out.append(perm)
+    return out
+
+
+def mesh_reflections(mesh: BoundaryMesh) -> List[np.ndarray]:
+    """Permutations of the boundary nodes by the axis reflections through
+    the bounding box's centre that map the mesh onto itself (matching within
+    1e-9 of the mean node spacing)."""
+    box = mesh.domain.bounding_box
+    d = mesh.nodes.shape[1]
+    tol = 1e-9 * (float(np.sum(mesh.weights)) / mesh.m) ** (1.0 / (d - 1))
+    perms = (_mirror(mesh.nodes, axis, 0.5 * (box[axis, 0] + box[axis, 1]), tol)
+             for axis in range(d))
+    return [p for p in perms if p is not None]
+
+
+def _mirror(nodes: np.ndarray, axis: int, center: float, tol: float) -> Optional[np.ndarray]:
+    """Index of the node each node is mirrored onto through the plane
+    x_axis = center, or None unless this is a bijection within ``tol``."""
+    image = nodes.copy()
+    image[:, axis] = 2.0 * center - image[:, axis]
+    dist, match = cKDTree(nodes).query(image)
+    if np.max(dist) > tol or len(np.unique(match)) != len(nodes):
+        return None
+    return match

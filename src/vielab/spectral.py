@@ -19,6 +19,20 @@ necessary and sufficient, otherwise sufficient only.
 
 Condition sweeps toward the breakdown locus take exact 2-norm condition
 numbers from the singular values, so they depend on no seed.
+
+Reflection blocks: a disc, square or ball grid with its mesh is mapped
+onto itself by the coordinate reflections (``geometry.reflections``), and
+so is every matrix assembled on it from symmetric coefficients. Each
+reflection that commutes with the matrix (max|M[p][:, p] - M| <= 1e-12
+max|M|) is kept; r of them split the unknowns into 2^r symmetry classes
+with orthonormal bases Q of signed orbit sums, and M into the diagonal
+blocks B = Q^T M Q, each of about n / 2^r unknowns. Eigenvalues are the
+union of the blocks' and so are singular values, at 1/4^r of the cubic
+cost. Residuals stay certified against the full matrix: each is
+||M Q y - lambda Q y|| / ||Q y|| for an eigenvector y of its block, so a
+reflection that only nearly commutes shows in them. Without a commuting
+reflection Q is the identity and the routines reduce to one LAPACK call
+on M.
 """
 
 from __future__ import annotations
@@ -32,13 +46,18 @@ import scipy.linalg as sla
 
 from .coefficients import CoefficientField, constant_a
 from .coupled import assemble_coupled, quadrature_weighted_matrix
-from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid
+from .geometry import (BoundaryMesh, DomainGeometry, VolumeGrid, build_boundary_mesh,
+                       build_volume_grid)
+from .geometry import reflections as grid_reflections
 from .special import WaveParameters
 from .volume import check_dense_budget
 
 logger = logging.getLogger(__name__)
 
 RESIDUAL_TOL = 1e-8
+#: A reflection is a symmetry of a matrix when it moves no entry by more
+#: than this share of the largest one.
+SYMMETRY_TOL = 1e-12
 #: A candidate cluster must hold this many fine-level eigenvalues ...
 CLUSTER_MIN_COUNT = 4
 #: ... and grow by this factor from the coarse to the fine level.
@@ -105,27 +124,133 @@ class FredholmVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Reflection blocks
+# ---------------------------------------------------------------------------
+def commuting_reflections(matrix: np.ndarray,
+                          reflections: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The permutations p of ``reflections`` that commute with the matrix:
+    max|M[p][:, p] - M| <= ``SYMMETRY_TOL`` max|M|, checked in row chunks
+    (no full-size temporary). Each must be an involution commuting with
+    the others, as axis reflections do."""
+    n = len(matrix)
+    chunk = max(1, n // 16)
+    kept = []
+    for perm in reflections:
+        perm = np.asarray(perm)
+        if perm.shape != (n,) or not np.array_equal(perm[perm], np.arange(n)):
+            raise ValueError(f"not an involution of {n} unknowns")
+        if any(not np.array_equal(perm[q], q[perm]) for q in kept):
+            raise ValueError("reflections must commute with each other")
+        defect = scale = 0.0
+        for start in range(0, n, chunk):
+            rows = slice(start, start + chunk)
+            block = matrix[rows]
+            defect = max(defect, float(np.max(np.abs(matrix[perm[rows, None], perm] - block))))
+            scale = max(scale, float(np.max(np.abs(block))))
+        if defect <= SYMMETRY_TOL * scale:
+            kept.append(perm)
+    return kept
+
+
+def _reflection_bases(matrix: np.ndarray, reflections: Sequence[np.ndarray]) -> list:
+    """Orthonormal bases Q_chi of the symmetry classes of the reflections
+    that commute with the matrix, one per character chi of the group of
+    2^r elements they generate.
+
+    A basis is a pair (cols, vals) of (n_chi, 2^r) arrays: column c of
+    Q_chi is sum_s vals[c, s] e_{cols[c, s]}, the orbit of one unknown
+    summed with the signs chi(s) (repeated indices add up). Orbits on
+    which this sum vanishes are dropped. Without a commuting reflection
+    the one basis is the identity, ``None``.
+    """
+    n = len(matrix)
+    images = [np.arange(n)]  # the group elements, as index maps
+    for perm in commuting_reflections(matrix, reflections):
+        images += [perm[g] for g in images]
+    if len(images) == 1:
+        return [None]
+    images = np.array(images)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    orbits = images[:, reps]                               # (2^r, orbits)
+    stabilizer = orbits == reps
+    bases = []
+    for chi in range(len(images)):
+        signs = np.array([(-1.0) ** bin(s & chi).count("1") for s in range(len(images))])
+        keep = np.all((signs[:, None] > 0) | ~stabilizer, axis=0)
+        if keep.any():
+            norm = np.sqrt(len(images) * stabilizer[:, keep].sum(axis=0))
+            bases.append((orbits[:, keep].T, signs[None, :] / norm[:, None]))
+    return bases
+
+
+def _blocks(matrix: np.ndarray, reflections: Sequence[np.ndarray]):
+    """Per symmetry class: its basis Q, MQ = M Q and the diagonal block
+    B = Q^T MQ, both by gathers; the identity basis yields the matrix
+    itself as both."""
+    for basis in _reflection_bases(matrix, reflections):
+        if basis is None:
+            yield None, matrix, matrix
+            continue
+        cols, vals = basis
+        mq = np.zeros((len(matrix), len(cols)), dtype=matrix.dtype)
+        taken = np.empty_like(mq)
+        for s in range(cols.shape[1]):
+            np.take(matrix, cols[:, s], axis=1, out=taken, mode="clip")  # unbuffered
+            taken *= vals[:, s]
+            mq += taken
+        del taken
+        block = np.zeros((len(cols), len(cols)), dtype=mq.dtype)
+        for s in range(cols.shape[1]):
+            block += vals[:, s, None] * mq[cols[:, s]]
+        yield basis, mq, block
+
+
+def _expand(basis, y: np.ndarray, n: int) -> np.ndarray:
+    """Q y: block coefficients back to the n unknowns."""
+    if basis is None:
+        return y
+    cols, vals = basis
+    out = np.zeros((n,) + y.shape[1:], dtype=y.dtype)
+    for s in range(cols.shape[1]):  # distinct indices for each s
+        out[cols[:, s]] += vals[:, s, None] * y
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Dense eigensolve with residual certification
 # ---------------------------------------------------------------------------
-def eigenvalues_dense(matrix) -> Tuple[np.ndarray, np.ndarray]:
+def eigenvalues_dense(matrix, reflections: Sequence[np.ndarray] = ()
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a complex matrix, each with a certified residual.
 
-    One LAPACK eigensolve; residuals are ||M v - lambda v|| / ||v|| from
-    the computed right eigenvectors. Eigenvalues are returned sorted by
-    (real, imaginary) part. LAPACK guarantees residuals of the order of
-    eps ||M||, so a warning is logged (and nothing aborts) when some
-    residual exceeds ``RESIDUAL_TOL * ||M||_1``.
+    ``reflections`` are candidate symmetries (``geometry.reflections``);
+    those that commute with the matrix split it into 2^r diagonal blocks
+    B = Q^T M Q, each solved by one LAPACK eigensolve. Residuals are
+    ||M Q y - lambda Q y|| / ||Q y|| for the computed eigenvectors y of B,
+    i.e. against the full matrix. Without a commuting reflection Q is the
+    identity and this is one eigensolve of M. Eigenvalues are returned
+    sorted by (real, imaginary) part. LAPACK guarantees residuals of the
+    order of eps ||M||, so a warning is logged (and nothing aborts) when
+    some residual exceeds ``RESIDUAL_TOL * ||M||_1``.
     """
     n = np.shape(matrix)[0]
     if np.shape(matrix) != (n, n):
         raise ValueError("eigenvalue computation needs a square matrix")
-    # complex input and eigenvectors, then LAPACK's copy and workspace (133 columns)
-    # or two residual temporaries (peak 3.0-3.5 complex, 4.0-4.6 real at n = 128-1032)
+    # unblocked: complex input and eigenvectors, then LAPACK's copy and workspace
+    # (133 columns) or two residual temporaries (peak 3.0-3.5 complex, 4.0-4.6
+    # real at n = 128-1032); four blocks peak at 1.1-1.4 complex, 2.1-2.4 real
+    # (n = 204-1032), so the unblocked estimate bounds both
     check_dense_budget("dense eigensolve", 4, n, n + 40)
     matrix = np.asarray(matrix, dtype=np.complex128)
-    vals, vecs = sla.eig(matrix)
-    res = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)
-    res /= np.linalg.norm(vecs, axis=0)
+    all_vals, all_res = [], []
+    for basis, mq, block in _blocks(matrix, reflections):
+        vals, vecs = sla.eig(block)
+        qy = _expand(basis, vecs, n)
+        res = np.linalg.norm(mq @ vecs - qy * vals[None, :], axis=0)
+        res /= np.linalg.norm(qy, axis=0)
+        all_vals.append(vals)
+        all_res.append(res)
+    vals, res = np.concatenate(all_vals), np.concatenate(all_res)
     high = res > RESIDUAL_TOL * np.linalg.norm(matrix, 1)
     if high.any():
         logger.warning("eigensolve: %d residuals above %.1e ||M||_1 (worst %.2e)",
@@ -281,31 +406,40 @@ def fredholm_verdict(coeffs: CoefficientField, domain: DomainGeometry,
 # ---------------------------------------------------------------------------
 # Condition sweeps toward the breakdown locus
 # ---------------------------------------------------------------------------
-def condition_estimate(matrix: np.ndarray) -> float:
+def condition_estimate(matrix: np.ndarray, reflections: Sequence[np.ndarray] = ()) -> float:
     """Exact l2 condition number s_max / s_min of a square matrix.
 
-    Computed from all singular values, so it is deterministic. Returns
-    inf for non-finite input and for numerically singular matrices,
-    s_min <= n eps s_max (numpy's ``matrix_rank`` tolerance).
+    Computed from all singular values, so it is deterministic; the
+    reflections that commute with the matrix (see ``eigenvalues_dense``)
+    split it into orthogonally equivalent blocks whose singular values
+    together are the matrix's. Returns inf for non-finite input and for
+    numerically singular matrices, s_min <= n eps s_max (numpy's
+    ``matrix_rank`` tolerance).
     """
     n = max(np.shape(matrix))
-    # LAPACK's copy of the input and its workspace (measured: under 86 columns)
+    # LAPACK's copy of the input and its workspace (measured: under 86 columns);
+    # four blocks peak at 0.8-1.0 (n, n) arrays for n = 204-1032
     check_dense_budget("condition number", 1.0, n, n + 96)
     if not np.all(np.isfinite(matrix)):
         return float("inf")
-    s = sla.svdvals(matrix, check_finite=False)
-    if s[-1] <= n * np.finfo(s.dtype).eps * s[0]:
+    s = np.concatenate([sla.svdvals(block, check_finite=False)
+                        for _, _, block in _blocks(matrix, reflections)])
+    s_max, s_min = s.max(), s.min()
+    if s_min <= n * np.finfo(s.dtype).eps * s_max:
         return float("inf")
-    return float(s[0] / s[-1])
+    return float(s_max / s_min)
 
 
-def _instrument(domain: DomainGeometry, params: WaveParameters, n_per_axis: int,
-                boundary_nodes: Optional[int]) -> Callable[[CoefficientField], np.ndarray]:
-    """The spectral instrument on one grid and mesh, built once: a map from
-    coefficient fields to quadrature-weighted Nystrom coupled matrices."""
+def spectral_instrument(domain: DomainGeometry, params: WaveParameters, n_per_axis: int,
+                        boundary_nodes: Optional[int] = None
+                        ) -> Tuple[VolumeGrid, BoundaryMesh,
+                                   Callable[[CoefficientField], np.ndarray]]:
+    """The spectral instrument on one grid and mesh, built once: the grid,
+    the mesh (``4 n_per_axis`` nodes by default) and a map from coefficient
+    fields to quadrature-weighted Nystrom coupled matrices."""
     grid = build_volume_grid(domain, n_per_axis)
     mesh = build_boundary_mesh(domain, boundary_nodes or 4 * n_per_axis)
-    return lambda coeffs: quadrature_weighted_matrix(
+    return grid, mesh, lambda coeffs: quadrature_weighted_matrix(
         assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom"), grid, mesh)
 
 
@@ -322,7 +456,7 @@ def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
     value (the mask-restricted difference symbol detunes at high grid
     frequencies).
     """
-    return _instrument(domain, params, n_per_axis, boundary_nodes)(coeffs)
+    return spectral_instrument(domain, params, n_per_axis, boundary_nodes)[2](coeffs)
 
 
 def condition_sweep(domain: DomainGeometry, params: WaveParameters,
@@ -337,14 +471,16 @@ def condition_sweep(domain: DomainGeometry, params: WaveParameters,
 
     The grid and mesh are built once, so the coefficient-free blocks are
     built once per (grid, mesh, params, variant); each value costs only
-    their diagonal scalings and one singular-value decomposition. The
-    condition numbers are exact and depend on no seed.
+    their diagonal scalings and the singular values of the blocks of the
+    grid's reflections. The condition numbers are exact and depend on no
+    seed.
     """
-    matrix = _instrument(domain, params, n_per_axis, boundary_nodes)
+    grid, mesh, matrix = spectral_instrument(domain, params, n_per_axis, boundary_nodes)
+    symmetries = grid_reflections(grid, mesh)
     out = []
     for a_val in a_values:
         coeffs = constant_a(domain, params.k, a_val)
-        cond = condition_estimate(matrix(coeffs))
+        cond = condition_estimate(matrix(coeffs), symmetries)
         logger.debug("condition sweep: a=%s cond=%.3e", a_val, cond)
         out.append((complex(a_val), cond))
     return out

@@ -13,10 +13,11 @@ from vielab import (
     double_layer_potential,
     jump_relation_check,
     linear_a,
+    reflections,
     trace,
 )
 from vielab import volume
-from vielab.boundary import _trig_resample_matrix, double_layer_matrix
+from vielab.boundary import _trig_resample_matrix, double_layer_matrix, trace_matrix
 from vielab.special import greens_gradient
 
 
@@ -47,6 +48,18 @@ class TestTrace:
         u = np.sin(grid.centers[:, 0]) * np.cos(grid.centers[:, 1]) + 0j
         exact = np.sin(mesh.nodes[:, 0]) * np.cos(mesh.nodes[:, 1])
         assert np.abs(trace(grid, mesh, u) - exact).max() <= 5e-3
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 40, 48, 56])
+    def test_trace_commutes_with_grid_reflections(self, unit_disc, n):
+        # equidistant mirror-image cells are kept together in a stencil
+        grid = build_volume_grid(unit_disc, n)
+        mesh = build_boundary_mesh(unit_disc, 4 * n)
+        t_mat = trace_matrix(grid, mesh).toarray()
+        perms = reflections(grid, mesh)
+        assert len(perms) == 2
+        for perm in perms:
+            cells, nodes = perm[:grid.n], perm[grid.n:] - grid.n
+            assert np.abs(t_mat[nodes][:, cells] - t_mat).max() <= 1e-12 * np.abs(t_mat).max()
 
     def test_starved_neighborhood_rejected(self):
         # sliver triangle: nodes near the sharp tip see < 3 included cells

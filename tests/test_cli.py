@@ -76,7 +76,7 @@ class TestDenseBudget:
         cfg = get_preset(preset)
         cfg["spectrum"].update(operator=operator, levels=levels)
         monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
-        eigenvalues_dense(_spectrum_matrix(Scenario(cfg, "spectrum"), levels[0]))  # fits
+        eigenvalues_dense(*_spectrum_matrix(Scenario(cfg, "spectrum"), levels[0]))  # fits
         out = tmp_path / "out"
         assert run_scenario(cfg, "spectrum", str(out)) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -189,6 +189,23 @@ class TestDeterminism:
             assert run_scenario(cfg, "sweep", str(out), seed_override=42) == 0
             outs.append((out / "sweep.csv").read_bytes()
                         + (out / "report.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("preset, levels", [
+        ("disc-a2-spectrum", [12, 16]),
+        ("beta-only-spectrum", [12, 16]),
+        ("square-sigma-spectrum", [64, 128]),
+    ])
+    def test_identical_spectrum_config_and_seed_byte_identical_outputs(self, tmp_path,
+                                                                       preset, levels):
+        cfg = get_preset(preset)
+        cfg["spectrum"]["levels"] = levels
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert run_scenario(cfg, "spectrum", str(out), seed_override=42) == 0
+            outs.append([(out / name).read_bytes() for name in
+                         [f"eigenvalues_{lvl}.csv" for lvl in levels] + ["report.json"]])
         assert outs[0] == outs[1]
 
     def test_identical_solve_config_and_seed_byte_identical_outputs(self, tmp_path):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from vielab import DomainGeometry, build_boundary_mesh, build_volume_grid, classify_point
+from vielab import (
+    DomainGeometry,
+    build_boundary_mesh,
+    build_volume_grid,
+    classify_point,
+    mesh_reflections,
+    reflections,
+)
 
 
 def winding_number_inside(vertices, point):
@@ -163,3 +170,47 @@ class TestBoundaryMesh:
         mesh = build_boundary_mesh(unit_square, 64, grading=3.0)
         edge0 = mesh.weights[mesh.edge_index == 0]
         assert edge0[0] < edge0[len(edge0) // 2] / 5
+
+
+class TestReflections:
+    @pytest.mark.parametrize("n", [16, 24, 40])
+    def test_disc_grid_and_mesh_mirror_both_axes(self, unit_disc, n):
+        grid = build_volume_grid(unit_disc, n)
+        mesh = build_boundary_mesh(unit_disc, 4 * n)
+        perms = reflections(grid, mesh)
+        assert len(perms) == 2 and len(reflections(grid)) == 2
+        points = np.vstack([grid.centers, mesh.nodes])
+        for axis, perm in enumerate(perms):
+            assert np.array_equal(perm[perm], np.arange(len(points)))
+            mirrored = points.copy()
+            mirrored[:, axis] *= -1.0
+            assert np.abs(points[perm] - mirrored).max() <= 1e-12
+
+    def test_ball_grid_mirrors_three_axes(self):
+        grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
+        assert len(reflections(grid)) == 3
+
+    def test_off_centre_ellipse_grid_keeps_one_axis(self):
+        # the short axis is covered by whole cells beyond the box: not centred
+        ellipse = DomainGeometry.ellipse((1.0, 0.6))
+        grid = build_volume_grid(ellipse, 16)
+        assert grid.shape == (16, 11)
+        perms = reflections(grid, build_boundary_mesh(ellipse, 64))
+        assert len(perms) == 1
+        assert np.abs(grid.centers[perms[0][:grid.n]] * [-1, 1] - grid.centers).max() <= 1e-12
+
+    def test_mesh_mirror_must_match_a_node(self, unit_disc):
+        grid = build_volume_grid(unit_disc, 16)
+        # an odd node count puts no node at angle pi: the x mirror misses
+        assert len(reflections(grid, build_boundary_mesh(unit_disc, 63))) == 1
+
+    @pytest.mark.parametrize("m", [64, 128, 256])
+    def test_graded_square_mesh_is_mirror_exact(self, unit_square, m):
+        mesh = build_boundary_mesh(unit_square, m, grading=3.0)
+        perms = mesh_reflections(mesh)
+        assert len(perms) == 2
+        for axis, perm in enumerate(perms):
+            mirrored = mesh.nodes.copy()
+            mirrored[:, axis] *= -1.0
+            assert np.array_equal(mesh.nodes[perm], mirrored)
+            assert np.array_equal(mesh.weights[perm], mesh.weights)

@@ -4,9 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
 from vielab import (
+    DomainGeometry,
+    WaveParameters,
     a_to_sigma,
+    assemble_A_dense,
+    build_boundary_mesh,
     build_volume_grid,
     condition_sweep,
     constant_a,
@@ -15,10 +20,20 @@ from vielab import (
     fredholm_verdict,
     linear_a,
     predict_clusters,
+    reflections,
     sigma_to_a,
     spectral_operator_matrix,
 )
-from vielab.spectral import condition_estimate
+from vielab import spectral
+from vielab.cli import Scenario, _spectrum_matrix
+from vielab.presets import get_preset, preset_names
+from vielab.spectral import (
+    RESIDUAL_TOL,
+    _reflection_bases,
+    commuting_reflections,
+    condition_estimate,
+    spectral_instrument,
+)
 
 
 class TestEigenvaluesDense:
@@ -172,10 +187,12 @@ class TestConditionSweep:
         values = [-3.0, -1.3, -1.05, -0.9, 2.0]
         records = condition_sweep(unit_disc, params_k1, values, n_per_axis=12)
         assert [a for a, _ in records] == values
+        symmetries = reflections(build_volume_grid(unit_disc, 12),
+                                 build_boundary_mesh(unit_disc, 48))
         for a_val, (_, cond) in zip(values, records):
             cf = constant_a(unit_disc, params_k1.k, a_val)
             matrix = spectral_operator_matrix(unit_disc, params_k1, cf, 12)
-            assert cond == condition_estimate(matrix)
+            assert cond == condition_estimate(matrix, symmetries)
             assert cond == pytest.approx(np.linalg.cond(matrix), rel=1e-12)
 
     def test_sweep_builds_coefficient_free_blocks_once(self, unit_disc, params_k1,
@@ -270,3 +287,124 @@ class TestSpectralInstrument:
         assert verdicts[2.0] and verdicts[-0.5] and not verdicts[-1.0]
         passing = max(conds[2.0], conds[-0.5])
         assert conds[-1.0] >= 10 * passing
+
+
+def _disc_system(n, a=2.0):
+    """The spectral instrument on the unit disc (k = 1) and its reflections."""
+    disc = DomainGeometry.disc(1.0)
+    grid, mesh, matrix = spectral_instrument(disc, WaveParameters(1.0, 2), n)
+    return matrix(constant_a(disc, 1.0, a)), reflections(grid, mesh)
+
+
+def _symmetric_systems():
+    """(matrix, reflections, expected commuting count) on the disc, the square
+    and the ball."""
+    square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    grid, mesh, matrix = spectral_instrument(square, WaveParameters(1.0, 2), 24)
+    ball = DomainGeometry.ball(1.0)
+    grid3 = build_volume_grid(ball, 10)
+    volume3 = assemble_A_dense(grid3, WaveParameters(1.0, 3), constant_a(ball, 1.0, 2.0))
+    return {
+        "disc-coupled-24": _disc_system(24) + (2,),
+        "square-coupled-24": (matrix(constant_a(square, 1.0, 2.0)),
+                              reflections(grid, mesh), 2),
+        "ball-volume-10": (volume3, reflections(grid3), 3),
+    }
+
+
+def _matched_distance(a, b):
+    """Largest distance of the best one-to-one matching of two eigenvalue sets."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+class TestReflectionBlocks:
+    @pytest.mark.parametrize("case", ["disc-coupled-24", "square-coupled-24", "ball-volume-10"])
+    def test_blocked_eigenvalues_match_unblocked(self, case):
+        matrix, symmetries, count = _symmetric_systems()[case]
+        assert len(commuting_reflections(matrix, symmetries)) == count
+        plain, _ = eigenvalues_dense(matrix)
+        vals, res = eigenvalues_dense(matrix, symmetries)
+        assert len(vals) == len(matrix)
+        assert _matched_distance(vals, plain) <= 1e-12 * np.abs(plain).max()
+        assert res.max() <= RESIDUAL_TOL * np.linalg.norm(matrix, 1)
+        cond = condition_estimate(matrix, symmetries)
+        assert cond == pytest.approx(np.linalg.cond(matrix), rel=1e-12)
+
+    def test_residuals_are_against_the_full_matrix(self, monkeypatch):
+        # a defect the tolerance lets through keeps the reflections and shows
+        # in the residuals: the blocks drop it, the residuals do not
+        matrix, symmetries = _disc_system(16)
+        _, clean = eigenvalues_dense(matrix, symmetries)
+        monkeypatch.setattr(spectral, "SYMMETRY_TOL", 1e-3)
+        matrix[0, 5] += 1e-4
+        assert len(commuting_reflections(matrix, symmetries)) == 2
+        _, res = eigenvalues_dense(matrix, symmetries)
+        assert clean.max() < 1e-13 and res.max() > 1e-6
+
+    def test_perturbed_entry_drops_reflections_bit_for_bit(self):
+        matrix, symmetries = _disc_system(16)
+        matrix[0, 5] += 1e-6
+        assert commuting_reflections(matrix, symmetries) == []
+        vals, res = eigenvalues_dense(matrix, symmetries)
+        plain_vals, plain_res = eigenvalues_dense(matrix)
+        assert np.array_equal(vals, plain_vals) and np.array_equal(res, plain_res)
+        # one LAPACK eigensolve of the whole matrix, residuals from its eigenvectors
+        ref_vals, vecs = sla.eig(matrix)
+        ref_res = np.linalg.norm(matrix @ vecs - vecs * ref_vals[None, :], axis=0)
+        ref_res /= np.linalg.norm(vecs, axis=0)
+        order = np.lexsort((ref_vals.imag, ref_vals.real))
+        assert np.array_equal(vals, ref_vals[order]) and np.array_equal(res, ref_res[order])
+        assert condition_estimate(matrix, symmetries) == condition_estimate(matrix)
+
+    def test_bases_are_orthonormal_and_complete(self):
+        matrix, symmetries = _disc_system(12)
+        n = len(matrix)
+        columns = []
+        for cols, vals in _reflection_bases(matrix, symmetries):
+            q = np.zeros((n, len(cols)))
+            for s in range(cols.shape[1]):
+                np.add.at(q, (cols[:, s], np.arange(len(cols))), vals[:, s])
+            columns.append(q)
+        assert len(columns) == 4
+        q = np.hstack(columns)
+        assert q.shape == (n, n)
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
+        # the blocks of Q^T M Q outside the diagonal vanish
+        blocked = q.T @ matrix @ q
+        start = 0
+        for block in columns:
+            stop = start + block.shape[1]
+            blocked[start:stop, start:stop] = 0.0
+            start = stop
+        assert np.abs(blocked).max() <= 1e-12 * np.abs(matrix).max()
+
+    def test_invalid_permutations_rejected(self):
+        matrix, symmetries = _disc_system(12)
+        with pytest.raises(ValueError, match="involution"):
+            eigenvalues_dense(matrix, [symmetries[0][:-1]])
+        with pytest.raises(ValueError, match="involution"):
+            condition_estimate(matrix, [np.roll(np.arange(len(matrix)), 1)])
+
+
+class TestRouteGuard:
+    """Every shipped spectrum preset level and the breakdown sweep split into
+    four blocks, so a silent fall back to one eigensolve fails here."""
+
+    @pytest.mark.parametrize("preset", [name for name in preset_names()
+                                        if get_preset(name)["task"] == "spectrum"])
+    def test_spectrum_preset_levels_verify_two_reflections(self, preset):
+        cfg = get_preset(preset)
+        scenario = Scenario(cfg, "spectrum")
+        for level in cfg["spectrum"]["levels"]:
+            matrix, symmetries = _spectrum_matrix(scenario, level)
+            assert len(commuting_reflections(matrix, symmetries)) == 2, (preset, level)
+
+    def test_breakdown_sweep_verifies_two_reflections(self):
+        scenario = Scenario(get_preset("breakdown-sweep"), "sweep")
+        grid, mesh, matrix = spectral_instrument(scenario.domain, scenario.params,
+                                                 scenario.n_per_axis, scenario.boundary_nodes)
+        for a_val in (-3.0, -1.05, -0.6):
+            system = matrix(constant_a(scenario.domain, scenario.params.k, a_val))
+            assert len(commuting_reflections(system, reflections(grid, mesh))) == 2

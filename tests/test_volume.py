@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import pkgutil
@@ -24,7 +25,8 @@ from vielab import (
     smooth_bump_a,
 )
 from vielab import assemble_K, assemble_coupled, build_boundary_mesh, eigenvalues_dense
-from vielab.spectral import condition_estimate, spectral_operator_matrix
+from vielab.geometry import reflections
+from vielab.spectral import condition_estimate, spectral_instrument, spectral_operator_matrix
 from vielab import coupled, volume
 from vielab.boundary import density_interp_matrix, refine_mesh, trace_matrix
 from vielab.special import greens_gradient
@@ -371,12 +373,24 @@ class TestDenseAssembly:
             assemble_A_dense(grid, params_k1, cf)
 
 
+@functools.lru_cache(maxsize=2)
+def _reflection_symmetric_system(n):
+    """The read-only spectral instrument on the disc at n cells per axis, a = 2,
+    with the reflections of its unknowns."""
+    disc = DomainGeometry.disc(1.0)
+    grid, mesh, matrix = spectral_instrument(disc, WaveParameters(1.0, 2), n)
+    system = matrix(constant_a(disc, 1.0, 2.0))
+    system.setflags(write=False)
+    return system, reflections(grid, mesh)
+
+
 def _cold_dense_builds(n):
     """Budgeted dense builds on a disc (2D) or ball (3D) of n cells per axis,
-    as zero-argument calls; the "-coarse" entries are the small sizes where
-    the fixed allowance, not the arrays, dominates. The eigensolve input is
-    real and badly scaled, and the condition number's input is its complex
-    counterpart."""
+    as zero-argument calls; the "-coarse" and "-tiny" entries are the small
+    sizes where the fixed allowance, not the arrays, dominates. The
+    unblocked eigensolve input is real and badly scaled, and the condition
+    number's input is its complex counterpart; the "-blocked" entries split
+    the spectral instrument into the four blocks of its reflections."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
@@ -386,6 +400,7 @@ def _cold_dense_builds(n):
     cf, cf3 = constant_a(disc, 1.0, 2.0), constant_a(ball, 1.0, 2.0)
     stiff = 1e9 * np.random.default_rng(n).standard_normal((8 * n, 8 * n))
     stiff_c = stiff + 1j * stiff.T
+    symmetric = _reflection_symmetric_system(n)
     return {
         "kernel_matrices": lambda: kernel_matrices(grid, p2),
         "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
@@ -396,6 +411,10 @@ def _cold_dense_builds(n):
                                                              boundary_operator="nystrom"),
         "assemble_coupled-coarse": lambda: assemble_coupled(
             coarse, build_boundary_mesh(disc, 2 * n), p2, cf),
+        "assemble_coupled-tiny": lambda: assemble_coupled(
+            coarse, build_boundary_mesh(disc, 3 * n), p2, cf),
+        "assemble_coupled-nystrom-tiny": lambda: assemble_coupled(
+            coarse, build_boundary_mesh(disc, 4 * n), p2, cf, boundary_operator="nystrom"),
         "assemble_K": lambda: assemble_K(k_mesh, p2),
         "assemble_K-coarse": lambda: assemble_K(mesh, p2),
         "spectral_operator_matrix": lambda: spectral_operator_matrix(disc, p2, cf, n),
@@ -404,6 +423,8 @@ def _cold_dense_builds(n):
         "density_interp_matrix-polygon": lambda: density_interp_matrix(k_mesh,
                                                                        refine_mesh(k_mesh)),
         "condition_estimate": lambda: condition_estimate(stiff_c),
+        "eigenvalues_dense-blocked": lambda: eigenvalues_dense(*symmetric),
+        "condition_estimate-blocked": lambda: condition_estimate(*symmetric),
     }
 
 
@@ -428,8 +449,9 @@ def _traced_peak(call):
 class TestDenseBudget:
     @pytest.mark.parametrize("builder", sorted(_cold_dense_builds(16)))
     def test_estimate_bounds_peak_and_rejection_allocates_nothing(self, builder, monkeypatch):
-        for n in (16, 24):
-            call = _cold_dense_builds(n)[builder]
+        # inputs are set up before any budget is patched
+        calls = [(n, _cold_dense_builds(n)[builder]) for n in (16, 24)]
+        for n, call in calls:
             monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 0)
             rejected_peak, err = _traced_peak(call)
             assert isinstance(err, DenseBudgetError)
@@ -441,16 +463,16 @@ class TestDenseBudget:
             assert peak <= err.need, f"n={n}: peak {peak} above the estimate {err.need}"
 
     def test_coupled_refuses_large_boundary_before_allocating(self, monkeypatch):
-        # a boundary mesh large against the grid: the coupled estimate on (N + M)^2
-        # fits, K on M^2 does not, and is refused before the (8M, M) interpolation
-        # of the near-field upgrade allocates
+        # a boundary mesh large against the grid: the coupled estimate counts the
+        # (8M, M) interpolation of the near-field upgrade and its complex copy, so
+        # the system is refused before any block allocates
         grid = build_volume_grid(DomainGeometry.disc(1.0), 8)
         mesh = build_boundary_mesh(grid.domain, 400)
         cf = constant_a(grid.domain, 1.0, 2.0)
         monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 18 * 2**20)
         peak, err = _traced_peak(lambda: assemble_coupled(
             grid, mesh, WaveParameters(1.0, 2), cf, boundary_operator="nystrom"))
-        assert isinstance(err, DenseBudgetError) and "boundary operator K" in str(err)
+        assert isinstance(err, DenseBudgetError) and "coupled system" in str(err)
         assert peak < 10**6
 
     def test_polygon_density_interpolation_refused_before_allocating(self, monkeypatch):
