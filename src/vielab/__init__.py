@@ -15,11 +15,10 @@ from .geometry import (
     VolumeGrid,
     build_boundary_mesh,
     build_volume_grid,
-    classify_point,
     mesh_reflections,
     reflections,
 )
-from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value, hankel1
+from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
 from .volume import (
     DenseBudgetError,
@@ -40,7 +39,6 @@ from .coupled import (
     assemble_coupled,
     check_equivalence,
     quadrature_weighted_matrix,
-    reduced_coupled_matrix,
     solve_coupled,
 )
 from .spectral import (

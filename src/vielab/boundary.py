@@ -225,11 +225,10 @@ def _refined_rows(mesh: BoundaryMesh, params: WaveParameters,
 
 
 def double_layer_potential(mesh: BoundaryMesh, params: WaveParameters,
-                           phi: np.ndarray, targets: np.ndarray,
-                           near_distance: Optional[float] = None) -> np.ndarray:
+                           phi: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """D phi evaluated at interior points (linear in phi)."""
     phi = _check_density(mesh, phi)
-    return double_layer_matrix(mesh, params, targets, near_distance) @ phi
+    return double_layer_matrix(mesh, params, targets) @ phi
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .geometry import (DomainGeometry, build_boundary_mesh, build_volume_grid, m
                        reflections)
 from .presets import get_preset, preset_names
 from .scattering import (
+    extend_solution,
     gmres_solve,
     incident_plane_wave,
     incident_point_source,
@@ -237,17 +238,30 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     cfg = scenario.config.get("solve", {})
     grid = scenario.grid()
     incident_kind = cfg.get("incident", "plane-wave")
-    if incident_kind == "plane-wave":
-        direction = np.asarray(cfg.get("direction", [1.0] + [0.0] * (grid.dimension - 1)),
-                               dtype=float)
-        u_inc = incident_plane_wave(grid, scenario.params, direction)
-        incident_fn = plane_wave_function(scenario.params, direction)
-    elif incident_kind == "point-source":
-        source = np.asarray(_require(cfg, "source", "solve"), dtype=float)
-        u_inc = incident_point_source(grid, scenario.params, source)
-        incident_fn = point_source_function(scenario.params, source)
-    else:
-        raise ConfigError(f"unknown incident field {incident_kind!r}")
+    # every input is checked before GMRES, so a bad one writes no file
+    try:
+        if incident_kind == "plane-wave":
+            direction = np.asarray(cfg.get("direction", [1.0] + [0.0] * (grid.dimension - 1)),
+                                   dtype=float)
+            u_inc = incident_plane_wave(grid, scenario.params, direction)
+            incident_fn = plane_wave_function(scenario.params, direction)
+        elif incident_kind == "point-source":
+            source = np.asarray(_require(cfg, "source", "solve"), dtype=float)
+            u_inc = incident_point_source(grid, scenario.params, source)
+            incident_fn = point_source_function(scenario.params, source)
+        else:
+            raise ConfigError(f"unknown incident field {incident_kind!r}")
+        th = 2 * np.pi * np.arange(16) / 16
+        rings = [float(rho) * np.stack([np.cos(th), np.sin(th)], axis=1)
+                 for rho in cfg.get("exterior_radii") or ()]
+        if rings and grid.dimension != 2:
+            raise ConfigError("exterior_radii needs a 2D scatterer")
+        if rings and np.any(grid.domain.contains(np.vstack(rings))):
+            raise ConfigError("exterior rings must lie outside the scatterer")
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     applier = identity_minus_A(grid, scenario.params, scenario.coeffs)
     u, info = gmres_solve(applier, u_inc, tol=float(cfg.get("tol", 1e-8)),
@@ -266,13 +280,9 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
         raise NumericalFailure(f"GMRES did not converge ({info.reason}, "
                                f"residual {info.residual:.3e})",
                                partial_results=results)
-    radii = cfg.get("exterior_radii")
-    if radii:
-        from .scattering import extend_solution
-        th = 2 * np.pi * np.arange(16) / 16
+    if rings:
         rows = []
-        for rho in radii:
-            targets = float(rho) * np.stack([np.cos(th), np.sin(th)], axis=1)
+        for targets in rings:
             vals = extend_solution(grid, scenario.params, scenario.coeffs, u,
                                    targets, incident_fn)
             rows.append(np.column_stack([targets, vals.real, vals.imag]))
@@ -332,7 +342,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
     if coeff_name in ("constant-a", "polygon-constant-a") and \
             cfg.get("operator", "coupled") in ("coupled", "volume"):
         a_val = _as_complex(scenario.config["coefficients"]["a"], "a")
-        sigma = [0.5]  # every shape; ROADMAP item 4 replaces it by intervals on corners
+        sigma = [0.5]  # every shape; ROADMAP item 6 replaces it by intervals on corners
         pred = predict_clusters([a_val], a_val, sigma)
         results["predicted_clusters"] = [_c2pair(p) for p in pred]
         verdict = fredholm_verdict(scenario.coeffs, scenario.domain, sigma)

@@ -51,10 +51,6 @@ class CoefficientField:
         """Coefficient a(x) = 1 + alpha(x)."""
         return 1.0 + self.alpha(np.atleast_2d(points))
 
-    def k2(self, points: np.ndarray) -> np.ndarray:
-        """Coefficient k(x)^2 = k^2 + beta(x)."""
-        return self.k ** 2 + self.beta(np.atleast_2d(points))
-
 
 def _masked(domain: DomainGeometry, fn: Callable[[np.ndarray], np.ndarray]):
     def evaluate(points: np.ndarray) -> np.ndarray:

@@ -135,21 +135,6 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     return matrix
 
 
-def reduced_coupled_matrix(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
-                           coeffs: CoefficientField) -> np.ndarray:
-    """The Nystrom system with A1, the trace coupling, and [K, alpha]
-    replaced by zero: upper triangular, so its spectrum carries only the
-    diagonal symbols."""
-    _, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, "nystrom")
-    n = grid.n
-    alpha_nodes = coeffs.alpha(mesh.nodes)
-    out = np.zeros((n + mesh.m, n + mesh.m), dtype=np.complex128)
-    out[:n, :n] = np.diag(1.0 + coeffs.alpha(grid.centers))
-    out[:n, n:] = dl * alpha_nodes[None, :]
-    out[n:, n:] = 0.5 * np.diag(1.0 + (1.0 + alpha_nodes)) + alpha_nodes[:, None] * k_mat
-    return out
-
-
 def quadrature_weighted_matrix(matrix: np.ndarray, grid: VolumeGrid,
                                mesh: BoundaryMesh) -> np.ndarray:
     """Similarity-transform the system so Euclidean norms approximate the

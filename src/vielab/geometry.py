@@ -150,18 +150,6 @@ class DomainGeometry:
         raise ValueError(f"unknown shape kind {self.kind!r}")
 
 
-def classify_point(domain: DomainGeometry, x: Sequence[float]) -> bool:
-    """True if ``x`` lies inside the shape (boundary counts as inside).
-
-    Exact closed-form sign for disc/ellipse/ball, ray-crossing parity for
-    polygons. Points within the boundary tolerance resolve to inside.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
-    return bool(domain.contains(x[None, :])[0])
-
-
 def _margin_box(box: np.ndarray, margin: float) -> np.ndarray:
     if margin < 0:
         raise ValueError("bounding-box margin must be >= 0")
@@ -268,7 +256,8 @@ def build_volume_grid(domain: DomainGeometry, n_per_axis: int) -> VolumeGrid:
 
     ``h`` is the largest bounding-box extent divided by ``n_per_axis``;
     other axes are covered with as many cells of the same side length as
-    needed. Fails if no cell center lies inside the shape.
+    needed, centred on the box (they overhang it equally on both sides).
+    Fails if no cell center lies inside the shape.
     """
     if n_per_axis < 4:
         raise ValueError("n_per_axis must be at least 4")
@@ -276,7 +265,8 @@ def build_volume_grid(domain: DomainGeometry, n_per_axis: int) -> VolumeGrid:
     ext = box[:, 1] - box[:, 0]
     h = float(ext.max()) / n_per_axis
     counts = tuple(int(math.ceil(e / h - 1e-12)) for e in ext)
-    axes = [box[c, 0] + h * (np.arange(counts[c]) + 0.5) for c in range(domain.dimension)]
+    start = box[:, 0] - 0.5 * (np.array(counts) * h - ext)
+    axes = [start[c] + h * (np.arange(counts[c]) + 0.5) for c in range(domain.dimension)]
     mesh = np.meshgrid(*axes, indexing="ij")
     all_centers = np.stack([m.ravel() for m in mesh], axis=1)  # (total, d)
     mask_flat = domain.contains(all_centers)
@@ -330,16 +320,6 @@ class BoundaryMesh:
     @property
     def is_smooth(self) -> bool:
         return self.domain.kind in ("disc", "ellipse", "ball")
-
-    def validate(self) -> None:
-        """Check unit normals, positive weights, and consistent sizes."""
-        if self.nodes.shape != self.normals.shape:
-            raise ValueError("nodes/normals shape mismatch")
-        nn = np.linalg.norm(self.normals, axis=1)
-        if np.max(np.abs(nn - 1.0)) > 1e-12:
-            raise ValueError("normals are not unit vectors")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
 
 
 def build_boundary_mesh(domain: DomainGeometry, n_nodes: int, grading: float = 3.0) -> BoundaryMesh:
@@ -468,8 +448,8 @@ def reflections(grid: VolumeGrid, mesh: Optional[BoundaryMesh] = None) -> List[n
         coords[:, axis] = grid.shape[axis] - 1 - coords[:, axis]
         perm = grid.flat_index[tuple(coords.T)]
         if mesh is not None:
-            center = grid.domain.bounding_box[axis, 0] + 0.5 * grid.shape[axis] * grid.h
-            nodes = _mirror(mesh.nodes, axis, center, 1e-9 * grid.h)
+            box = grid.domain.bounding_box[axis]
+            nodes = _mirror(mesh.nodes, axis, 0.5 * (box[0] + box[1]), 1e-9 * grid.h)
             if nodes is None:
                 continue
             perm = np.concatenate([perm, grid.n + nodes])

@@ -39,8 +39,8 @@ def incident_plane_wave(grid: VolumeGrid, params: WaveParameters,
     d = np.asarray(direction, dtype=float)
     if d.shape != (grid.dimension,):
         raise ValueError("direction must match the grid dimension")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
+    if not abs(np.linalg.norm(d) - 1.0) <= 1e-12:  # NaN fails too
+        raise ValueError("direction must be a finite unit vector")
     return np.exp(1j * params.k * (grid.centers @ d))
 
 
@@ -56,6 +56,8 @@ def incident_point_source(grid: VolumeGrid, params: WaveParameters,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (grid.dimension,):
         raise ValueError("source location must match the grid dimension")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("source location must be finite")
     domain = grid.domain
     if domain.contains(x0[None, :])[0]:
         raise ValueError("point source must lie outside the scatterer")

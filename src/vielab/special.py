@@ -38,6 +38,8 @@ class WaveParameters:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise ValueError("dimension must be 2 or 3")
+        if not np.isfinite(complex(self.k)):
+            raise ValueError("k must be finite")
         if complex(self.k).imag < 0:
             raise ValueError("Im(k) must be >= 0 for the outgoing kernel")
         object.__setattr__(self, "k", complex(self.k))
@@ -72,13 +74,6 @@ def bessel_y(order: int, x):
     order = _check_order(order)
     x = _check_argument(x, positive=True)
     return _sp.yv(order, x)
-
-
-def hankel1(order: int, x):
-    """Outgoing Hankel function H_order^(1)(x) = J + iY, x in (0, 700]."""
-    order = _check_order(order)
-    x = _check_argument(x, positive=True)
-    return _sp.hankel1(order, x)
 
 
 def greens_value(params: WaveParameters, r):

@@ -94,12 +94,6 @@ class ClusterReport:
         z = self.clustered_fine
         return float(np.max(np.abs(z[:, None] - z[None, :])))
 
-    def contains(self, value: complex) -> bool:
-        """Whether some clustered eigenvalue lies within ``delta`` of value."""
-        if len(self.clustered_fine) == 0:
-            return False
-        return bool(np.min(np.abs(self.clustered_fine - value)) <= self.delta)
-
 
 @dataclass
 class FredholmVerdict:
@@ -183,26 +177,25 @@ def _reflection_bases(matrix: np.ndarray, reflections: Sequence[np.ndarray]) -> 
     return bases
 
 
-def _blocks(matrix: np.ndarray, reflections: Sequence[np.ndarray]):
-    """Per symmetry class: its basis Q, MQ = M Q and the diagonal block
-    B = Q^T MQ, both by gathers; the identity basis yields the matrix
-    itself as both."""
-    for basis in _reflection_bases(matrix, reflections):
-        if basis is None:
-            yield None, matrix, matrix
-            continue
-        cols, vals = basis
-        mq = np.zeros((len(matrix), len(cols)), dtype=matrix.dtype)
-        taken = np.empty_like(mq)
-        for s in range(cols.shape[1]):
-            np.take(matrix, cols[:, s], axis=1, out=taken, mode="clip")  # unbuffered
-            taken *= vals[:, s]
-            mq += taken
-        del taken
-        block = np.zeros((len(cols), len(cols)), dtype=mq.dtype)
-        for s in range(cols.shape[1]):
-            block += vals[:, s, None] * mq[cols[:, s]]
-        yield basis, mq, block
+def _times_basis(matrix: np.ndarray, basis) -> np.ndarray:
+    """M Q, by column gathers."""
+    cols, vals = basis
+    out = np.zeros((len(matrix), len(cols)), dtype=matrix.dtype)
+    taken = np.empty_like(out)
+    for s in range(cols.shape[1]):
+        np.take(matrix, cols[:, s], axis=1, out=taken, mode="clip")  # unbuffered
+        taken *= vals[:, s]
+        out += taken
+    return out
+
+
+def _restrict(basis, x: np.ndarray) -> np.ndarray:
+    """Q^T x, by row gathers."""
+    cols, vals = basis
+    out = np.zeros((len(cols),) + x.shape[1:], dtype=x.dtype)
+    for s in range(cols.shape[1]):
+        out += vals[:, s, None] * x[cols[:, s]]
+    return out
 
 
 def _expand(basis, y: np.ndarray, n: int) -> np.ndarray:
@@ -219,6 +212,17 @@ def _expand(basis, y: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dense eigensolve with residual certification
 # ---------------------------------------------------------------------------
+def _certified_eigenpairs(matrix: np.ndarray, basis) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one block, with residuals ||M Q y - lambda Q y|| / ||Q y||."""
+    n = len(matrix)
+    mq = matrix if basis is None else _times_basis(matrix, basis)
+    vals, vecs = sla.eig(mq if basis is None else _restrict(basis, mq))
+    qy = _expand(basis, vecs, n)
+    res = np.linalg.norm(mq @ vecs - qy * vals[None, :], axis=0)
+    res /= np.linalg.norm(qy, axis=0)
+    return vals, res
+
+
 def eigenvalues_dense(matrix, reflections: Sequence[np.ndarray] = ()
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a complex matrix, each with a certified residual.
@@ -236,21 +240,23 @@ def eigenvalues_dense(matrix, reflections: Sequence[np.ndarray] = ()
     n = np.shape(matrix)[0]
     if np.shape(matrix) != (n, n):
         raise ValueError("eigenvalue computation needs a square matrix")
-    # unblocked: complex input and eigenvectors, then LAPACK's copy and workspace
-    # (133 columns) or two residual temporaries (peak 3.0-3.5 complex, 4.0-4.6
-    # real at n = 128-1032); four blocks peak at 1.1-1.4 complex, 2.1-2.4 real
-    # (n = 204-1032), so the unblocked estimate bounds both
-    check_dense_budget("dense eigensolve", 4, n, n + 40)
+    matrix = np.asarray(matrix)
+    bases = _reflection_bases(matrix, reflections)
+    if bases[0] is None:
+        # complex input and eigenvectors, then LAPACK's copy and workspace (133
+        # columns) or two residual temporaries (peak 3.0-3.5 complex, 4.0-4.6 real
+        # at n = 128-1032)
+        check_dense_budget("dense eigensolve", 4, n, n + 40)
+    else:
+        # per block of w columns: M Q, Q y and three residual temporaries (peak
+        # 4.0-5.1 (n, w + 8) for 2, 4 and 8 blocks at n = 78-3184), plus the
+        # complex copy of a real input
+        w = max(len(cols) for cols, _ in bases)
+        copy = 0 if matrix.dtype == np.complex128 else n / (w + 8)
+        check_dense_budget("dense eigensolve", 5 + copy, n, w + 8)
     matrix = np.asarray(matrix, dtype=np.complex128)
-    all_vals, all_res = [], []
-    for basis, mq, block in _blocks(matrix, reflections):
-        vals, vecs = sla.eig(block)
-        qy = _expand(basis, vecs, n)
-        res = np.linalg.norm(mq @ vecs - qy * vals[None, :], axis=0)
-        res /= np.linalg.norm(qy, axis=0)
-        all_vals.append(vals)
-        all_res.append(res)
-    vals, res = np.concatenate(all_vals), np.concatenate(all_res)
+    pairs = [_certified_eigenpairs(matrix, basis) for basis in bases]
+    vals, res = (np.concatenate(part) for part in zip(*pairs))
     high = res > RESIDUAL_TOL * np.linalg.norm(matrix, 1)
     if high.any():
         logger.warning("eigensolve: %d residuals above %.1e ||M||_1 (worst %.2e)",
@@ -416,14 +422,22 @@ def condition_estimate(matrix: np.ndarray, reflections: Sequence[np.ndarray] = (
     numerically singular matrices, s_min <= n eps s_max (numpy's
     ``matrix_rank`` tolerance).
     """
-    n = max(np.shape(matrix))
-    # LAPACK's copy of the input and its workspace (measured: under 86 columns);
-    # four blocks peak at 0.8-1.0 (n, n) arrays for n = 204-1032
-    check_dense_budget("condition number", 1.0, n, n + 96)
+    matrix = np.asarray(matrix)
+    n = max(matrix.shape)
+    bases = _reflection_bases(matrix, reflections)
+    if bases[0] is None:
+        # LAPACK's copy of the input and its workspace (measured: under 86 columns)
+        check_dense_budget("condition number", 1.0, n, n + 96)
+    else:
+        # per block of w columns: M Q and its gathers, then the block and LAPACK's
+        # copy (peak 2.0-2.8 (n, w + 8) for 2, 4 and 8 blocks at n = 78-3184)
+        w = max(len(cols) for cols, _ in bases)
+        check_dense_budget("condition number", 3, n, w + 8)
     if not np.all(np.isfinite(matrix)):
         return float("inf")
-    s = np.concatenate([sla.svdvals(block, check_finite=False)
-                        for _, _, block in _blocks(matrix, reflections)])
+    s = np.concatenate([sla.svdvals(matrix if basis is None else
+                                    _restrict(basis, _times_basis(matrix, basis)),
+                                    check_finite=False) for basis in bases])
     s_max, s_min = s.max(), s.min()
     if s_min <= n * np.finfo(s.dtype).eps * s_max:
         return float("inf")

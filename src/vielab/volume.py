@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.fft as sfft
@@ -272,18 +272,10 @@ def _apply_kernels(grid, params, sources):
     return grid.extract(acc)
 
 
-def grad_field(grid: VolumeGrid, u: np.ndarray) -> List[np.ndarray]:
-    """Finite-difference gradient components of a grid field."""
-    u = _check_field(grid, u)
-    return [op @ u for op in gradient_ops(grid)]
-
-
 def _sum_at_targets(grid: VolumeGrid, params: WaveParameters, targets: np.ndarray,
                     out: np.ndarray, sources) -> np.ndarray:
     """Add the kernel sums of ``sources`` (the G source or None, then none
-    or all d gradient sources) at arbitrary targets to ``out``. A target on
-    a cell center takes that cell's self-cell weight in the G sum; the
-    gradient sums are for targets off the cell centers."""
+    or all d gradient sources) at targets off the cell centers to ``out``."""
     w, d = grid.cell_volume, grid.dimension
     chunk = max(1, int(2**23 // max(grid.n, 1)))
     for t0 in range(0, len(targets), chunk):
@@ -291,10 +283,7 @@ def _sum_at_targets(grid: VolumeGrid, params: WaveParameters, targets: np.ndarra
         diff = targets[t0:t1, None, :] - grid.centers[None, :, :]
         r = np.linalg.norm(diff, axis=-1)
         if sources[0] is not None:
-            self_mask = r < 1e-9 * grid.h
-            block = w * greens_value(params, np.where(self_mask, grid.h, r))
-            block[self_mask] = self_cell_weight(params, grid.h)
-            out[t0:t1] += block @ sources[0]
+            out[t0:t1] += (w * greens_value(params, r)) @ sources[0]
         if len(sources) > 1:
             gvec = greens_gradient(params, diff.reshape(-1, d)).reshape(t1 - t0, grid.n, d)
             for c, src in enumerate(sources[1:]):
@@ -316,20 +305,10 @@ def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField) -> Callable:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-def newton_potential(grid: VolumeGrid, params: WaveParameters, v: np.ndarray,
-                     targets: Optional[np.ndarray] = None) -> np.ndarray:
-    """Volume potential (G_k * v) of a grid density.
-
-    With ``targets=None`` the potential is returned at the grid's own
-    cell centers (self-cells corrected), by FFT; explicit targets are
-    evaluated by direct summation, applying the self-cell correction
-    whenever a target coincides with a cell center.
-    """
-    v = _check_field(grid, v)
-    if targets is None:
-        return _apply_kernels(grid, params, (v,))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _sum_at_targets(grid, params, targets, np.zeros(len(targets), np.complex128), (v,))
+def newton_potential(grid: VolumeGrid, params: WaveParameters, v: np.ndarray) -> np.ndarray:
+    """Volume potential (G_k * v) of a grid density at the grid's own cell
+    centers (self-cells corrected), by FFT."""
+    return _apply_kernels(grid, params, (_check_field(grid, v),))
 
 
 def apply_A(grid: VolumeGrid, params: WaveParameters, coeffs: CoefficientField,

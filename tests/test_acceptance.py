@@ -204,7 +204,8 @@ def test_criterion_09_corner_widens_accumulation(disc):
         reports[name] = detect_clusters(eigs[128], eigs[256], 0.05)
     d_circle = reports["circle"].diameter
     d_square = reports["square"].diameter
-    both_contain = reports["circle"].contains(0.5) and reports["square"].contains(0.5)
+    both_contain = all(len(rep.clustered_fine) and np.min(np.abs(rep.clustered_fine - 0.5))
+                       <= rep.delta for rep in reports.values())
     ok = d_square >= 3.0 * max(d_circle, 1e-12) and both_contain
     record(9, "corner widens the essential set", ok,
            f"diameters: square {d_square:.3f} vs circle {d_circle:.2e}; both contain 1/2: "

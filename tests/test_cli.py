@@ -55,6 +55,25 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"solve": {"direction": [1.0, 0.0, 0.0]}},
+        {"solve": {"direction": [float("nan"), 0.0]}},
+        {"solve": {"incident": "point-source", "source": [float("nan"), 3.0]}},
+        {"wave": {"k": float("nan")}},
+        {"solve": {"exterior_radii": [0.5]}},
+        {"geometry": {"shape": "ball"}, "wave": {"dimension": 3},
+         "discretization": {"n_per_axis": 8}, "solve": {"direction": [1.0, 0.0, 0.0],
+                                                       "exterior_radii": [2.0]}},
+    ], ids=["direction-3d-on-disc", "direction-nan", "source-nan", "k-nan",
+            "ring-inside-disc", "ring-on-ball"])
+    def test_malformed_solve_exits_2_without_outputs(self, tmp_path, edit):
+        cfg = get_preset("disc-no-contrast-solve")
+        for section, values in edit.items():
+            cfg[section].update(values)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "solve", str(out)) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_scenario_rejects_bad_wave(self):
         cfg = get_preset("disc-no-contrast-solve")
         cfg["wave"]["k"] = [1.0, -2.0]  # decaying exterior wavenumber

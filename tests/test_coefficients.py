@@ -28,7 +28,7 @@ def test_constant_a_values(unit_disc):
     cf = constant_a(unit_disc, 1.0, 2.0, k2_inside=2.0)
     inside = np.array([[0.1, 0.2], [0.5, -0.5]])
     assert np.allclose(cf.a(inside), 2.0)
-    assert np.allclose(cf.k2(inside), 2.0)
+    assert np.allclose(cf.k ** 2 + cf.beta(inside), 2.0)
     assert cf.tag == "piecewise-constant"
 
 

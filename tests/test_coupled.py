@@ -16,7 +16,6 @@ from vielab import (
     linear_a,
     quadrature_weighted_matrix,
     smooth_bump_a,
-    reduced_coupled_matrix,
     solve_coupled,
 )
 from vielab import coupled
@@ -218,6 +217,20 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             solve_coupled(matrix, grid, np.zeros(grid.n - 1, complex),
                           np.zeros(mesh.m + 1, complex))
+
+
+def reduced_coupled_matrix(grid, mesh, params, coeffs):
+    """The Nystrom system with A1, the trace coupling, and [K, alpha]
+    replaced by zero: upper triangular, so its spectrum carries only the
+    diagonal symbols."""
+    _, dl, k_mat = coupled._coefficient_free_blocks(grid, mesh, params, "nystrom")
+    n = grid.n
+    alpha_nodes = coeffs.alpha(mesh.nodes)
+    out = np.zeros((n + mesh.m, n + mesh.m), dtype=np.complex128)
+    out[:n, :n] = np.diag(1.0 + coeffs.alpha(grid.centers))
+    out[:n, n:] = dl * alpha_nodes[None, :]
+    out[n:, n:] = 0.5 * np.diag(1.0 + (1.0 + alpha_nodes)) + alpha_nodes[:, None] * k_mat
+    return out
 
 
 class TestStructure:

@@ -5,7 +5,6 @@ from vielab import (
     DomainGeometry,
     build_boundary_mesh,
     build_volume_grid,
-    classify_point,
     mesh_reflections,
     reflections,
 )
@@ -20,21 +19,20 @@ def winding_number_inside(vertices, point):
     return abs(d.sum()) > np.pi  # 2*pi inside, 0 outside
 
 
-class TestClassifyPoint:
+class TestContains:
     def test_disc_center_inside(self, unit_disc):
-        assert classify_point(unit_disc, (0.0, 0.0))
+        assert unit_disc.contains((0.0, 0.0))[0]
 
     def test_disc_far_point_outside(self, unit_disc):
-        assert not classify_point(unit_disc, (2.0, 0.0))
+        assert not unit_disc.contains((2.0, 0.0))[0]
 
     def test_boundary_counts_as_inside(self, unit_disc):
-        assert classify_point(unit_disc, (1.0, 0.0))
+        assert unit_disc.contains((1.0, 0.0))[0]
 
     def test_square_near_corner_against_winding_oracle(self, unit_square):
         pts = [(0.999, 0.999), (1.001, 0.999), (-0.5, 0.2), (0.0, -1.2)]
-        for p in pts:
-            expected = winding_number_inside(unit_square.vertices, p)
-            assert classify_point(unit_square, p) == expected
+        want = [winding_number_inside(unit_square.vertices, p) for p in pts]
+        assert unit_square.contains(pts).tolist() == want
 
     def test_random_points_match_winding_oracle(self, rng):
         poly = DomainGeometry.polygon([[0, 0], [2, 0.3], [1.5, 1.8], [0.2, 1.1]])
@@ -45,12 +43,7 @@ class TestClassifyPoint:
 
     def test_ellipse_axes(self):
         ell = DomainGeometry.ellipse((2.0, 0.5))
-        assert classify_point(ell, (1.9, 0.0))
-        assert not classify_point(ell, (0.0, 0.6))
-
-    def test_nonfinite_rejected(self, unit_disc):
-        with pytest.raises(ValueError):
-            classify_point(unit_disc, (np.nan, 0.0))
+        assert ell.contains([(1.9, 0.0), (0.0, 0.6)]).tolist() == [True, False]
 
 
 class TestPolygonValidation:
@@ -117,6 +110,13 @@ class TestVolumeGrid:
             build_volume_grid(tiny, 4)
 
 
+def assert_valid_mesh(mesh):
+    """Unit normals, positive weights and one normal per node."""
+    assert mesh.normals.shape == mesh.nodes.shape
+    assert np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0).max() <= 1e-12
+    assert np.all(mesh.weights > 0)
+
+
 class TestBoundaryMesh:
     def test_circle_weight_sum_is_perimeter(self, unit_disc):
         mesh = build_boundary_mesh(unit_disc, 16, grading=1.0)
@@ -133,7 +133,7 @@ class TestBoundaryMesh:
     def test_normals_unit_and_outward(self, unit_square, unit_disc):
         for dom in (unit_square, unit_disc):
             mesh = build_boundary_mesh(dom, 64)
-            mesh.validate()
+            assert_valid_mesh(mesh)
             eps = 1e-6 * dom.diameter
             assert not dom.contains(mesh.nodes + eps * mesh.normals).any()
             assert dom.contains(mesh.nodes - eps * mesh.normals).all()
@@ -155,7 +155,7 @@ class TestBoundaryMesh:
         ball = DomainGeometry.ball(1.0)
         mesh = build_boundary_mesh(ball, 128)
         assert mesh.weights.sum() == pytest.approx(4 * np.pi, rel=1e-12)
-        mesh.validate()
+        assert_valid_mesh(mesh)
 
     def test_dimension_3_non_ball_rejected(self):
         # only the ball carries a 3D quadrature
@@ -190,14 +190,19 @@ class TestReflections:
         grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
         assert len(reflections(grid)) == 3
 
-    def test_off_centre_ellipse_grid_keeps_one_axis(self):
-        # the short axis is covered by whole cells beyond the box: not centred
+    @pytest.mark.parametrize("n, shape", [(16, (16, 11)), (20, (20, 14)), (32, (32, 22)),
+                                          (40, (40, 27)), (56, (56, 38)), (64, (64, 43))])
+    def test_ellipse_grid_is_centred_on_both_axes(self, n, shape):
+        # the short axis is covered by whole cells overhanging the box equally
         ellipse = DomainGeometry.ellipse((1.0, 0.6))
-        grid = build_volume_grid(ellipse, 16)
-        assert grid.shape == (16, 11)
-        perms = reflections(grid, build_boundary_mesh(ellipse, 64))
-        assert len(perms) == 1
-        assert np.abs(grid.centers[perms[0][:grid.n]] * [-1, 1] - grid.centers).max() <= 1e-12
+        grid = build_volume_grid(ellipse, n)
+        assert grid.shape == shape
+        perms = reflections(grid, build_boundary_mesh(ellipse, 4 * n))
+        assert len(perms) == 2
+        for axis, perm in enumerate(perms):
+            mirrored = grid.centers.copy()
+            mirrored[:, axis] *= -1.0
+            assert np.abs(grid.centers[perm[:grid.n]] - mirrored).max() <= 1e-12
 
     def test_mesh_mirror_must_match_a_node(self, unit_disc):
         grid = build_volume_grid(unit_disc, 16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vielab import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value, hankel1
+from vielab import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value
 
 # Frozen from a 40-digit ascending-series / mpmath oracle:
 #   J0(1), Y0(1) summed independently of scipy's implementation.
@@ -17,15 +17,21 @@ class TestBessel:
     def test_j0_at_one_against_series_oracle(self):
         assert bessel_j(0, 1.0) == pytest.approx(J0_AT_1, abs=1e-9)
 
-    def test_hankel_is_j_plus_iy(self):
+    def test_2d_kernel_is_quarter_i_j_plus_iy(self):
+        # G_k = (i/4) H_0(k r) and its radial derivative -(i/4) k H_1(k r)
         xs = np.logspace(-1, 2, 13)
-        for order in (0, 1, 5):
-            h = hankel1(order, xs)
-            assert np.allclose(h, bessel_j(order, xs) + 1j * bessel_y(order, xs),
-                               rtol=1e-14)
+        p = WaveParameters(1.0, 2)
+        h0 = bessel_j(0, xs) + 1j * bessel_y(0, xs)
+        h1 = bessel_j(1, xs) + 1j * bessel_y(1, xs)
+        assert np.allclose(greens_value(p, xs), 0.25j * h0, rtol=1e-14)
+        radial = greens_gradient(p, np.stack([xs, np.zeros_like(xs)], axis=1))[:, 0]
+        assert np.allclose(radial, -0.25j * h1, rtol=1e-14)
 
     def test_h0_at_one_against_oracle(self):
-        assert hankel1(0, 1.0) == pytest.approx(J0_AT_1 + 1j * Y0_AT_1, abs=1e-9)
+        h0 = bessel_j(0, 1.0) + 1j * bessel_y(0, 1.0)
+        assert h0 == pytest.approx(J0_AT_1 + 1j * Y0_AT_1, abs=1e-9)
+        assert greens_value(WaveParameters(1.0, 2), 1.0) == pytest.approx(
+            0.25j * (J0_AT_1 + 1j * Y0_AT_1), abs=1e-9)
 
     def test_wronskian_identity_on_log_grid(self):
         # J_n(x) Y_n'(x) - J_n'(x) Y_n(x) = 2 / (pi x)
@@ -52,7 +58,7 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_y(0, 0.0)
         with pytest.raises(ValueError):
-            hankel1(0, -1.0)
+            bessel_y(0, -1.0)
         with pytest.raises(ValueError):
             bessel_j(61, 1.0)
         with pytest.raises(ValueError):
@@ -81,7 +87,8 @@ class TestGreensValue:
 
     def test_2d_is_quarter_i_hankel(self):
         p = WaveParameters(1.0, 2)
-        assert greens_value(p, 1.0) == pytest.approx(0.25j * hankel1(0, 1.0), abs=1e-14)
+        h0 = bessel_j(0, 1.0) + 1j * bessel_y(0, 1.0)
+        assert greens_value(p, 1.0) == pytest.approx(0.25j * h0, abs=1e-14)
 
     def test_2d_harmonic_limit(self):
         p = WaveParameters(0.0, 2)

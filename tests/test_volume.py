@@ -21,6 +21,7 @@ from vielab import (
     build_volume_grid,
     constant_a,
     greens_value,
+    linear_a,
     newton_potential,
     smooth_bump_a,
 )
@@ -34,7 +35,7 @@ from vielab.volume import (
     DenseBudgetError,
     discrete_laplacian,
     fft_kernel_tables,
-    grad_field,
+    gradient_ops,
     identity_minus_A,
     kernel_matrices,
     self_cell_weight,
@@ -136,12 +137,6 @@ class TestNewtonPotential:
         exact = greens_value(params_k1, np.linalg.norm(grid.centers[far] - grid.centers[j], axis=1))
         assert np.abs(pot - exact).max() / np.abs(exact).max() < 0.02
 
-    def test_explicit_targets_match_grid_path(self, disc_grid_32, params_k1, rng):
-        v = random_field(disc_grid_32.n, rng)
-        on_grid = kernel_matrices(disc_grid_32, params_k1)[0] @ v
-        explicit = newton_potential(disc_grid_32, params_k1, v, targets=disc_grid_32.centers)
-        assert np.allclose(on_grid, explicit, rtol=0, atol=1e-12 * np.abs(on_grid).max())
-
     def test_fft_matches_direct(self, disc_grid_32, params_k1, rng):
         v = random_field(disc_grid_32.n, rng)
         d = kernel_matrices(disc_grid_32, params_k1)[0] @ v
@@ -235,7 +230,7 @@ class TestApplyA:
 
     def test_gradient_exact_on_linear_fields(self, disc_grid_32):
         u = disc_grid_32.centers[:, 0] + 2.0 * disc_grid_32.centers[:, 1] + 0j
-        gx, gy = grad_field(disc_grid_32, u)
+        gx, gy = (op @ u for op in gradient_ops(disc_grid_32))
         assert np.allclose(gx, 1.0, atol=1e-10)
         assert np.allclose(gy, 2.0, atol=1e-10)
 
@@ -373,15 +368,24 @@ class TestDenseAssembly:
             assemble_A_dense(grid, params_k1, cf)
 
 
-@functools.lru_cache(maxsize=2)
-def _reflection_symmetric_system(n):
-    """The read-only spectral instrument on the disc at n cells per axis, a = 2,
-    with the reflections of its unknowns."""
-    disc = DomainGeometry.disc(1.0)
-    grid, mesh, matrix = spectral_instrument(disc, WaveParameters(1.0, 2), n)
-    system = matrix(constant_a(disc, 1.0, 2.0))
+@functools.lru_cache(maxsize=8)
+def _symmetric_system(kind, n):
+    """A read-only matrix with the reflections of its unknowns: the spectral
+    instrument on the disc at n cells per axis with a = 2 ("disc", four
+    blocks) or with a linear in x ("disc-linear", two blocks), or the dense
+    volume system on the ball at n / 2 ("ball", eight blocks)."""
+    disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
+    if kind == "ball":
+        grid = build_volume_grid(ball, n // 2)
+        system = assemble_A_dense(grid, WaveParameters(1.0, 3), constant_a(ball, 1.0, 2.0))
+        symmetries = reflections(grid)
+    else:
+        grid, mesh, matrix = spectral_instrument(disc, WaveParameters(1.0, 2), n)
+        system = matrix(constant_a(disc, 1.0, 2.0) if kind == "disc"
+                        else linear_a(disc, 1.0, 2.0, [0.3, 0.0]))
+        symmetries = reflections(grid, mesh)
     system.setflags(write=False)
-    return system, reflections(grid, mesh)
+    return system, symmetries
 
 
 def _cold_dense_builds(n):
@@ -390,7 +394,7 @@ def _cold_dense_builds(n):
     sizes where the fixed allowance, not the arrays, dominates. The
     unblocked eigensolve input is real and badly scaled, and the condition
     number's input is its complex counterpart; the "-blocked" entries split
-    the spectral instrument into the four blocks of its reflections."""
+    symmetric systems into the 2, 4 or 8 blocks of their reflections."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
@@ -400,7 +404,8 @@ def _cold_dense_builds(n):
     cf, cf3 = constant_a(disc, 1.0, 2.0), constant_a(ball, 1.0, 2.0)
     stiff = 1e9 * np.random.default_rng(n).standard_normal((8 * n, 8 * n))
     stiff_c = stiff + 1j * stiff.T
-    symmetric = _reflection_symmetric_system(n)
+    four, two, eight = (_symmetric_system(kind, n) for kind in ("disc", "disc-linear", "ball"))
+    four_real = (np.ascontiguousarray(four[0].real), four[1])
     return {
         "kernel_matrices": lambda: kernel_matrices(grid, p2),
         "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
@@ -423,8 +428,13 @@ def _cold_dense_builds(n):
         "density_interp_matrix-polygon": lambda: density_interp_matrix(k_mesh,
                                                                        refine_mesh(k_mesh)),
         "condition_estimate": lambda: condition_estimate(stiff_c),
-        "eigenvalues_dense-blocked": lambda: eigenvalues_dense(*symmetric),
-        "condition_estimate-blocked": lambda: condition_estimate(*symmetric),
+        "eigenvalues_dense-blocked": lambda: eigenvalues_dense(*four),
+        "eigenvalues_dense-blocked-real": lambda: eigenvalues_dense(*four_real),
+        "eigenvalues_dense-blocked-two": lambda: eigenvalues_dense(*two),
+        "eigenvalues_dense-blocked-eight": lambda: eigenvalues_dense(*eight),
+        "condition_estimate-blocked": lambda: condition_estimate(*four),
+        "condition_estimate-blocked-two": lambda: condition_estimate(*two),
+        "condition_estimate-blocked-eight": lambda: condition_estimate(*eight),
     }
 
 
@@ -461,6 +471,18 @@ class TestDenseBudget:
             peak, result = _traced_peak(call)
             assert not isinstance(result, DenseBudgetError)
             assert peak <= err.need, f"n={n}: peak {peak} above the estimate {err.need}"
+
+    @pytest.mark.parametrize("solve, live, pad", [(eigenvalues_dense, 4, 40),
+                                                  (condition_estimate, 1, 96)])
+    def test_four_blocks_fit_where_one_solve_does_not(self, monkeypatch, solve, live, pad):
+        # the budget just below the estimate of the one unblocked solve
+        matrix, symmetries = _symmetric_system("disc", 24)
+        n = len(matrix)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES",
+                            live * 16 * n * (n + pad) + 80 * 2**10 - 1)
+        with pytest.raises(DenseBudgetError):
+            solve(matrix)
+        solve(matrix, symmetries)
 
     def test_coupled_refuses_large_boundary_before_allocating(self, monkeypatch):
         # a boundary mesh large against the grid: the coupled estimate counts the
