@@ -430,50 +430,58 @@ def _sphere_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh
 # Reflection symmetries of the unknowns
 # ---------------------------------------------------------------------------
 def reflections(grid: VolumeGrid, mesh: Optional[BoundaryMesh] = None) -> List[np.ndarray]:
-    """Permutations of the unknowns by the axis reflections of the grid.
+    """Permutations of the unknowns by the reflections of the grid.
 
     One index array per axis whose reflection maps the grid onto itself
     (grid index i -> n_c - 1 - i, kept where ``np.flip(mask, axis)`` equals
-    the mask): entry j is the unknown that unknown j is mirrored onto. With a
-    mesh the unknowns are the cells followed by the boundary nodes, and an
-    axis is kept only if every mirrored node matches a node within 1e-9 h.
-    The permutations only propose symmetries; the spectral routines keep
-    those that commute with the matrix at hand.
+    the mask): entry j is the unknown that unknown j is mirrored onto. A 2D
+    grid of square shape whose mask equals its transpose also has the
+    diagonal reflection x <-> y, listed between the axes (with the first it
+    generates the second). With a mesh the unknowns are the cells followed
+    by the boundary nodes, and a reflection is kept only if every mirrored
+    node matches a node within 1e-9 h. The permutations only propose
+    symmetries; the spectral routines keep those that commute with the
+    matrix at hand.
     """
+    centre = grid.domain.bounding_box.mean(axis=1)
     out = []
-    for axis in range(grid.dimension):
-        if not np.array_equal(np.flip(grid.mask, axis), grid.mask):
-            continue
-        coords = grid.coords.copy()
-        coords[:, axis] = grid.shape[axis] - 1 - coords[:, axis]
-        perm = grid.flat_index[tuple(coords.T)]
-        if mesh is not None:
-            box = grid.domain.bounding_box[axis]
-            nodes = _mirror(mesh.nodes, axis, 0.5 * (box[0] + box[1]), 1e-9 * grid.h)
-            if nodes is None:
-                continue
-            perm = np.concatenate([perm, grid.n + nodes])
-        out.append(perm)
+    for axis in ([0, None, 1] if grid.dimension == 2 else range(grid.dimension)):
+        if axis is None:
+            symmetric = grid.shape[0] == grid.shape[1] and np.array_equal(grid.mask.T, grid.mask)
+            coords = grid.coords[:, ::-1]
+        else:
+            symmetric = np.array_equal(np.flip(grid.mask, axis), grid.mask)
+            coords = grid.coords.copy()
+            coords[:, axis] = grid.shape[axis] - 1 - coords[:, axis]
+        nodes = (np.zeros(0, dtype=np.int64) if mesh is None or not symmetric
+                 else _mirror(mesh.nodes, axis, centre, 1e-9 * grid.h))
+        if symmetric and nodes is not None:
+            out.append(np.concatenate([grid.flat_index[tuple(coords.T)], grid.n + nodes]))
     return out
 
 
 def mesh_reflections(mesh: BoundaryMesh) -> List[np.ndarray]:
-    """Permutations of the boundary nodes by the axis reflections through
-    the bounding box's centre that map the mesh onto itself (matching within
-    1e-9 of the mean node spacing)."""
-    box = mesh.domain.bounding_box
+    """Permutations of the boundary nodes by the reflections of
+    ``reflections`` through the bounding box's centre that map the mesh onto
+    itself (matching within 1e-9 of the mean node spacing)."""
+    centre = mesh.domain.bounding_box.mean(axis=1)
     d = mesh.nodes.shape[1]
     tol = 1e-9 * (float(np.sum(mesh.weights)) / mesh.m) ** (1.0 / (d - 1))
-    perms = (_mirror(mesh.nodes, axis, 0.5 * (box[axis, 0] + box[axis, 1]), tol)
-             for axis in range(d))
+    perms = (_mirror(mesh.nodes, axis, centre, tol)
+             for axis in ([0, None, 1] if d == 2 else range(d)))
     return [p for p in perms if p is not None]
 
 
-def _mirror(nodes: np.ndarray, axis: int, center: float, tol: float) -> Optional[np.ndarray]:
+def _mirror(nodes: np.ndarray, axis: Optional[int], centre: np.ndarray,
+            tol: float) -> Optional[np.ndarray]:
     """Index of the node each node is mirrored onto through the plane
-    x_axis = center, or None unless this is a bijection within ``tol``."""
-    image = nodes.copy()
-    image[:, axis] = 2.0 * center - image[:, axis]
+    x_axis = centre_axis (the diagonal x - centre_x = y - centre_y when
+    ``axis`` is None), or None unless this is a bijection within ``tol``."""
+    if axis is None:
+        image = centre + (nodes - centre)[:, ::-1]
+    else:
+        image = nodes.copy()
+        image[:, axis] = 2.0 * centre[axis] - image[:, axis]
     dist, match = cKDTree(nodes).query(image)
     if np.max(dist) > tol or len(np.unique(match)) != len(nodes):
         return None

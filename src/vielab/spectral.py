@@ -21,18 +21,21 @@ Condition sweeps toward the breakdown locus take exact 2-norm condition
 numbers from the singular values, so they depend on no seed.
 
 Reflection blocks: a disc, square or ball grid with its mesh is mapped
-onto itself by the coordinate reflections (``geometry.reflections``), and
-so is every matrix assembled on it from symmetric coefficients. Each
-reflection that commutes with the matrix (max|M[p][:, p] - M| <= 1e-12
-max|M|) is kept; r of them split the unknowns into 2^r symmetry classes
-with orthonormal bases Q of signed orbit sums, and M into the diagonal
-blocks B = Q^T M Q, each of about n / 2^r unknowns. Eigenvalues are the
-union of the blocks' and so are singular values, at 1/4^r of the cubic
-cost. Residuals stay certified against the full matrix: each is
-||M Q y - lambda Q y|| / ||Q y|| for an eigenvector y of its block, so a
-reflection that only nearly commutes shows in them. Without a commuting
-reflection Q is the identity and the routines reduce to one LAPACK call
-on M.
+onto itself by the coordinate reflections, and a 2D one also by the
+diagonal x <-> y (``geometry.reflections``), and so is every matrix
+assembled on it from symmetric coefficients. Each reflection that
+commutes with the matrix (max|M[p][:, p] - M| <= 1e-12 max|M|) is kept;
+r commuting ones split the unknowns into 2^r symmetry classes with
+orthonormal bases Q of signed orbit sums, and M into the diagonal blocks
+B = Q^T M Q. With the diagonal S, the axis reflections generate the
+square's dihedral group (S Rx S = Ry): four classes of about n / 8
+unknowns, and two of about n / 4 that S maps onto each other, whose
+equal blocks are solved once. Eigenvalues and singular values are the
+union of the blocks'. Residuals stay certified against the full matrix:
+each is ||M Q y - lambda Q y|| / ||Q y|| for an eigenvector y of its
+block (with Q = S Q' for the image of a class Q'), so a reflection that
+only nearly commutes shows in them. Without a commuting reflection Q is
+the identity and the routines reduce to one LAPACK call on M.
 """
 
 from __future__ import annotations
@@ -124,56 +127,85 @@ def commuting_reflections(matrix: np.ndarray,
                           reflections: Sequence[np.ndarray]) -> List[np.ndarray]:
     """The permutations p of ``reflections`` that commute with the matrix:
     max|M[p][:, p] - M| <= ``SYMMETRY_TOL`` max|M|, checked in row chunks
-    (no full-size temporary). Each must be an involution commuting with
-    the others, as axis reflections do."""
+    (no full-size temporary). Each must be an involution, and together
+    they must generate a group ``_group`` supports. One already in the
+    group of those kept is kept unchecked: its defect is at most twice the
+    tolerance, and the residuals against the full matrix still see it."""
     n = len(matrix)
-    chunk = max(1, n // 16)
-    kept = []
+    chunks = [slice(start, start + max(1, n // 16)) for start in range(0, n, max(1, n // 16))]
+    scale = max((float(np.max(np.abs(matrix[rows]))) for rows in chunks), default=0.0)
+    kept, group = [], np.arange(n)[None]
     for perm in reflections:
         perm = np.asarray(perm)
         if perm.shape != (n,) or not np.array_equal(perm[perm], np.arange(n)):
             raise ValueError(f"not an involution of {n} unknowns")
-        if any(not np.array_equal(perm[q], q[perm]) for q in kept):
-            raise ValueError("reflections must commute with each other")
-        defect = scale = 0.0
-        for start in range(0, n, chunk):
-            rows = slice(start, start + chunk)
-            block = matrix[rows]
-            defect = max(defect, float(np.max(np.abs(matrix[perm[rows, None], perm] - block))))
-            scale = max(scale, float(np.max(np.abs(block))))
+        if (group == perm).all(axis=1).any():
+            kept.append(perm)
+            continue
+        grown = _group(kept + [perm])[0]
+        defect = max((float(np.max(np.abs(np.take(np.take(matrix, perm[rows], axis=0), perm,
+                                                          axis=1) - matrix[rows])))
+                      for rows in chunks), default=0.0)
         if defect <= SYMMETRY_TOL * scale:
             kept.append(perm)
+            group = grown
     return kept
 
 
-def _reflection_bases(matrix: np.ndarray, reflections: Sequence[np.ndarray]) -> list:
-    """Orthonormal bases Q_chi of the symmetry classes of the reflections
-    that commute with the matrix, one per character chi of the group of
-    2^r elements they generate.
+def _group(perms: Sequence[np.ndarray]) -> Tuple[np.ndarray, Sequence[int]]:
+    """The group the involutions ``perms`` generate, as rows of index maps
+    (row s applies the i-th generator used when bit i of s is set), and the
+    indices chi of its one-dimensional characters, chi(row s) =
+    (-1)^popcount(s & chi). Commuting generators are used as given, except
+    those already in the group: 2^r characters for r used. Non-commuting Rx, S must generate the square's
+    dihedral group, from Rx, Ry = S Rx S and S: the four characters with
+    chi(Rx) = chi(Ry). Any other group raises ValueError."""
+    pairs = [(p, q) for p in perms for q in perms if not np.array_equal(p[q], q[p])]
+    rx, s = pairs[0] if pairs else (None, None)
+    gens = [rx, s[rx[s]], s] if pairs else perms
+    images = np.arange(len(perms[0]))[None]
+    for perm in gens:
+        if not (images == perm).all(axis=1).any():
+            images = np.vstack([images, perm[images]])
+    if pairs and (len(images) != 8 or not np.array_equal(rx[gens[1]], gens[1][rx])
+                  or not all((images == p).all(axis=1).any() for p in perms)):
+        raise ValueError("reflections must commute or generate the dihedral group of the square")
+    return images, ((0, 3, 4, 7) if pairs else range(len(images)))
 
-    A basis is a pair (cols, vals) of (n_chi, 2^r) arrays: column c of
-    Q_chi is sum_s vals[c, s] e_{cols[c, s]}, the orbit of one unknown
-    summed with the signs chi(s) (repeated indices add up). Orbits on
-    which this sum vanishes are dropped. Without a commuting reflection
-    the one basis is the identity, ``None``.
-    """
-    n = len(matrix)
-    images = [np.arange(n)]  # the group elements, as index maps
-    for perm in commuting_reflections(matrix, reflections):
-        images += [perm[g] for g in images]
-    if len(images) == 1:
-        return [None]
-    images = np.array(images)
+
+def _orbit_bases(images: np.ndarray, characters: Sequence[int]) -> list:
+    """Per character chi (see ``_group``) of the group of rows of ``images``,
+    a basis (cols, vals) of (n_chi, |G|) arrays: column c is sum_s vals[c, s]
+    e_{cols[c, s]}, an orbit summed with the signs chi(s) (repeated indices
+    add up). Vanishing orbit sums and empty classes are dropped."""
+    n = images.shape[1]
     reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
-    orbits = images[:, reps]                               # (2^r, orbits)
+    orbits = images[:, reps]                               # (|G|, orbits)
     stabilizer = orbits == reps
     bases = []
-    for chi in range(len(images)):
+    for chi in characters:
         signs = np.array([(-1.0) ** bin(s & chi).count("1") for s in range(len(images))])
         keep = np.all((signs[:, None] > 0) | ~stabilizer, axis=0)
         if keep.any():
             norm = np.sqrt(len(images) * stabilizer[:, keep].sum(axis=0))
             bases.append((orbits[:, keep].T, signs[None, :] / norm[:, None]))
+    return bases
+
+
+def _reflection_bases(matrix: np.ndarray, reflections: Sequence[np.ndarray]) -> list:
+    """Orthonormal bases of the symmetry classes of the reflections that
+    commute with the matrix, as pairs (Q, P): P is None or, for the square's
+    dihedral group, P = S Q is the class Rx = +1, Ry = -1 paired with Q's
+    Rx = -1, Ry = +1, whose block P^T M P equals Q^T M Q. Without a
+    commuting reflection the one pair is (None, None), the identity."""
+    kept = commuting_reflections(matrix, reflections)
+    if not kept:
+        return [(None, None)]
+    images, characters = _group(kept)
+    bases = [(basis, None) for basis in _orbit_bases(images, characters)]
+    if len(characters) < len(images):  # the dihedral group, whose row 4 is S
+        bases += [((cols, vals), (images[4][cols], vals))
+                  for cols, vals in _orbit_bases(images[:4], [1])]
     return bases
 
 
@@ -212,15 +244,23 @@ def _expand(basis, y: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dense eigensolve with residual certification
 # ---------------------------------------------------------------------------
-def _certified_eigenpairs(matrix: np.ndarray, basis) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of one block, with residuals ||M Q y - lambda Q y|| / ||Q y||."""
-    n = len(matrix)
+def _certified_eigenpairs(matrix: np.ndarray, basis, partner) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one block, with residuals ||M Q y - lambda Q y|| / ||Q y||;
+    with a partner basis P, the same eigenvalues again, with residuals
+    ||M P y - lambda P y|| / ||P y|| for the same eigenvectors y."""
     mq = matrix if basis is None else _times_basis(matrix, basis)
     vals, vecs = sla.eig(mq if basis is None else _restrict(basis, mq))
-    qy = _expand(basis, vecs, n)
-    res = np.linalg.norm(mq @ vecs - qy * vals[None, :], axis=0)
-    res /= np.linalg.norm(qy, axis=0)
-    return vals, res
+    res = [_residuals(mq, basis, vals, vecs)]
+    if partner is not None:
+        del mq  # before M P is formed
+        res.append(_residuals(_times_basis(matrix, partner), partner, vals, vecs))
+    return np.tile(vals, len(res)), np.concatenate(res)
+
+
+def _residuals(mq: np.ndarray, basis, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """||M Q y - lambda Q y|| / ||Q y|| for each eigenpair (lambda, y), given M Q."""
+    qy = _expand(basis, vecs, len(mq))
+    return np.linalg.norm(mq @ vecs - qy * vals[None, :], axis=0) / np.linalg.norm(qy, axis=0)
 
 
 def eigenvalues_dense(matrix, reflections: Sequence[np.ndarray] = ()
@@ -228,34 +268,34 @@ def eigenvalues_dense(matrix, reflections: Sequence[np.ndarray] = ()
     """All eigenvalues of a complex matrix, each with a certified residual.
 
     ``reflections`` are candidate symmetries (``geometry.reflections``);
-    those that commute with the matrix split it into 2^r diagonal blocks
-    B = Q^T M Q, each solved by one LAPACK eigensolve. Residuals are
-    ||M Q y - lambda Q y|| / ||Q y|| for the computed eigenvectors y of B,
-    i.e. against the full matrix. Without a commuting reflection Q is the
-    identity and this is one eigensolve of M. Eigenvalues are returned
-    sorted by (real, imaginary) part. LAPACK guarantees residuals of the
-    order of eps ||M||, so a warning is logged (and nothing aborts) when
-    some residual exceeds ``RESIDUAL_TOL * ||M||_1``.
+    those that commute with the matrix split it into diagonal blocks
+    B = Q^T M Q, each solved by one LAPACK eigensolve (once for a pair of
+    equal blocks). Residuals are ||M Q y - lambda Q y|| / ||Q y|| for the
+    computed eigenvectors y of B, i.e. against the full matrix. Without a
+    commuting reflection Q is the identity and this is one eigensolve of M.
+    Eigenvalues are returned sorted by (real, imaginary) part. LAPACK
+    guarantees residuals of the order of eps ||M||, so a warning is logged
+    (and nothing aborts) when some residual exceeds ``RESIDUAL_TOL * ||M||_1``.
     """
     n = np.shape(matrix)[0]
     if np.shape(matrix) != (n, n):
         raise ValueError("eigenvalue computation needs a square matrix")
     matrix = np.asarray(matrix)
     bases = _reflection_bases(matrix, reflections)
-    if bases[0] is None:
+    if bases[0][0] is None:
         # complex input and eigenvectors, then LAPACK's copy and workspace (133
         # columns) or two residual temporaries (peak 3.0-3.5 complex, 4.0-4.6 real
         # at n = 128-1032)
         check_dense_budget("dense eigensolve", 4, n, n + 40)
     else:
         # per block of w columns: M Q, Q y and three residual temporaries (peak
-        # 4.0-5.1 (n, w + 8) for 2, 4 and 8 blocks at n = 78-3184), plus the
-        # complex copy of a real input
-        w = max(len(cols) for cols, _ in bases)
+        # 4.0-5.1 (n, w + 8) for 2, 4 and 8 blocks at n = 78-3184 and 4.2-4.7 for
+        # the square's 5 at n = 64-1920), plus the complex copy of a real input
+        w = max(len(basis[0]) for basis, _ in bases)
         copy = 0 if matrix.dtype == np.complex128 else n / (w + 8)
         check_dense_budget("dense eigensolve", 5 + copy, n, w + 8)
     matrix = np.asarray(matrix, dtype=np.complex128)
-    pairs = [_certified_eigenpairs(matrix, basis) for basis in bases]
+    pairs = [_certified_eigenpairs(matrix, basis, partner) for basis, partner in bases]
     vals, res = (np.concatenate(part) for part in zip(*pairs))
     high = res > RESIDUAL_TOL * np.linalg.norm(matrix, 1)
     if high.any():
@@ -418,26 +458,26 @@ def condition_estimate(matrix: np.ndarray, reflections: Sequence[np.ndarray] = (
     Computed from all singular values, so it is deterministic; the
     reflections that commute with the matrix (see ``eigenvalues_dense``)
     split it into orthogonally equivalent blocks whose singular values
-    together are the matrix's. Returns inf for non-finite input and for
-    numerically singular matrices, s_min <= n eps s_max (numpy's
-    ``matrix_rank`` tolerance).
+    together are the matrix's (a pair of equal blocks is solved once).
+    Returns inf for non-finite input and for numerically singular matrices,
+    s_min <= n eps s_max (numpy's ``matrix_rank`` tolerance).
     """
     matrix = np.asarray(matrix)
     n = max(matrix.shape)
     bases = _reflection_bases(matrix, reflections)
-    if bases[0] is None:
+    if bases[0][0] is None:
         # LAPACK's copy of the input and its workspace (measured: under 86 columns)
         check_dense_budget("condition number", 1.0, n, n + 96)
     else:
         # per block of w columns: M Q and its gathers, then the block and LAPACK's
-        # copy (peak 2.0-2.8 (n, w + 8) for 2, 4 and 8 blocks at n = 78-3184)
-        w = max(len(cols) for cols, _ in bases)
+        # copy (peak 2.0-2.8 (n, w + 8) for 2, 4, 8 and 5 blocks at n = 64-3184)
+        w = max(len(basis[0]) for basis, _ in bases)
         check_dense_budget("condition number", 3, n, w + 8)
     if not np.all(np.isfinite(matrix)):
         return float("inf")
     s = np.concatenate([sla.svdvals(matrix if basis is None else
                                     _restrict(basis, _times_basis(matrix, basis)),
-                                    check_finite=False) for basis in bases])
+                                    check_finite=False) for basis, _ in bases])
     s_max, s_min = s.max(), s.min()
     if s_min <= n * np.finfo(s.dtype).eps * s_max:
         return float("inf")

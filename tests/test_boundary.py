@@ -56,7 +56,7 @@ class TestTrace:
         mesh = build_boundary_mesh(unit_disc, 4 * n)
         t_mat = trace_matrix(grid, mesh).toarray()
         perms = reflections(grid, mesh)
-        assert len(perms) == 2
+        assert len(perms) == 3  # x, the diagonal x <-> y, y
         for perm in perms:
             cells, nodes = perm[:grid.n], perm[grid.n:] - grid.n
             assert np.abs(t_mat[nodes][:, cells] - t_mat).max() <= 1e-12 * np.abs(t_mat).max()

@@ -178,13 +178,21 @@ class TestReflections:
         grid = build_volume_grid(unit_disc, n)
         mesh = build_boundary_mesh(unit_disc, 4 * n)
         perms = reflections(grid, mesh)
-        assert len(perms) == 2 and len(reflections(grid)) == 2
+        assert len(perms) == 3 and len(reflections(grid)) == 3
         points = np.vstack([grid.centers, mesh.nodes])
-        for axis, perm in enumerate(perms):
+        for perm, image in zip(perms, _square_images(points)):
             assert np.array_equal(perm[perm], np.arange(len(points)))
-            mirrored = points.copy()
-            mirrored[:, axis] *= -1.0
-            assert np.abs(points[perm] - mirrored).max() <= 1e-12
+            assert np.abs(points[perm] - image).max() <= 1e-12
+
+    def test_diagonal_needs_a_square_transposable_grid(self, unit_disc):
+        # the ellipse's grid shape is not square; a disc mesh with 4n + 2
+        # nodes maps onto itself under both axes but not under x <-> y
+        ellipse = DomainGeometry.ellipse((1.0, 0.6))
+        assert len(reflections(build_volume_grid(ellipse, 24))) == 2
+        grid = build_volume_grid(unit_disc, 16)
+        mesh = build_boundary_mesh(unit_disc, 66)
+        assert len(reflections(grid)) == 3 and len(mesh_reflections(mesh)) == 2
+        assert len(reflections(grid, mesh)) == 2
 
     def test_ball_grid_mirrors_three_axes(self):
         grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
@@ -213,9 +221,13 @@ class TestReflections:
     def test_graded_square_mesh_is_mirror_exact(self, unit_square, m):
         mesh = build_boundary_mesh(unit_square, m, grading=3.0)
         perms = mesh_reflections(mesh)
-        assert len(perms) == 2
-        for axis, perm in enumerate(perms):
-            mirrored = mesh.nodes.copy()
-            mirrored[:, axis] *= -1.0
-            assert np.array_equal(mesh.nodes[perm], mirrored)
+        assert len(perms) == 3
+        for perm, image in zip(perms, _square_images(mesh.nodes)):
+            assert np.array_equal(mesh.nodes[perm], image)
             assert np.array_equal(mesh.weights[perm], mesh.weights)
+
+
+def _square_images(points):
+    """Points mirrored by x -> -x, by x <-> y and by y -> -y, the order in
+    which the reflections of a square-symmetric grid or mesh are listed."""
+    return points * [-1.0, 1.0], points[:, ::-1], points * [1.0, -1.0]

@@ -54,6 +54,31 @@ class TestBessel:
                 ref_y = float(mp.bessely(order, x))
                 assert bessel_y(order, x) == pytest.approx(ref_y, rel=1e-10, abs=1e-280)
 
+    @pytest.mark.parametrize("k", [1.0, 7.5])
+    def test_2d_kernels_against_mpmath_at_real_k(self, k):
+        # k r spans [1e-8, 700], the supported argument range
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        r = np.logspace(-8, np.log10(700.0), 60) / k
+        p = WaveParameters(k, 2)
+        h0 = np.array([complex(mp.hankel1(0, k * mp.mpf(x))) for x in r])
+        h1 = np.array([complex(mp.hankel1(1, k * mp.mpf(x))) for x in r])
+        assert np.abs(greens_value(p, r) / (0.25j * h0) - 1).max() <= 1e-12
+        radial = greens_gradient(p, np.stack([r, np.zeros_like(r)], axis=1))[:, 0]
+        assert np.abs(radial / (-0.25j * k * h1) - 1).max() <= 1e-12
+
+    def test_2d_kernels_against_mpmath_at_complex_k(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        k = 2.0 + 0.5j
+        r = np.array([1e-6, 0.03, 0.8, 4.0, 30.0])
+        p = WaveParameters(k, 2)
+        h0 = np.array([complex(mp.hankel1(0, mp.mpc(k) * mp.mpf(x))) for x in r])
+        h1 = np.array([complex(mp.hankel1(1, mp.mpc(k) * mp.mpf(x))) for x in r])
+        assert np.abs(greens_value(p, r) / (0.25j * h0) - 1).max() <= 1e-12
+        radial = greens_gradient(p, np.stack([r, np.zeros_like(r)], axis=1))[:, 0]
+        assert np.abs(radial / (-0.25j * k * h1) - 1).max() <= 1e-12
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bessel_y(0, 0.0)

@@ -296,20 +296,23 @@ def _disc_system(n, a=2.0):
     return matrix(constant_a(disc, 1.0, a)), reflections(grid, mesh)
 
 
-def _symmetric_systems():
-    """(matrix, reflections, expected commuting count) on the disc, the square
-    and the ball."""
-    square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
-    grid, mesh, matrix = spectral_instrument(square, WaveParameters(1.0, 2), 24)
-    ball = DomainGeometry.ball(1.0)
-    grid3 = build_volume_grid(ball, 10)
-    volume3 = assemble_A_dense(grid3, WaveParameters(1.0, 3), constant_a(ball, 1.0, 2.0))
-    return {
-        "disc-coupled-24": _disc_system(24) + (2,),
-        "square-coupled-24": (matrix(constant_a(square, 1.0, 2.0)),
-                              reflections(grid, mesh), 2),
-        "ball-volume-10": (volume3, reflections(grid3), 3),
-    }
+def _symmetric_system(case):
+    """(matrix, reflections, commuting count, block count) on the disc and
+    the square (the dihedral group of the square: five blocks), the
+    ellipse (two axis reflections: four blocks) and the ball (three axis
+    reflections: eight blocks)."""
+    if case == "ball-volume-10":
+        ball = DomainGeometry.ball(1.0)
+        grid = build_volume_grid(ball, 10)
+        return (assemble_A_dense(grid, WaveParameters(1.0, 3), constant_a(ball, 1.0, 2.0)),
+                reflections(grid), 3, 8)
+    if case == "disc-coupled-24":
+        return _disc_system(24) + (3, 5)
+    domain = {"square-coupled-24": DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
+              "ellipse-coupled-24": DomainGeometry.ellipse((1.0, 0.6))}[case]
+    grid, mesh, matrix = spectral_instrument(domain, WaveParameters(1.0, 2), 24)
+    counts = (3, 5) if case == "square-coupled-24" else (2, 4)
+    return (matrix(constant_a(domain, 1.0, 2.0)), reflections(grid, mesh)) + counts
 
 
 def _matched_distance(a, b):
@@ -319,11 +322,22 @@ def _matched_distance(a, b):
     return float(cost[rows, cols].max())
 
 
+def _columns(basis, n):
+    """A basis (cols, vals) as a dense (n, n_chi) matrix."""
+    cols, vals = basis
+    q = np.zeros((n, len(cols)))
+    for s in range(cols.shape[1]):
+        np.add.at(q, (cols[:, s], np.arange(len(cols))), vals[:, s])
+    return q
+
+
 class TestReflectionBlocks:
-    @pytest.mark.parametrize("case", ["disc-coupled-24", "square-coupled-24", "ball-volume-10"])
+    @pytest.mark.parametrize("case", ["disc-coupled-24", "square-coupled-24",
+                                      "ellipse-coupled-24", "ball-volume-10"])
     def test_blocked_eigenvalues_match_unblocked(self, case):
-        matrix, symmetries, count = _symmetric_systems()[case]
+        matrix, symmetries, count, blocks = _symmetric_system(case)
         assert len(commuting_reflections(matrix, symmetries)) == count
+        assert len(_reflection_bases(matrix, symmetries)) == blocks
         plain, _ = eigenvalues_dense(matrix)
         vals, res = eigenvalues_dense(matrix, symmetries)
         assert len(vals) == len(matrix)
@@ -339,9 +353,39 @@ class TestReflectionBlocks:
         _, clean = eigenvalues_dense(matrix, symmetries)
         monkeypatch.setattr(spectral, "SYMMETRY_TOL", 1e-3)
         matrix[0, 5] += 1e-4
-        assert len(commuting_reflections(matrix, symmetries)) == 2
+        assert len(commuting_reflections(matrix, symmetries)) == 3
         _, res = eigenvalues_dense(matrix, symmetries)
         assert clean.max() < 1e-13 and res.max() > 1e-6
+
+    def test_partner_residuals_are_computed_not_copied(self, monkeypatch):
+        # E = e_0 v^T with v in the partner class vanishes on every other class:
+        # no block sees it, and only the partner's own residuals do
+        matrix, symmetries = _disc_system(16)
+        n = len(matrix)
+        monkeypatch.setattr(spectral, "SYMMETRY_TOL", 1e-3)
+        (basis, partner), = [pair for pair in _reflection_bases(matrix, symmetries)
+                             if pair[1] is not None]
+        matrix[0] += 1e-4 * np.abs(matrix).max() * _columns(partner, n)[:, 0]
+        assert len(commuting_reflections(matrix, symmetries)) == 3
+        bound = 1e-13 * np.linalg.norm(matrix, 1)
+        for pair in _reflection_bases(matrix, symmetries):
+            vals, res = spectral._certified_eigenpairs(matrix, *pair)
+            if pair[1] is None:
+                assert res.max() < bound
+            else:
+                w = len(pair[0][0])
+                assert np.array_equal(vals[:w], vals[w:])
+                assert res[:w].max() < bound and res[w:].max() > 1e-6
+        assert eigenvalues_dense(matrix, symmetries)[1].max() > 1e-6
+
+    def test_paired_eigenvalues_appear_exactly_twice(self):
+        matrix, symmetries = _disc_system(16)
+        (basis, _), = [pair for pair in _reflection_bases(matrix, symmetries)
+                       if pair[1] is not None]
+        vals, _ = eigenvalues_dense(matrix, symmetries)
+        _, counts = np.unique(vals, return_counts=True)
+        assert counts.max() == 2 and np.sum(counts == 2) == len(basis[0])
+        assert len(vals) == len(matrix) and np.sum(counts) == len(matrix)
 
     def test_perturbed_entry_drops_reflections_bit_for_bit(self):
         matrix, symmetries = _disc_system(16)
@@ -361,24 +405,23 @@ class TestReflectionBlocks:
     def test_bases_are_orthonormal_and_complete(self):
         matrix, symmetries = _disc_system(12)
         n = len(matrix)
-        columns = []
-        for cols, vals in _reflection_bases(matrix, symmetries):
-            q = np.zeros((n, len(cols)))
-            for s in range(cols.shape[1]):
-                np.add.at(q, (cols[:, s], np.arange(len(cols))), vals[:, s])
-            columns.append(q)
-        assert len(columns) == 4
+        pairs = _reflection_bases(matrix, symmetries)
+        assert [partner is not None for _, partner in pairs] == [False] * 4 + [True]
+        columns = [_columns(basis, n) for pair in pairs for basis in pair if basis is not None]
         q = np.hstack(columns)
         assert q.shape == (n, n)
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
-        # the blocks of Q^T M Q outside the diagonal vanish
+        # the blocks of Q^T M Q outside the diagonal vanish, and the paired
+        # classes have the same block
         blocked = q.T @ matrix @ q
-        start = 0
+        diagonal, start = [], 0
         for block in columns:
             stop = start + block.shape[1]
+            diagonal.append(blocked[start:stop, start:stop].copy())
             blocked[start:stop, start:stop] = 0.0
             start = stop
         assert np.abs(blocked).max() <= 1e-12 * np.abs(matrix).max()
+        assert np.abs(diagonal[4] - diagonal[5]).max() <= 1e-12 * np.abs(matrix).max()
 
     def test_invalid_permutations_rejected(self):
         matrix, symmetries = _disc_system(12)
@@ -387,24 +430,40 @@ class TestReflectionBlocks:
         with pytest.raises(ValueError, match="involution"):
             condition_estimate(matrix, [np.roll(np.arange(len(matrix)), 1)])
 
+    @pytest.mark.parametrize("perms", [
+        [[1, 0, 2], [0, 2, 1]],                        # the triangle's group, order 6
+        [[0, 4, 3, 2, 1], [1, 0, 4, 3, 2]],            # the pentagon's, order 10
+        [[1, 0, 3, 2, 4, 5, 6, 7], [0, 1, 2, 3, 5, 4, 7, 6],
+         [0, 2, 1, 3, 4, 5, 6, 7]],                    # the square's times a reflection, 16
+    ])
+    def test_unsupported_group_rejected(self, perms):
+        # a matrix every permutation commutes with
+        n = len(perms[0])
+        matrix = np.ones((n, n)) + np.eye(n)
+        with pytest.raises(ValueError, match="dihedral group of the square"):
+            eigenvalues_dense(matrix, [np.array(p) for p in perms])
+
 
 class TestRouteGuard:
-    """Every shipped spectrum preset level and the breakdown sweep split into
-    four blocks, so a silent fall back to one eigensolve fails here."""
+    """Every shipped spectrum preset level and the breakdown sweep keep the
+    three reflections of the square's dihedral group and split into five
+    blocks, so a silent fall back to fewer blocks fails here."""
 
     @pytest.mark.parametrize("preset", [name for name in preset_names()
                                         if get_preset(name)["task"] == "spectrum"])
-    def test_spectrum_preset_levels_verify_two_reflections(self, preset):
+    def test_spectrum_preset_levels_split_into_five_blocks(self, preset):
         cfg = get_preset(preset)
         scenario = Scenario(cfg, "spectrum")
         for level in cfg["spectrum"]["levels"]:
             matrix, symmetries = _spectrum_matrix(scenario, level)
-            assert len(commuting_reflections(matrix, symmetries)) == 2, (preset, level)
+            assert len(commuting_reflections(matrix, symmetries)) == 3, (preset, level)
+            assert len(_reflection_bases(matrix, symmetries)) == 5, (preset, level)
 
-    def test_breakdown_sweep_verifies_two_reflections(self):
+    def test_breakdown_sweep_splits_into_five_blocks(self):
         scenario = Scenario(get_preset("breakdown-sweep"), "sweep")
         grid, mesh, matrix = spectral_instrument(scenario.domain, scenario.params,
                                                  scenario.n_per_axis, scenario.boundary_nodes)
         for a_val in (-3.0, -1.05, -0.6):
             system = matrix(constant_a(scenario.domain, scenario.params.k, a_val))
-            assert len(commuting_reflections(system, reflections(grid, mesh))) == 2
+            assert len(commuting_reflections(system, reflections(grid, mesh))) == 3
+            assert len(_reflection_bases(system, reflections(grid, mesh))) == 5

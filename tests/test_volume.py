@@ -371,9 +371,10 @@ class TestDenseAssembly:
 @functools.lru_cache(maxsize=8)
 def _symmetric_system(kind, n):
     """A read-only matrix with the reflections of its unknowns: the spectral
-    instrument on the disc at n cells per axis with a = 2 ("disc", four
-    blocks) or with a linear in x ("disc-linear", two blocks), or the dense
-    volume system on the ball at n / 2 ("ball", eight blocks)."""
+    instrument on the disc at n cells per axis with a = 2 ("disc", the five
+    blocks of the square's dihedral group) or with a linear in x
+    ("disc-linear", two blocks), or the dense volume system on the ball at
+    n / 2 ("ball", eight blocks)."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     if kind == "ball":
         grid = build_volume_grid(ball, n // 2)
@@ -394,7 +395,7 @@ def _cold_dense_builds(n):
     sizes where the fixed allowance, not the arrays, dominates. The
     unblocked eigensolve input is real and badly scaled, and the condition
     number's input is its complex counterpart; the "-blocked" entries split
-    symmetric systems into the 2, 4 or 8 blocks of their reflections."""
+    symmetric systems into the 2, 5 or 8 blocks of their reflections."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
@@ -404,8 +405,8 @@ def _cold_dense_builds(n):
     cf, cf3 = constant_a(disc, 1.0, 2.0), constant_a(ball, 1.0, 2.0)
     stiff = 1e9 * np.random.default_rng(n).standard_normal((8 * n, 8 * n))
     stiff_c = stiff + 1j * stiff.T
-    four, two, eight = (_symmetric_system(kind, n) for kind in ("disc", "disc-linear", "ball"))
-    four_real = (np.ascontiguousarray(four[0].real), four[1])
+    five, two, eight = (_symmetric_system(kind, n) for kind in ("disc", "disc-linear", "ball"))
+    five_real = (np.ascontiguousarray(five[0].real), five[1])
     return {
         "kernel_matrices": lambda: kernel_matrices(grid, p2),
         "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
@@ -428,11 +429,11 @@ def _cold_dense_builds(n):
         "density_interp_matrix-polygon": lambda: density_interp_matrix(k_mesh,
                                                                        refine_mesh(k_mesh)),
         "condition_estimate": lambda: condition_estimate(stiff_c),
-        "eigenvalues_dense-blocked": lambda: eigenvalues_dense(*four),
-        "eigenvalues_dense-blocked-real": lambda: eigenvalues_dense(*four_real),
+        "eigenvalues_dense-blocked": lambda: eigenvalues_dense(*five),
+        "eigenvalues_dense-blocked-real": lambda: eigenvalues_dense(*five_real),
         "eigenvalues_dense-blocked-two": lambda: eigenvalues_dense(*two),
         "eigenvalues_dense-blocked-eight": lambda: eigenvalues_dense(*eight),
-        "condition_estimate-blocked": lambda: condition_estimate(*four),
+        "condition_estimate-blocked": lambda: condition_estimate(*five),
         "condition_estimate-blocked-two": lambda: condition_estimate(*two),
         "condition_estimate-blocked-eight": lambda: condition_estimate(*eight),
     }
@@ -474,7 +475,7 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("solve, live, pad", [(eigenvalues_dense, 4, 40),
                                                   (condition_estimate, 1, 96)])
-    def test_four_blocks_fit_where_one_solve_does_not(self, monkeypatch, solve, live, pad):
+    def test_five_blocks_fit_where_one_solve_does_not(self, monkeypatch, solve, live, pad):
         # the budget just below the estimate of the one unblocked solve
         matrix, symmetries = _symmetric_system("disc", 24)
         n = len(matrix)
