@@ -18,7 +18,7 @@ from .geometry import (
     mesh_reflections,
     reflections,
 )
-from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value
+from .special import WaveParameters, greens_gradient, greens_value
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
 from .volume import (
     DenseBudgetError,

@@ -35,8 +35,6 @@ import logging
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.spatial import cKDTree
 
 from .geometry import BoundaryMesh, VolumeGrid, build_boundary_mesh
 from .special import WaveParameters, greens_gradient
@@ -67,8 +65,8 @@ def _check_density(mesh: BoundaryMesh, phi: np.ndarray) -> np.ndarray:
 # Trace
 # ---------------------------------------------------------------------------
 @functools.lru_cache(maxsize=1)
-def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh) -> sparse.csr_matrix:
-    """Sparse (M, N) interpolation matrix realizing the one-sided trace.
+def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh):
+    """Sparse CSR (M, N) interpolation matrix realizing the one-sided trace.
 
     Each boundary node gets a least-squares linear fit over the nearest
     included cell centers within three grid spacings (six, extended if the
@@ -77,6 +75,8 @@ def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh) -> sparse.csr_matrix:
     never picks one of two mirror-image cells by rounding and the matrix
     inherits the grid's reflection symmetries.
     """
+    import scipy.sparse as sparse
+    from scipy.spatial import cKDTree
     tree = cKDTree(grid.centers)
     radius = TRACE_SEARCH_RADIUS * grid.h
     d = grid.dimension

@@ -43,7 +43,7 @@ from .scattering import (
     plane_wave_function,
     point_source_function,
 )
-from .special import WaveParameters, bessel_j, bessel_y, greens_gradient, greens_value
+from .special import WaveParameters
 from .spectral import (
     a_to_sigma,
     detect_clusters,
@@ -427,38 +427,6 @@ def verify_suite(scenario: Scenario) -> dict:
     domain = scenario.domain
     coeffs = scenario.coeffs
 
-    def wronskian():
-        xs = np.logspace(-1, 2, 25)
-        worst = 0.0
-        for order in range(0, 9):
-            jp = 0.5 * (bessel_j(max(order - 1, 0), xs) - bessel_j(order + 1, xs)) \
-                if order > 0 else -bessel_j(1, xs)
-            yp = 0.5 * (bessel_y(max(order - 1, 0), xs) - bessel_y(order + 1, xs)) \
-                if order > 0 else -bessel_y(1, xs)
-            w = bessel_j(order, xs) * yp - jp * bessel_y(order, xs)
-            worst = max(worst, float(np.max(np.abs(w - 2 / (np.pi * xs)))))
-        return worst, worst <= 1e-10, "max Wronskian defect, orders 0..8"
-
-    run("wronskian-identity", True, 1e-10, wronskian)
-
-    def gradient_fd():
-        step, worst = 1e-5, 0.0
-        pts = {2: [np.array([0.5, 0.5]), np.array([0.7, -0.3])],
-               3: [np.array([0.7, 0.3, 0.1])]}
-        for dim, plist in pts.items():
-            p = WaveParameters(params.k if dim == scenario.params.dimension else 1.0, dim)
-            for x in plist:
-                grad = greens_gradient(p, x)
-                for c in range(dim):
-                    e = np.zeros(dim)
-                    e[c] = step
-                    fd = (greens_value(p, np.linalg.norm(x + e))
-                          - greens_value(p, np.linalg.norm(x - e))) / (2 * step)
-                    worst = max(worst, abs(grad[c] - fd) / max(abs(fd), 1e-30))
-        return worst, worst <= 1e-7, "gradient vs central differences"
-
-    run("greens-gradient-fd", True, 1e-7, gradient_fd)
-
     def potential_residual():
         vals = []
         for n in (24, 48):
@@ -493,18 +461,6 @@ def verify_suite(scenario: Scenario) -> dict:
         return rel, rel <= 1e-12, "assembled matrix vs matrix-free action"
 
     run("dense-matfree-consistency", True, 1e-12, dense_consistency)
-
-    def linearity():
-        grid = build_volume_grid(domain, min(scenario.n_per_axis, 24))
-        u1 = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        u2 = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        c1, c2 = 0.3 - 1.1j, -2.0 + 0.4j
-        lhs = apply_A(grid, params, coeffs, c1 * u1 + c2 * u2)
-        rhs = c1 * apply_A(grid, params, coeffs, u1) + c2 * apply_A(grid, params, coeffs, u2)
-        rel = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-30))
-        return rel, rel <= 1e-12, "operator linearity on random fields"
-
-    run("linearity", True, 1e-12, linearity)
 
     def smooth_form():
         vals = []

@@ -53,8 +53,6 @@ import logging
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import zgecon
 
 from .boundary import assemble_K, double_layer_matrix, trace_matrix
 from .coefficients import CoefficientField
@@ -157,6 +155,8 @@ def solve_coupled(matrix: np.ndarray, grid: VolumeGrid, u_inc: np.ndarray,
     returns the reciprocal-condition estimate, and logs a warning below
     ``NEAR_SINGULAR_RCOND``.
     """
+    import scipy.linalg as sla
+    from scipy.linalg.lapack import zgecon
     n = grid.n
     u_inc = np.asarray(u_inc, dtype=np.complex128)
     psi = np.asarray(psi, dtype=np.complex128)

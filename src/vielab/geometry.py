@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 logger = logging.getLogger(__name__)
 
@@ -477,6 +476,7 @@ def _mirror(nodes: np.ndarray, axis: Optional[int], centre: np.ndarray,
     """Index of the node each node is mirrored onto through the plane
     x_axis = centre_axis (the diagonal x - centre_x = y - centre_y when
     ``axis`` is None), or None unless this is a bijection within ``tol``."""
+    from scipy.spatial import cKDTree
     if axis is None:
         image = centre + (nodes - centre)[:, ::-1]
     else:

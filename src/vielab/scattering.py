@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special as _sp
 
 from .coefficients import CoefficientField
 from .geometry import VolumeGrid
@@ -217,6 +216,7 @@ class MieSeries:
         incident plus scattered series outside); refused if ``truncated``."""
         if self.truncated:
             raise ValueError("a truncated transmission series is not a field oracle")
+        import scipy.special as _sp
         r, th = self._polar(points)
         out = np.zeros(len(r), dtype=np.complex128)
         inside = r < self.radius
@@ -237,6 +237,7 @@ class MieSeries:
 
     def transmission_residual(self, n_angles: int = 64) -> Tuple[float, float]:
         """Self-check: (max |[u]|, max |[a du/dr]|) across the interface."""
+        import scipy.special as _sp
         th = 2 * np.pi * np.arange(n_angles) / n_angles
         ms = np.arange(-self.orders, self.orders + 1)
         u_out = np.exp(1j * self.k * self.radius * np.cos(th))
@@ -257,6 +258,7 @@ class MieSeries:
         """Optical-theorem style defect: scattered flux plus the
         incident/scattered cross term through a circle of radius rho
         (zero for lossless real coefficients)."""
+        import scipy.special as _sp
         rho = 2.0 * self.radius if rho is None else float(rho)
         th = 2 * np.pi * np.arange(n_angles) / n_angles
         ms = np.arange(-self.orders, self.orders + 1)
@@ -275,10 +277,12 @@ class MieSeries:
 
 
 def _dj(m: int, z) -> np.ndarray:
+    import scipy.special as _sp
     return 0.5 * (_sp.jv(m - 1, z) - _sp.jv(m + 1, z))
 
 
 def _dh(m: int, z) -> np.ndarray:
+    import scipy.special as _sp
     return 0.5 * (_sp.hankel1(m - 1, z) - _sp.hankel1(m + 1, z))
 
 
@@ -302,6 +306,7 @@ def mie_reference_disc(radius: float, params: WaveParameters, a_in: complex,
     ``SERIES_TAIL_TOL`` relative to the leading one, or until the order passes
     200; the latter logs a warning and sets ``truncated``.
     """
+    import scipy.special as _sp
     if params.dimension != 2:
         raise ValueError("the transmission series is two-dimensional")
     a_in = complex(a_in)

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .coefficients import CoefficientField, constant_a
 from .coupled import assemble_coupled, quadrature_weighted_matrix
@@ -248,6 +247,7 @@ def _certified_eigenpairs(matrix: np.ndarray, basis, partner) -> Tuple[np.ndarra
     """Eigenvalues of one block, with residuals ||M Q y - lambda Q y|| / ||Q y||;
     with a partner basis P, the same eigenvalues again, with residuals
     ||M P y - lambda P y|| / ||P y|| for the same eigenvectors y."""
+    import scipy.linalg as sla
     mq = matrix if basis is None else _times_basis(matrix, basis)
     vals, vecs = sla.eig(mq if basis is None else _restrict(basis, mq))
     res = [_residuals(mq, basis, vals, vecs)]
@@ -462,6 +462,7 @@ def condition_estimate(matrix: np.ndarray, reflections: Sequence[np.ndarray] = (
     Returns inf for non-finite input and for numerically singular matrices,
     s_min <= n eps s_max (numpy's ``matrix_rank`` tolerance).
     """
+    import scipy.linalg as sla
     matrix = np.asarray(matrix)
     n = max(matrix.shape)
     bases = _reflection_bases(matrix, reflections)

@@ -52,8 +52,6 @@ import logging
 from typing import Callable, List, Tuple
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.sparse as sparse
 
 from .coefficients import CoefficientField
 from .geometry import VolumeGrid
@@ -119,13 +117,14 @@ def self_cell_weight(params: WaveParameters, h: float) -> complex:
 # Cached discrete building blocks
 # ---------------------------------------------------------------------------
 @functools.lru_cache(maxsize=1)
-def gradient_ops(grid: VolumeGrid) -> Tuple[sparse.csr_matrix, ...]:
-    """Per-axis finite-difference matrices on the included cells.
+def gradient_ops(grid: VolumeGrid) -> tuple:
+    """Per-axis finite-difference CSR matrices on the included cells.
 
     Centered second-order stencils where both axis neighbors are
     included, one-sided first-order at mask-boundary cells, zero where
     the cell has no neighbor along the axis.
     """
+    import scipy.sparse as sparse
     d = grid.dimension
     h = grid.h
     n = grid.n
@@ -177,6 +176,7 @@ def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
     negative. Both steps are exact: the tables equal a sampling of the full
     padded grid bit for bit.
     """
+    import scipy.fft as sfft
     pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
     # |offset| per axis: 0..nc-1, then (negative offsets) pc-nc down to 1
     mags = [np.where(np.arange(pc) < nc, np.arange(pc), pc - np.arange(pc))
@@ -234,6 +234,7 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
 @functools.lru_cache(maxsize=1)
 def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
     """FFTs of the sampled kernel tables on the zero-padded offset grid (read-only)."""
+    import scipy.fft as sfft
     pshape, tables = _kernel_tables(grid, params)
     hats = [sfft.fftn(tab) for tab in tables]
     for table in hats:
@@ -247,6 +248,7 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
 def _apply_kernels(grid, params, sources):
     """Kernels (G, then the d gradient components) applied by FFT to the matching
     ``sources`` (None entries and missing trailing ones are skipped)."""
+    import scipy.fft as sfft
     if all(src is None for src in sources):
         return np.zeros(grid.n, dtype=np.complex128)
     pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,3 +262,34 @@ class TestPresets:
         assert main(["presets", "--write", str(tmp_path / "p")]) == 0
         written = list((tmp_path / "p").glob("*.json"))
         assert len(written) == len(preset_names())
+
+
+IMPORT_PROBE = """
+import sys
+import vielab, vielab.cli
+from vielab.presets import get_preset, preset_names
+
+for name in preset_names():
+    cfg = get_preset(name)
+    vielab.cli.Scenario(cfg, cfg["task"])
+bad = get_preset("disc-a2-solve")
+bad["solve"]["tol"] = 2.0
+assert vielab.cli.run_scenario(bad, "solve", sys.argv[1]) == 2
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+cfg = get_preset("disc-a2-solve")
+cfg["discretization"]["n_per_axis"] = 16
+assert vielab.cli.run_scenario(cfg, "solve", sys.argv[1]) == 0
+print(sorted(m for m in ("scipy.linalg", "scipy.spatial") if m in sys.modules))
+"""
+
+
+class TestImports:
+    def test_validation_loads_no_scipy_and_solve_no_linalg_or_spatial(self, tmp_path):
+        src = str(Path(volume.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "out")],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        after_validation, after_solve = proc.stdout.splitlines()
+        assert after_validation == "[]"
+        assert after_solve == "[]"
