@@ -3,6 +3,7 @@ import pytest
 from scipy.special import jv, yv
 
 from vielab import WaveParameters, greens_gradient, greens_value
+from vielab.scattering import _dh, _dj
 
 # Frozen from a 40-digit ascending-series / mpmath oracle:
 #   J0(1), Y0(1) summed independently of scipy's implementation.
@@ -11,7 +12,56 @@ Y0_AT_1 = 0.08825696421567695798
 INV_4PI = 0.07957747154594766788
 
 
+def _hankel_pair(k, xs):
+    # H_0(k r) and H_1(k r) read back from the 2D kernels at r = xs / k
+    r = np.asarray(xs, dtype=float) / k
+    p = WaveParameters(k, 2)
+    h0 = -4j * greens_value(p, r)
+    radial = greens_gradient(p, np.stack([r, np.zeros_like(r)], axis=-1))[..., 0]
+    return h0, 4j * radial / k
+
+
 class TestBessel:
+    def test_j0_at_zero_limit(self):
+        h0, _ = _hankel_pair(1.0, 1e-12)
+        assert h0.real == pytest.approx(1.0, abs=1e-12)
+
+    def test_j0_at_one_against_series_oracle(self):
+        # k r = 1 reached through k = 2, r = 1/2
+        h0, _ = _hankel_pair(2.0, 1.0)
+        assert h0.real == pytest.approx(J0_AT_1, abs=1e-9)
+
+    def test_wronskian_identity_on_log_grid(self):
+        # J_0(x) Y_0'(x) - J_0'(x) Y_0(x) = J_1(x) Y_0(x) - J_0(x) Y_1(x) = 2 / (pi x)
+        xs = np.logspace(-1, 2, 40)
+        h0, h1 = _hankel_pair(1.0, xs)
+        w = h1.real * h0.imag - h0.real * h1.imag
+        assert np.max(np.abs(w - 2 / (np.pi * xs))) < 1e-10
+
+    def test_relative_accuracy_against_mpmath(self):
+        # J_m' and H_m' of the transmission series, at orders up to 60
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        rng_orders = (0, 1, 3, 10, 30, 60)
+        xs = (0.05, 0.7, 3.0, 25.0, 180.0, 650.0)
+        for order in rng_orders:
+            for x in xs:
+                ref_j = float(mp.besselj(order, x, derivative=1))
+                assert _dj(order, x) == pytest.approx(ref_j, rel=1e-10, abs=1e-280)
+                ref_h = ref_j + 1j * float(mp.bessely(order, x, derivative=1))
+                assert _dh(order, x) == pytest.approx(ref_h, rel=1e-10)
+
+    def test_domain_errors(self):
+        p = WaveParameters(1.0, 2)
+        with pytest.raises(ValueError):
+            greens_value(p, -1.0)
+        with pytest.raises(ValueError):
+            greens_value(p, np.array([0.5, 0.0]))
+        with pytest.raises(ValueError):
+            greens_gradient(p, np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(ValueError):
+            WaveParameters(np.inf, 2)
+
     def test_2d_kernel_is_quarter_i_j_plus_iy(self):
         # G_k = (i/4) H_0(k r) and its radial derivative -(i/4) k H_1(k r)
         xs = np.logspace(-1, 2, 13)
