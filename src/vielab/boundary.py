@@ -30,7 +30,6 @@ Nystrom rule.
 
 from __future__ import annotations
 
-import functools
 import logging
 from typing import Optional
 
@@ -64,7 +63,6 @@ def _check_density(mesh: BoundaryMesh, phi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Trace
 # ---------------------------------------------------------------------------
-@functools.lru_cache(maxsize=1)
 def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh):
     """Sparse CSR (M, N) interpolation matrix realizing the one-sided trace.
 

@@ -296,16 +296,12 @@ def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List
     """The spectrum operator at one level and the reflections of its unknowns."""
     op = scenario.config.get("spectrum", {}).get("operator", "coupled")
     if op == "coupled":
-        grid, mesh, matrix = spectral_instrument(scenario.domain, scenario.params,
-                                                 n_level, 4 * n_level)
-        return matrix(scenario.coeffs), reflections(grid, mesh)
-    if op == "volume":
-        grid = scenario.grid(n_level)
-        return assemble_A_dense(grid, scenario.params, scenario.coeffs), reflections(grid)
+        grid, mesh = scenario.grid(n_level), scenario.mesh(4 * n_level)
+        matrix = spectral_instrument(grid, mesh, scenario.params, scenario.coeffs)
+        return matrix, reflections(grid, mesh)
     if op == "contrast":
         grid = scenario.grid(n_level)
-        dense = assemble_A_dense(grid, scenario.params, scenario.coeffs)
-        return np.eye(grid.n, dtype=np.complex128) - dense, reflections(grid)
+        return assemble_A_dense(grid, scenario.params, scenario.coeffs), reflections(grid)
     if op == "half-minus-K":
         mesh = scenario.mesh(n_level)
         return 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(
@@ -340,9 +336,11 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
     }
     coeff_name = scenario.config["coefficients"].get("name", "")
     if coeff_name in ("constant-a", "polygon-constant-a") and \
-            cfg.get("operator", "coupled") in ("coupled", "volume"):
+            cfg.get("operator", "coupled") == "coupled":
         a_val = _as_complex(scenario.config["coefficients"]["a"], "a")
-        sigma = [0.5]  # every shape; ROADMAP item 6 replaces it by intervals on corners
+        # the smooth-boundary set on every shape, so a corner's wider set can fail
+        # the check below; ROADMAP item 6 replaces it by intervals on corners
+        sigma = [0.5]
         pred = predict_clusters([a_val], a_val, sigma)
         results["predicted_clusters"] = [_c2pair(p) for p in pred]
         verdict = fredholm_verdict(scenario.coeffs, scenario.domain, sigma)
@@ -353,6 +351,11 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
             "inconclusive": verdict.inconclusive,
             "holds": verdict.fredholm,
         }
+        centers = report.centers
+        if not (len(centers) and all(np.min(np.abs(centers - p)) <= delta for p in pred)
+                and all(np.min(np.abs(pred - c)) <= delta for c in centers)):
+            raise NumericalFailure(f"detected clusters do not match the predicted ones "
+                                   f"within delta = {delta:g}", partial_results=results)
     return results
 
 
@@ -362,10 +365,11 @@ def task_sweep(scenario: Scenario, out: Path) -> dict:
     if not a_values:
         raise ConfigError("sweep.a_values must be a nonempty list")
     a_values = [_as_complex(a, "a_values entry") for a in a_values]
+    if "n_per_axis" in cfg:
+        raise ConfigError("sweep.n_per_axis is not read; set discretization.n_per_axis")
     from .spectral import condition_sweep
-    records = condition_sweep(scenario.domain, scenario.params, a_values,
-                              n_per_axis=int(cfg.get("n_per_axis", scenario.n_per_axis)),
-                              boundary_nodes=scenario.boundary_nodes)
+    # one grid and mesh for every value, so the identity-keyed caches hit
+    records = condition_sweep(scenario.grid(), scenario.mesh(), scenario.params, a_values)
     rows = [[a.real, a.imag, cond] for a, cond in records]
     write_csv(out / "sweep.csv", scenario, ["a_re", "a_im", "condition"], rows)
     results = {
@@ -456,8 +460,8 @@ def verify_suite(scenario: Scenario) -> dict:
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 24))
         u = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         mv = assemble_A_dense(grid, params, coeffs) @ u
-        mf = u - apply_A(grid, params, coeffs, u)
-        rel = float(np.linalg.norm(mv - mf) / np.linalg.norm(mv))
+        mf = apply_A(grid, params, coeffs, u)
+        rel = float(np.linalg.norm(mv - mf)) / max(float(np.linalg.norm(mv)), 1e-30)
         return rel, rel <= 1e-12, "assembled matrix vs matrix-free action"
 
     run("dense-matfree-consistency", True, 1e-12, dense_consistency)
@@ -531,8 +535,8 @@ def verify_suite(scenario: Scenario) -> dict:
         counts = {}
         for n in (24, 40):
             grid = build_volume_grid(domain, n)
-            dense = assemble_A_dense(grid, params, coeffs)
-            vals, _ = eigenvalues_dense(np.eye(grid.n) - dense, reflections(grid))
+            vals, _ = eigenvalues_dense(assemble_A_dense(grid, params, coeffs),
+                                        reflections(grid))
             counts[n] = int(np.sum(np.abs(vals) > 0.05))
         change = abs(counts[40] - counts[24])
         return counts, change <= 2, "eigenvalues of A outside |lambda| > 0.05"

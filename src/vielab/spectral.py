@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -485,57 +485,52 @@ def condition_estimate(matrix: np.ndarray, reflections: Sequence[np.ndarray] = (
     return float(s_max / s_min)
 
 
-def spectral_instrument(domain: DomainGeometry, params: WaveParameters, n_per_axis: int,
-                        boundary_nodes: Optional[int] = None
-                        ) -> Tuple[VolumeGrid, BoundaryMesh,
-                                   Callable[[CoefficientField], np.ndarray]]:
-    """The spectral instrument on one grid and mesh, built once: the grid,
-    the mesh (``4 n_per_axis`` nodes by default) and a map from coefficient
-    fields to quadrature-weighted Nystrom coupled matrices."""
-    grid = build_volume_grid(domain, n_per_axis)
-    mesh = build_boundary_mesh(domain, boundary_nodes or 4 * n_per_axis)
-    return grid, mesh, lambda coeffs: quadrature_weighted_matrix(
+def spectral_instrument(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
+                        coeffs: CoefficientField) -> np.ndarray:
+    """The spectral instrument on a built grid and mesh: the quadrature-weighted
+    coupled matrix with the Nystrom boundary operator."""
+    return quadrature_weighted_matrix(
         assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom"), grid, mesh)
 
 
 def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
                              coeffs: CoefficientField, n_per_axis: int,
                              boundary_nodes: Optional[int] = None) -> np.ndarray:
-    """The spectral instrument: quadrature-weighted boundary-domain matrix
-    with the Nystrom boundary operator.
+    """The spectral instrument on a grid of ``n_per_axis`` cells per axis and a
+    mesh of ``boundary_nodes`` nodes (``4 n_per_axis`` by default).
 
     This is the clean discrete representation of the volume system for
     eigenvalue-accumulation and conditioning experiments: the Nystrom K
     keeps the boundary essential cluster sharp, while the stencil-based
     volume assembly pollutes the band between 1 and the coefficient
     value (the mask-restricted difference symbol detunes at high grid
-    frequencies).
+    frequencies), which is why no spectrum runs on the assembled I - A.
     """
-    return spectral_instrument(domain, params, n_per_axis, boundary_nodes)[2](coeffs)
+    grid = build_volume_grid(domain, n_per_axis)
+    mesh = build_boundary_mesh(domain, boundary_nodes or 4 * n_per_axis)
+    return spectral_instrument(grid, mesh, params, coeffs)
 
 
-def condition_sweep(domain: DomainGeometry, params: WaveParameters,
-                    a_values: Sequence[complex], n_per_axis: int = 24,
-                    boundary_nodes: Optional[int] = None) -> List[Tuple[complex, float]]:
+def condition_sweep(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
+                    a_values: Sequence[complex]) -> List[Tuple[complex, float]]:
     """Condition of the discretized volume system for each coefficient value.
 
-    Uses the spectral instrument at one shared discretization so the
+    Uses the spectral instrument on the one given grid and mesh, so the
     comparison isolates the coefficient's effect; the breakdown
     signature is monotone growth as the boundary value approaches the
     image of the essential set. Singular assemblies report inf.
 
-    The grid and mesh are built once, so the coefficient-free blocks are
-    built once per (grid, mesh, params, variant); each value costs only
-    their diagonal scalings and the singular values of the blocks of the
-    grid's reflections. The condition numbers are exact and depend on no
-    seed.
+    Every value shares the grid and mesh objects, so the coefficient-free
+    blocks are built once per (grid, mesh, params, variant); each value
+    costs only their diagonal scalings and the singular values of the
+    blocks of the grid's reflections. The condition numbers are exact and
+    depend on no seed.
     """
-    grid, mesh, matrix = spectral_instrument(domain, params, n_per_axis, boundary_nodes)
     symmetries = grid_reflections(grid, mesh)
     out = []
     for a_val in a_values:
-        coeffs = constant_a(domain, params.k, a_val)
-        cond = condition_estimate(matrix(coeffs), symmetries)
+        coeffs = constant_a(grid.domain, params.k, a_val)
+        cond = condition_estimate(spectral_instrument(grid, mesh, params, coeffs), symmetries)
         logger.debug("condition sweep: a=%s cond=%.3e", a_val, cond)
         out.append((complex(a_val), cond))
     return out

@@ -114,9 +114,8 @@ def self_cell_weight(params: WaveParameters, h: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Cached discrete building blocks
+# Discrete building blocks
 # ---------------------------------------------------------------------------
-@functools.lru_cache(maxsize=1)
 def gradient_ops(grid: VolumeGrid) -> tuple:
     """Per-axis finite-difference CSR matrices on the included cells.
 
@@ -367,13 +366,15 @@ def apply_A_smooth_form(grid: VolumeGrid, params: WaveParameters,
 
 def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
                      coeffs: CoefficientField) -> np.ndarray:
-    """Assemble the dense matrix of I - A with the apply_A quadrature.
+    """Assemble the dense matrix of A with the apply_A quadrature.
 
-    Column j is (I - A) e_j by construction, so matrix-vector products
-    reproduce ``u - apply_A(u)`` to rounding.
+    Column j is A e_j by construction, so matrix-vector products
+    reproduce ``apply_A(u)`` to rounding; the system matrix is I minus it.
     """
-    # the 1 + d kernel matrices (and their gather index), then A, I and I - A
-    check_dense_budget("dense assembly", grid.dimension + 4.5, grid.n, grid.n)
+    # the 1 + d kernel matrices, A, a gradient product and scipy's copy of its
+    # transposed operand, plus the sparse stencils (peak d + 4 arrays and up to
+    # 210 bytes per unknown at N = 140-1264 in 2D and 160-1208 in 3D)
+    check_dense_budget("dense assembly", grid.dimension + 4.25, grid.n, grid.n)
     gm, grads = kernel_matrices(grid, params)
     alpha = coeffs.alpha(grid.centers)
     beta = coeffs.beta(grid.centers)
@@ -381,7 +382,7 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
     for c, dop in enumerate(gradient_ops(grid)):
         scaled = dop.multiply(alpha[:, None]).tocsc()  # diag(alpha) @ D_c
         a_mat += (scaled.T @ grads[c].T).T
-    return np.eye(grid.n, dtype=np.complex128) - a_mat
+    return a_mat
 
 
 def identity_minus_A(grid: VolumeGrid, params: WaveParameters,

@@ -85,8 +85,7 @@ def test_criterion_02_compact_operator_count_stability(disc, k1):
     for n in (24, 40):
         grid = build_volume_grid(disc, n)
         cf = beta_only(disc, k1.k, 3.0, r_plateau=0.7, r_cut=0.95)
-        dense = assemble_A_dense(grid, k1, cf)
-        vals, _ = eigenvalues_dense(np.eye(grid.n) - dense)
+        vals, _ = eigenvalues_dense(assemble_A_dense(grid, k1, cf))
         counts[n] = int(np.sum(np.abs(vals) > 0.05))
         sizes[n] = grid.n
     growth = sizes[40] / sizes[24]
@@ -181,7 +180,8 @@ def test_criterion_07_cluster_prediction(disc, k1, a_val, expected):
 
 
 def test_criterion_08_breakdown_condition_growth(disc, k1):
-    records = condition_sweep(disc, k1, [-3.0, -1.4, -1.2, -1.1, -1.05], n_per_axis=24)
+    records = condition_sweep(build_volume_grid(disc, 24), build_boundary_mesh(disc, 96), k1,
+                              [-3.0, -1.4, -1.2, -1.1, -1.05])
     conds = {complex(a): c for a, c in records}
     seq = [conds[complex(a)] for a in (-1.4, -1.2, -1.1, -1.05)]
     monotone = all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))

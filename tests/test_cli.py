@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vielab import volume
+from vielab import cli, spectral, volume
 from vielab.cli import (
     ConfigError,
     Scenario,
@@ -30,6 +30,20 @@ def write_config(tmp_path, cfg, name="scenario.json"):
 def read_report(out_dir):
     with open(Path(out_dir) / "report.json") as fh:
         return json.load(fh)
+
+
+def square_config(task, grading, **block):
+    """A coupled spectrum or sweep on the square, a = 2 (k = 1)."""
+    return {"task": task, "wave": {"k": 1.0, "dimension": 2},
+            "geometry": {"shape": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+            "coefficients": {"name": "polygon-constant-a", "a": 2.0},
+            "discretization": {"n_per_axis": 12, "boundary_nodes": 48, "grading": grading},
+            task: block}
+
+
+def data_rows(path):
+    """The lines of a CSV output below its two header lines."""
+    return Path(path).read_text().splitlines()[2:]
 
 
 class TestConfigValidation:
@@ -89,7 +103,6 @@ class TestDenseBudget:
 
     @pytest.mark.parametrize("preset, operator, levels", [
         ("disc-a2-spectrum", "coupled", [8, 16]),
-        ("disc-a2-spectrum", "volume", [8, 16]),
         ("beta-only-spectrum", "contrast", [8, 16]),
         ("circle-sigma-spectrum", "half-minus-K", [64, 128]),
     ])
@@ -158,6 +171,24 @@ class TestSpectrumTask:
         cfg["spectrum"]["levels"] = [40]
         assert run_scenario(cfg, "spectrum", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("miss", ["shifted", "dropped"])
+    def test_prediction_mismatch_exits_3_with_report(self, tmp_path, monkeypatch, miss):
+        # shifted by 2 delta, no prediction has a cluster; dropped, a cluster has none
+        cfg = get_preset("disc-a2-spectrum")
+        cfg["spectrum"]["levels"] = [8, 12]
+        delta = cfg["spectrum"]["delta"]
+        predict = cli.predict_clusters
+        monkeypatch.setattr(cli, "predict_clusters", {
+            "shifted": lambda *args: predict(*args) + 2 * delta,
+            "dropped": lambda *args: predict(*args)[:1]}[miss])
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "spectrum", str(out)) == 3
+        report = read_report(out)
+        assert report["status"] == "numerical-failure" and report["incomplete"]
+        assert "predicted" in report["error"]
+        assert len(report["results"]["clusters"]) == 2
+        assert len(report["results"]["predicted_clusters"]) == {"shifted": 2, "dropped": 1}[miss]
+
 
 class TestSweepTask:
     def test_breakdown_sweep_outputs(self, tmp_path):
@@ -172,6 +203,45 @@ class TestSweepTask:
         assert conds[1] > conds[0]
         rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=2)
         assert rows.shape == (2, 3)
+
+    def test_removed_n_per_axis_key_exits_2_without_outputs(self, tmp_path, capsys):
+        cfg = get_preset("breakdown-sweep")
+        cfg["sweep"]["n_per_axis"] = 16
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "sweep", str(out)) == 2
+        assert "discretization.n_per_axis" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_runs_on_the_scenario_discretization(self, tmp_path, monkeypatch):
+        cfg = square_config("sweep", 1.0, a_values=[-1.4, -0.6])
+        cfg["discretization"]["boundary_nodes"] = 40
+        seen = []
+        assemble = spectral.assemble_coupled
+
+        def recorded(grid, mesh, *args, **kwargs):
+            seen.append((grid, mesh))
+            return assemble(grid, mesh, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "assemble_coupled", recorded)
+        assert run_scenario(cfg, "sweep", str(tmp_path / "out")) == 0
+        (grid, mesh), again = seen
+        assert again[0] is grid and again[1] is mesh
+        scenario = Scenario(cfg, "sweep")
+        assert np.array_equal(grid.centers, scenario.grid().centers)
+        assert mesh.m == 40 and np.array_equal(mesh.nodes, scenario.mesh().nodes)
+
+
+@pytest.mark.parametrize("task, block, output", [
+    ("spectrum", {"operator": "coupled", "levels": [12, 16], "delta": 0.1}, "eigenvalues_16.csv"),
+    ("sweep", {"a_values": [-1.4, -0.6]}, "sweep.csv"),
+], ids=["spectrum", "sweep"])
+def test_square_outputs_follow_grading(tmp_path, task, block, output):
+    rows = []
+    for grading in (1.0, 3.0):
+        out = tmp_path / str(grading)
+        assert run_scenario(square_config(task, grading, **block), task, str(out)) == 0
+        rows.append(data_rows(out / output))
+    assert rows[0] != rows[1]
 
 
 class TestVerifyTask:

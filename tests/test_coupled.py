@@ -46,7 +46,7 @@ class TestAssembleA1:
             grid = build_volume_grid(unit_disc, n)
             mesh = build_boundary_mesh(unit_disc, 4 * n)
             cf = constant_a(unit_disc, params_k1.k, 2.0)
-            m1 = assemble_A_dense(grid, params_k1, cf)
+            m1 = np.eye(grid.n) - assemble_A_dense(grid, params_k1, cf)
             t = trace_matrix(grid, mesh).toarray()
             dl = double_layer_matrix(mesh, params_k1, grid.centers,
                                      near_distance=0.5 * grid.h)

@@ -100,7 +100,7 @@ class TestGmres:
         u_it, info = gmres_solve(identity_minus_A(grid, params_k1, cf),
                                  u_inc, tol=1e-8)
         assert info.converged
-        u_direct = np.linalg.solve(assemble_A_dense(grid, params_k1, cf), u_inc)
+        u_direct = np.linalg.solve(np.eye(grid.n) - assemble_A_dense(grid, params_k1, cf), u_inc)
         assert np.linalg.norm(u_it - u_direct) / np.linalg.norm(u_direct) < 1e-6
 
     def test_history_recorded_and_decreasing_overall(self, unit_disc, params_k1):

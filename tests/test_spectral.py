@@ -172,31 +172,29 @@ SWEEP_VALUES = [-3.0, -2.0, -1.6, -1.4, -1.3, -1.2, -1.15, -1.1, -1.07, -1.05, -
 
 
 class TestConditionSweep:
-    def test_identity_for_unit_coefficient(self, unit_disc, params_k1):
-        records = condition_sweep(unit_disc, params_k1, [1.0], n_per_axis=16)
+    def test_identity_for_unit_coefficient(self, params_k1):
+        records = condition_sweep(*_disc_discretization(16), params_k1, [1.0])
         assert records[0][1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_monotone_growth_toward_breakdown(self, unit_disc, params_k1):
+    def test_monotone_growth_toward_breakdown(self, params_k1):
         values = [-1.4, -1.2, -1.1, -1.05]
-        records = condition_sweep(unit_disc, params_k1, values, n_per_axis=24)
+        records = condition_sweep(*_disc_discretization(24), params_k1, values)
         conds = [c for _, c in records]
         assert all(np.isfinite(conds))
         assert conds[0] < conds[1] < conds[2] < conds[3]
 
     def test_sweep_equals_per_value_loop_bit_for_bit(self, unit_disc, params_k1):
         values = [-3.0, -1.3, -1.05, -0.9, 2.0]
-        records = condition_sweep(unit_disc, params_k1, values, n_per_axis=12)
+        records = condition_sweep(*_disc_discretization(12), params_k1, values)
         assert [a for a, _ in records] == values
-        symmetries = reflections(build_volume_grid(unit_disc, 12),
-                                 build_boundary_mesh(unit_disc, 48))
+        symmetries = reflections(*_disc_discretization(12))
         for a_val, (_, cond) in zip(values, records):
             cf = constant_a(unit_disc, params_k1.k, a_val)
             matrix = spectral_operator_matrix(unit_disc, params_k1, cf, 12)
             assert cond == condition_estimate(matrix, symmetries)
             assert cond == pytest.approx(np.linalg.cond(matrix), rel=1e-12)
 
-    def test_sweep_builds_coefficient_free_blocks_once(self, unit_disc, params_k1,
-                                                        monkeypatch):
+    def test_sweep_builds_coefficient_free_blocks_once(self, params_k1, monkeypatch):
         import vielab.coupled
         from vielab.volume import kernel_matrices
         built = []
@@ -208,8 +206,7 @@ class TestConditionSweep:
 
         monkeypatch.setattr(vielab.coupled, "double_layer_matrix", counted)
         misses = kernel_matrices.cache_info().misses
-        condition_sweep(unit_disc, params_k1, [-3.0, -2.0, -1.5, -1.2, -0.5],
-                        n_per_axis=12)
+        condition_sweep(*_disc_discretization(12), params_k1, [-3.0, -2.0, -1.5, -1.2, -0.5])
         assert kernel_matrices.cache_info().misses == misses + 1
         assert len(built) == 1
 
@@ -242,7 +239,7 @@ class TestConditionSweep:
             return spectral_operator_matrix(unit_disc, params_k1, cf, n)
 
         mu = np.linalg.eigvals(instrument(2.0) - instrument(1.0))
-        for a_val, cond in condition_sweep(unit_disc, params_k1, SWEEP_VALUES, n_per_axis=n):
+        for a_val, cond in condition_sweep(*_disc_discretization(n), params_k1, SWEEP_VALUES):
             z = np.abs(1.0 + (a_val - 1.0) * mu)
             assert cond >= z.max() / z.min()
         assert np.min(np.abs(1.0 - 1.0 / mu - (-1.0))) < 1e-3
@@ -256,8 +253,7 @@ class TestSpectralInstrument:
         for n in (24, 40):
             grid = build_volume_grid(unit_disc, n)
             cf = beta_only(unit_disc, params_k1.k, 3.0)
-            dense = assemble_A_dense(grid, params_k1, cf)
-            eigs[n], _ = eigenvalues_dense(np.eye(grid.n) - dense)
+            eigs[n], _ = eigenvalues_dense(assemble_A_dense(grid, params_k1, cf))
         rep = detect_clusters(eigs[24], eigs[40], 0.05)
         assert len(rep.centers) == 1
         assert abs(rep.centers[0]) < 0.05
@@ -289,11 +285,18 @@ class TestSpectralInstrument:
         assert conds[-1.0] >= 10 * passing
 
 
+def _disc_discretization(n):
+    """The unit disc's grid of n cells per axis and mesh of 4 n nodes."""
+    disc = DomainGeometry.disc(1.0)
+    return build_volume_grid(disc, n), build_boundary_mesh(disc, 4 * n)
+
+
 def _disc_system(n, a=2.0):
     """The spectral instrument on the unit disc (k = 1) and its reflections."""
-    disc = DomainGeometry.disc(1.0)
-    grid, mesh, matrix = spectral_instrument(disc, WaveParameters(1.0, 2), n)
-    return matrix(constant_a(disc, 1.0, a)), reflections(grid, mesh)
+    grid, mesh = _disc_discretization(n)
+    matrix = spectral_instrument(grid, mesh, WaveParameters(1.0, 2),
+                                 constant_a(grid.domain, 1.0, a))
+    return matrix, reflections(grid, mesh)
 
 
 def _symmetric_system(case):
@@ -304,15 +307,16 @@ def _symmetric_system(case):
     if case == "ball-volume-10":
         ball = DomainGeometry.ball(1.0)
         grid = build_volume_grid(ball, 10)
-        return (assemble_A_dense(grid, WaveParameters(1.0, 3), constant_a(ball, 1.0, 2.0)),
-                reflections(grid), 3, 8)
+        dense = assemble_A_dense(grid, WaveParameters(1.0, 3), constant_a(ball, 1.0, 2.0))
+        return np.eye(grid.n) - dense, reflections(grid), 3, 8
     if case == "disc-coupled-24":
         return _disc_system(24) + (3, 5)
     domain = {"square-coupled-24": DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]]),
               "ellipse-coupled-24": DomainGeometry.ellipse((1.0, 0.6))}[case]
-    grid, mesh, matrix = spectral_instrument(domain, WaveParameters(1.0, 2), 24)
+    grid, mesh = build_volume_grid(domain, 24), build_boundary_mesh(domain, 96)
     counts = (3, 5) if case == "square-coupled-24" else (2, 4)
-    return (matrix(constant_a(domain, 1.0, 2.0)), reflections(grid, mesh)) + counts
+    matrix = spectral_instrument(grid, mesh, WaveParameters(1.0, 2), constant_a(domain, 1.0, 2.0))
+    return (matrix, reflections(grid, mesh)) + counts
 
 
 def _matched_distance(a, b):
@@ -461,9 +465,9 @@ class TestRouteGuard:
 
     def test_breakdown_sweep_splits_into_five_blocks(self):
         scenario = Scenario(get_preset("breakdown-sweep"), "sweep")
-        grid, mesh, matrix = spectral_instrument(scenario.domain, scenario.params,
-                                                 scenario.n_per_axis, scenario.boundary_nodes)
+        grid, mesh = scenario.grid(), scenario.mesh()
         for a_val in (-3.0, -1.05, -0.6):
-            system = matrix(constant_a(scenario.domain, scenario.params.k, a_val))
+            system = spectral_instrument(grid, mesh, scenario.params,
+                                         constant_a(scenario.domain, scenario.params.k, a_val))
             assert len(commuting_reflections(system, reflections(grid, mesh))) == 3
             assert len(_reflection_bases(system, reflections(grid, mesh))) == 5
