@@ -48,8 +48,8 @@ from .spectral import (
     condition_sweep,
     detect_clusters,
     eigenvalues_dense,
+    essential_set,
     fredholm_verdict,
-    predict_clusters,
     sigma_to_a,
     spectral_operator_matrix,
 )

@@ -48,8 +48,9 @@ from .spectral import (
     a_to_sigma,
     detect_clusters,
     eigenvalues_dense,
+    essential_set,
+    farthest_distance,
     fredholm_verdict,
-    predict_clusters,
     sigma_to_a,
     spectral_instrument,
 )
@@ -292,11 +293,16 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     return results
 
 
+def _coupled_discretization(scenario: Scenario, n_level: int):
+    """The grid and mesh of a coupled spectrum's level n: n cells per axis, 4n nodes."""
+    return scenario.grid(n_level), scenario.mesh(4 * n_level)
+
+
 def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The spectrum operator at one level and the reflections of its unknowns."""
     op = scenario.config.get("spectrum", {}).get("operator", "coupled")
     if op == "coupled":
-        grid, mesh = scenario.grid(n_level), scenario.mesh(4 * n_level)
+        grid, mesh = _coupled_discretization(scenario, n_level)
         matrix = spectral_instrument(grid, mesh, scenario.params, scenario.coeffs)
         return matrix, reflections(grid, mesh)
     if op == "contrast":
@@ -334,16 +340,12 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
         "outside_fine": report.outside_fine,
         "accumulation_diameter": report.diameter,
     }
-    coeff_name = scenario.config["coefficients"].get("name", "")
-    if coeff_name in ("constant-a", "polygon-constant-a") and \
-            cfg.get("operator", "coupled") == "coupled":
-        a_val = _as_complex(scenario.config["coefficients"]["a"], "a")
-        # the smooth-boundary set on every shape, so a corner's wider set can fail
-        # the check below; ROADMAP item 6 replaces it by intervals on corners
-        sigma = [0.5]
-        pred = predict_clusters([a_val], a_val, sigma)
-        results["predicted_clusters"] = [_c2pair(p) for p in pred]
-        verdict = fredholm_verdict(scenario.coeffs, scenario.domain, sigma)
+    if cfg.get("operator", "coupled") == "coupled":
+        # the essential set and the verdict on the fine level's own grid and mesh
+        grid, mesh = _coupled_discretization(scenario, int(levels[1]))
+        points = np.unique(essential_set(grid, mesh, scenario.coeffs))
+        results["predicted_clusters"] = [_c2pair(p) for p in points]
+        verdict = fredholm_verdict(grid, mesh, scenario.coeffs, [0.5])
         results["fredholm"] = {
             "condition_i": verdict.condition_i,
             "condition_ii": verdict.condition_ii,
@@ -351,11 +353,11 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
             "inconclusive": verdict.inconclusive,
             "holds": verdict.fredholm,
         }
-        centers = report.centers
-        if not (len(centers) and all(np.min(np.abs(centers - p)) <= delta for p in pred)
-                and all(np.min(np.abs(pred - c)) <= delta for c in centers)):
-            raise NumericalFailure(f"detected clusters do not match the predicted ones "
-                                   f"within delta = {delta:g}", partial_results=results)
+        # every detected centre near the set, every set point near a clustered eigenvalue
+        if not (len(report.centers) and farthest_distance(report.centers, points) <= delta
+                and farthest_distance(points, report.clustered_fine) <= delta):
+            raise NumericalFailure(f"detected clusters do not match the predicted essential "
+                                   f"set within delta = {delta:g}", partial_results=results)
     return results
 
 

@@ -12,10 +12,15 @@ values to the essential spectrum Sigma of I/2 - K through the involution
 
     sigma = a / (a - 1)   <=>   a = sigma / (sigma - 1).
 
-Fredholm verdicts check (i) that the coefficient never vanishes on the
-closed domain and (ii) that no boundary coefficient value maps into
-Sigma; for coefficients constant on the boundary the two conditions are
-necessary and sufficient, otherwise sufficient only.
+The predicted essential set, a(closure of Omega) together with
+{(1 + a(x))/2 : x on Gamma} (Kirsch & Lechleiter 2009 for variable a),
+is sampled on the discretization the spectrum itself uses: a at the
+grid's cell centres and (1 + a)/2 at the mesh nodes (``essential_set``).
+The Fredholm verdict reads a at the same centres and nodes: it checks
+(i) that the coefficient never vanishes on the closed domain and (ii)
+that no boundary coefficient value maps into Sigma; for coefficients
+constant on the boundary the two conditions are necessary and
+sufficient, otherwise sufficient only.
 
 Condition sweeps toward the breakdown locus take exact 2-norm condition
 numbers from the singular values, so they depend on no seed.
@@ -41,8 +46,8 @@ the identity and the routines reduce to one LAPACK call on M.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +117,6 @@ class FredholmVerdict:
     condition_ii: bool
     strength: str
     inconclusive: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def fredholm(self) -> bool:
@@ -327,28 +331,25 @@ def a_to_sigma(a):
     return a / (a - 1)
 
 
-def predict_clusters(a_interior: Iterable[complex], a_boundary: complex,
-                     sigma_set: Iterable[complex]) -> np.ndarray:
-    """Predicted accumulation points of the assembled volume system I - A.
+def essential_set(grid: VolumeGrid, mesh: BoundaryMesh, coeffs: CoefficientField) -> np.ndarray:
+    """Samples of the predicted essential spectrum a(closure of Omega) and
+    {(1 + a(x))/2 : x on Gamma}: a at the grid's cell centres, followed by
+    (1 + a)/2 at the mesh nodes.
 
-    Interior coefficient values accumulate as-is; each sigma in the
-    essential set of I/2 - K contributes the boundary-symbol value
-    (1 + a)/2 + (a - 1)(1/2 - sigma). For smooth boundaries the set
-    {1/2} collapses the boundary prediction to (1 + a)/2. Points within
-    1e-6 of an earlier one are merged into it.
+    The boundary part is the smooth-boundary symbol, sigma = 1/2, on every
+    shape; corners widen it (ROADMAP items 6 and 16).
     """
-    points: List[complex] = []
-    for val in a_interior:
-        points.append(complex(val))
-    ab = complex(a_boundary)
-    for sigma in sigma_set:
-        points.append(0.5 * (1.0 + ab) + (ab - 1.0) * (0.5 - complex(sigma)))
-    reps: List[complex] = []
-    for z in points:
-        if not any(abs(z - r) <= 1e-6 for r in reps):
-            reps.append(z)
-    reps.sort(key=lambda z: (z.real, z.imag))
-    return np.array(reps, dtype=complex)
+    return np.concatenate([coeffs.a(grid.centers), 0.5 * (1.0 + coeffs.a(mesh.nodes))])
+
+
+def farthest_distance(points: np.ndarray, targets: np.ndarray) -> float:
+    """Largest distance from a complex point to its nearest target (inf
+    when there is no target), by a k-d tree on the (re, im) pairs."""
+    from scipy.spatial import cKDTree
+
+    def plane(z):
+        return np.column_stack([np.real(z), np.imag(z)])
+    return float(np.max(cKDTree(plane(targets)).query(plane(points))[0], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -408,45 +409,31 @@ def detect_clusters(eigs_coarse: np.ndarray, eigs_fine: np.ndarray,
 # ---------------------------------------------------------------------------
 # Fredholm verdicts
 # ---------------------------------------------------------------------------
-def fredholm_verdict(coeffs: CoefficientField, domain: DomainGeometry,
+def fredholm_verdict(grid: VolumeGrid, mesh: BoundaryMesh, coeffs: CoefficientField,
                      sigma_estimate: Sequence[complex]) -> FredholmVerdict:
-    """Evaluate the two Fredholm conditions on sampled coefficient values.
+    """Evaluate the two Fredholm conditions on the samples of ``essential_set``:
+    a at the grid's cell centres and at the mesh nodes.
 
-    (i) min |a| over 2000 interior samples (seed 0) and 256 boundary
-    nodes exceeds 1e-9; (ii) every boundary value stays farther than 1e-6
-    from every breakdown coefficient sigma/(sigma-1), sigma in the
-    supplied essential-set estimate. Verdicts whose boundary values approach the
-    breakdown set within 0.02 (without violating it) are flagged
-    inconclusive when Sigma itself is a numeric estimate.
+    (i) min |a| over the centres and nodes exceeds 1e-9; (ii) every node
+    value stays farther than 1e-6 from every breakdown coefficient
+    sigma/(sigma-1), sigma in the supplied essential-set estimate. The
+    verdict is "iff" when the node values agree within 1e-10. Verdicts whose
+    boundary values approach the breakdown set within 0.02 (without
+    violating it) are flagged inconclusive when Sigma itself is a numeric
+    estimate (more than one sigma).
     """
-    box = domain.bounding_box
-    pts = np.random.default_rng(0).uniform(box[:, 0], box[:, 1],
-                                           size=(8 * 2000, domain.dimension))
-    pts = pts[domain.contains(pts)][:2000]
-    mesh = build_boundary_mesh(domain, 256)
-    a_in = coeffs.a(pts)
-    a_bd = coeffs.a(mesh.nodes)
-    min_abs_a = float(min(np.min(np.abs(a_in)), np.min(np.abs(a_bd))))
-    cond_i = min_abs_a > 1e-9
+    a_in, a_bd = coeffs.a(grid.centers), coeffs.a(mesh.nodes)
+    cond_i = float(min(np.min(np.abs(a_in)), np.min(np.abs(a_bd)))) > 1e-9
 
     sigma_arr = np.array([complex(s) for s in sigma_estimate])
     breakdown = sigma_arr / (sigma_arr - 1.0)
-    dist = np.min(np.abs(a_bd[:, None] - breakdown[None, :]), axis=1)
-    min_dist = float(np.min(dist))
+    min_dist = float(np.min(np.abs(a_bd[:, None] - breakdown[None, :])))
     cond_ii = min_dist > 1e-6
 
     const_dev = float(np.max(np.abs(a_bd - a_bd.mean())))
     strength = "iff" if const_dev <= 1e-10 else "sufficient-only"
-    numeric_sigma = len(sigma_arr) > 1
-    inconclusive = bool(numeric_sigma and cond_ii and min_dist <= 0.02)
-    details = {
-        "min_abs_a": min_abs_a,
-        "min_breakdown_distance": min_dist,
-        "boundary_constancy_deviation": const_dev,
-        "n_interior_samples": int(len(pts)),
-        "n_boundary_samples": int(mesh.m),
-    }
-    return FredholmVerdict(cond_i, cond_ii, strength, inconclusive, details)
+    inconclusive = bool(len(sigma_arr) > 1 and cond_ii and min_dist <= 0.02)
+    return FredholmVerdict(cond_i, cond_ii, strength, inconclusive)
 
 
 # ---------------------------------------------------------------------------

@@ -371,17 +371,19 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
     Column j is A e_j by construction, so matrix-vector products
     reproduce ``apply_A(u)`` to rounding; the system matrix is I minus it.
     """
-    # the 1 + d kernel matrices, A, a gradient product and scipy's copy of its
-    # transposed operand, plus the sparse stencils (peak d + 4 arrays and up to
-    # 210 bytes per unknown at N = 140-1264 in 2D and 160-1208 in 3D)
-    check_dense_budget("dense assembly", grid.dimension + 4.25, grid.n, grid.n)
+    # the 1 + d kernel matrices, A and a gradient product, plus the sparse stencils
+    # (peak d + 3 arrays and up to 1.2 KB per unknown at N = 140-2244 in 2D and
+    # 160-2440 in 3D)
+    check_dense_budget("dense assembly", grid.dimension + 3.25, grid.n, grid.n)
     gm, grads = kernel_matrices(grid, params)
     alpha = coeffs.alpha(grid.centers)
     beta = coeffs.beta(grid.centers)
     a_mat = gm * beta[None, :]
     for c, dop in enumerate(gradient_ops(grid)):
         scaled = dop.multiply(alpha[:, None]).tocsc()  # diag(alpha) @ D_c
-        a_mat += (scaled.T @ grads[c].T).T
+        # grads[c] @ scaled = -(scaled.T @ grads[c]).T, grads[c] being antisymmetric:
+        # the C-ordered grads[c] is read in place (its transpose would be copied)
+        a_mat -= (scaled.T @ grads[c]).T
     return a_mat
 
 

@@ -29,12 +29,12 @@ from vielab import (
     constant_a,
     detect_clusters,
     eigenvalues_dense,
+    essential_set,
     gmres_solve,
     incident_plane_wave,
     jump_relation_check,
     mie_reference_disc,
     newton_potential,
-    predict_clusters,
     sigma_to_a,
     smooth_bump_a,
     solve_coupled,
@@ -167,7 +167,9 @@ def test_criterion_07_cluster_prediction(disc, k1, a_val, expected):
         matrix = spectral_operator_matrix(disc, k1, cf, n)
         eigs[n], _ = eigenvalues_dense(matrix)
     rep = detect_clusters(eigs[24], eigs[40], 0.1)
-    pred = predict_clusters([a_val], a_val, [0.5])
+    # the set sampled on the fine level's grid and mesh
+    pred = np.unique(essential_set(build_volume_grid(disc, 40), build_boundary_mesh(disc, 160),
+                                   cf))
     assert np.allclose(sorted(pred, key=lambda z: z.real),
                        sorted(expected, key=lambda z: z.real))
     matched = all(np.min(np.abs(rep.centers - p)) <= 0.1 for p in pred)

@@ -171,23 +171,83 @@ class TestSpectrumTask:
         cfg["spectrum"]["levels"] = [40]
         assert run_scenario(cfg, "spectrum", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("miss", ["shifted", "dropped"])
-    def test_prediction_mismatch_exits_3_with_report(self, tmp_path, monkeypatch, miss):
-        # shifted by 2 delta, no prediction has a cluster; dropped, a cluster has none
+    @pytest.mark.parametrize("miss", ["shifted", "dropped", "extended"])
+    @pytest.mark.parametrize("coefficients, levels", [
+        ({"name": "constant-a", "a": 2.0}, [8, 12]),
+        ({"name": "linear-a", "a0": 3.0, "gradient": [0.5, 0.0]}, [12, 16]),
+    ], ids=["constant", "linear"])
+    def test_prediction_mismatch_exits_3_with_report(self, tmp_path, monkeypatch, miss,
+                                                     coefficients, levels):
+        # shifted by 2 delta, set points have no clustered eigenvalue; dropped to the
+        # cell samples, the clusters near (1 + a)/2 have no set point; extended by a
+        # far point, every cluster still has a set point but that point no eigenvalue
         cfg = get_preset("disc-a2-spectrum")
-        cfg["spectrum"]["levels"] = [8, 12]
+        cfg["coefficients"] = coefficients
+        cfg["spectrum"]["levels"] = levels
         delta = cfg["spectrum"]["delta"]
-        predict = cli.predict_clusters
-        monkeypatch.setattr(cli, "predict_clusters", {
-            "shifted": lambda *args: predict(*args) + 2 * delta,
-            "dropped": lambda *args: predict(*args)[:1]}[miss])
+        sample = cli.essential_set
+        wrong = {"shifted": lambda grid, mesh, cf: sample(grid, mesh, cf) + 2 * delta,
+                 "dropped": lambda grid, mesh, cf: sample(grid, mesh, cf)[:grid.n],
+                 "extended": lambda grid, mesh, cf: np.append(sample(grid, mesh, cf), 10.0)}[miss]
+        monkeypatch.setattr(cli, "essential_set", wrong)
         out = tmp_path / "out"
         assert run_scenario(cfg, "spectrum", str(out)) == 3
         report = read_report(out)
         assert report["status"] == "numerical-failure" and report["incomplete"]
         assert "predicted" in report["error"]
-        assert len(report["results"]["clusters"]) == 2
-        assert len(report["results"]["predicted_clusters"]) == {"shifted": 2, "dropped": 1}[miss]
+        assert len(report["results"]["clusters"]) >= 2
+        assert report["results"]["fredholm"]["holds"]
+        # the report holds the distinct points of the set that was checked
+        scenario = Scenario(cfg, "spectrum")
+        checked = np.unique(wrong(scenario.grid(levels[1]), scenario.mesh(4 * levels[1]),
+                                  scenario.coeffs))
+        assert report["results"]["predicted_clusters"] == [[z.real, z.imag] for z in checked]
+
+    def test_under_resolved_levels_exit_3(self, tmp_path):
+        # k = 5 at levels 16/24 (kh about 0.7) finds a third cluster at 1.66, 0.16
+        # from the set {1.5, 2}: an honest failure, which levels 24/40 do not show
+        cfg = get_preset("disc-a2-spectrum")
+        cfg["wave"]["k"] = 5.0
+        cfg["spectrum"]["levels"] = [16, 24]
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "spectrum", str(out)) == 3
+        res = read_report(out)["results"]
+        assert res["predicted_clusters"] == [[1.5, 0.0], [2.0, 0.0]]
+        assert len(res["clusters"]) == 3 and res["fredholm"]["holds"]
+
+    @pytest.mark.parametrize("a0, gradient, a_range", [
+        (3.0, 0.5, (2.5, 3.5)),
+        ([3.0, 1.0], 0.5, (2.5 + 1j, 3.5 + 1j)),
+        (-2.0, 0.5, (-2.5, -1.5)),
+        (2.0, 0.8, (1.2, 2.8)),
+    ], ids=["3+0.5x", "3+i+0.5x", "-2+0.5x", "2+0.8x"])
+    def test_linear_coefficient_checks_its_essential_set(self, tmp_path, a0, gradient, a_range):
+        # a = a0 + g x1 on the unit disc, levels 16/24: the set is the segment
+        # I = a(disc) and J = (1 + I)/2. Measured: every cluster centre within
+        # 0.033 of the set and every set point within 0.019 of a clustered
+        # eigenvalue (the task's own bound is delta = 0.1)
+        cfg = get_preset("disc-a2-spectrum")
+        cfg["coefficients"] = {"name": "linear-a", "a0": a0, "gradient": [gradient, 0.0]}
+        cfg["spectrum"]["levels"] = [16, 24]
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "spectrum", str(out)) == 0
+        res = read_report(out)["results"]
+        assert res["fredholm"]["strength"] == "sufficient-only" and res["fredholm"]["holds"]
+        points = np.array([complex(*p) for p in res["predicted_clusters"]])
+        lo, hi = (complex(z) for z in a_range)
+        # on I or on J, and reaching both ends of J (mesh nodes at x1 = -1, 1)
+        on_i = np.abs(points.imag - lo.imag) + np.maximum(0, lo.real - points.real) \
+            + np.maximum(0, points.real - hi.real)
+        j_lo, j_hi = (1 + lo) / 2, (1 + hi) / 2
+        on_j = np.abs(points.imag - j_lo.imag) + np.maximum(0, j_lo.real - points.real) \
+            + np.maximum(0, points.real - j_hi.real)
+        assert np.all(np.minimum(on_i, on_j) <= 1e-14)
+        assert np.any(np.abs(points - j_lo) <= 1e-14) and np.any(np.abs(points - j_hi) <= 1e-14)
+        eigs = {n: np.loadtxt(out / f"eigenvalues_{n}.csv", delimiter=",", skiprows=2)
+                for n in (16, 24)}
+        rep = spectral.detect_clusters(*(e[:, 0] + 1j * e[:, 1] for e in eigs.values()), 0.1)
+        assert spectral.farthest_distance(rep.centers, points) <= 0.05
+        assert spectral.farthest_distance(points, rep.clustered_fine) <= 0.03
 
 
 class TestSweepTask:

@@ -1,0 +1,121 @@
+"""Planted defects: each case plants one wrong line into an operator block
+and shows that the check designated for that block reports a failure.
+
+Every case runs its check twice on a small instance (n <= 24): on the
+code as it is, where the check must pass, and with the defect
+monkeypatched in, where it must fail. The caches that hold operator
+blocks are cleared around each case, so no planted block outlives it.
+(The sign of the Nystrom K is caught by no check yet; see ROADMAP item 11.)
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from conftest import smooth_probe
+from vielab import (
+    DomainGeometry,
+    WaveParameters,
+    apply_A_fft,
+    apply_A_smooth_form,
+    assemble_coupled,
+    build_boundary_mesh,
+    build_volume_grid,
+    constant_a,
+    gmres_solve,
+    greens_value,
+    incident_plane_wave,
+    smooth_bump_a,
+    solve_coupled,
+    trace,
+)
+from vielab import coupled, volume
+from vielab.volume import identity_minus_A
+
+DISC = DomainGeometry.disc(1.0)
+K1 = WaveParameters(1.0, 2)
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Operator blocks built under a planted defect are dropped afterwards."""
+    def clear():
+        for cached in (volume.kernel_matrices, volume.fft_kernel_tables,
+                       coupled._coefficient_free_blocks):
+            cached.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def smooth_form_decays() -> bool:
+    """Criterion 3 on levels 16/24: the stencil and integrated-by-parts forms
+    of A agree better on the finer grid (measured 0.097 -> 0.045)."""
+    cf = smooth_bump_a(DISC, K1.k, 2.0)
+    vals = []
+    for n in (16, 24):
+        grid = build_volume_grid(DISC, n)
+        u = smooth_probe(grid.centers, seed=7)
+        d = apply_A_fft(grid, K1, cf, u) - apply_A_smooth_form(grid, K1, cf, u)
+        vals.append(np.linalg.norm(d) / np.linalg.norm(u))
+    return vals[1] < vals[0]
+
+
+def self_cell_matches_polar_quadrature() -> bool:
+    """``TestSelfCellWeight``'s oracle, read from the assembled G kernel: its
+    diagonal against radial quadrature of G over the cell's equivalent disc."""
+    grid = build_volume_grid(DISC, 16)
+    diagonal = volume.kernel_matrices(grid, K1)[0][0, 0]
+    radius = grid.h / np.sqrt(np.pi)
+    parts = [quad(lambda r: 2 * np.pi * r * part(greens_value(K1, r)), 0, radius,
+                  points=[0.0], limit=200)[0] for part in (np.real, np.imag)]
+    return abs(diagonal - complex(*parts)) <= 1e-10
+
+
+def coupled_agrees_with_vie_solve() -> bool:
+    """``test_coupled_solution_consistent_with_vie_solve`` on levels 12/24: the
+    coupled and volume solves of one problem differ less on the finer level,
+    and by under 10% (measured 0.011 -> 0.0034)."""
+    cf = constant_a(DISC, K1.k, 2.0)
+    diffs = []
+    for n in (12, 24):
+        grid, mesh = build_volume_grid(DISC, n), build_boundary_mesh(DISC, 4 * n)
+        u_inc = incident_plane_wave(grid, K1, (1.0, 0.0))
+        u_coupled, _, _ = solve_coupled(assemble_coupled(grid, mesh, K1, cf), grid, u_inc,
+                                        trace(grid, mesh, u_inc))
+        u_vie, info = gmres_solve(identity_minus_A(grid, K1, cf), u_inc, tol=1e-10)
+        assert info.converged
+        diffs.append(np.linalg.norm(u_coupled - u_vie) / np.linalg.norm(u_vie))
+    return diffs[1] < diffs[0] < 0.10
+
+
+def test_negated_a1_gradient_weights_break_smooth_form(monkeypatch):
+    assert smooth_form_decays()
+    weights = volume.a1_weights
+
+    def negated(*args):
+        g_weight, *grad_weights = weights(*args)
+        return [g_weight, *(-w for w in grad_weights)]
+
+    for module in (volume, coupled):
+        monkeypatch.setattr(module, "a1_weights", negated)
+    assert not smooth_form_decays()  # measured 1.53 -> 1.54
+
+
+def test_halved_2d_self_cell_weight_breaks_polar_quadrature(monkeypatch):
+    assert self_cell_matches_polar_quadrature()
+    weight = volume.self_cell_weight
+    monkeypatch.setattr(volume, "self_cell_weight",
+                        lambda params, h: weight(params, h) * (0.5 if params.dimension == 2 else 1))
+    assert not self_cell_matches_polar_quadrature()
+
+
+def test_double_layer_without_near_field_upgrade_breaks_coupled_solve(monkeypatch):
+    assert coupled_agrees_with_vie_solve()
+    layer = coupled.double_layer_matrix
+
+    def far_field_only(*args, **kwargs):
+        return layer(*args, **{**kwargs, "near_distance": 0})
+
+    monkeypatch.setattr(coupled, "double_layer_matrix", far_field_only)
+    assert not coupled_agrees_with_vie_solve()  # measured 2.45 -> 0.11

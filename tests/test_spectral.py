@@ -17,9 +17,9 @@ from vielab import (
     constant_a,
     detect_clusters,
     eigenvalues_dense,
+    essential_set,
     fredholm_verdict,
     linear_a,
-    predict_clusters,
     reflections,
     sigma_to_a,
     spectral_operator_matrix,
@@ -97,23 +97,39 @@ class TestSigmaMaps:
             a_to_sigma(1.0)
 
 
-class TestPredictClusters:
+def _disc_set(a, n=16):
+    """The distinct points of the essential set of a on the unit disc's grid of
+    n cells per axis and mesh of 4 n nodes."""
+    grid, mesh = _disc_discretization(n)
+    return np.unique(essential_set(grid, mesh, constant_a(grid.domain, 1.0, a)))
+
+
+class TestEssentialSet:
     def test_constant_two(self):
-        pred = predict_clusters([2.0], 2.0, [0.5])
+        pred = _disc_set(2.0)
         assert np.allclose(sorted(pred, key=lambda z: z.real), [1.5, 2.0])
 
     def test_no_contrast(self):
-        pred = predict_clusters([1.0], 1.0, [0.5])
+        pred = _disc_set(1.0)
         assert np.allclose(pred, [1.0])
 
     def test_breakdown_value_predicts_zero(self):
-        pred = predict_clusters([-1.0], -1.0, [0.5])
+        pred = _disc_set(-1.0)
         assert np.any(np.abs(pred) < 1e-14)
         assert np.any(np.abs(pred + 1.0) < 1e-14)
 
-    def test_sigma_interval_spreads_boundary_set(self):
-        pred = predict_clusters([2.0], 2.0, [0.3, 0.5, 0.7])
-        assert len(pred) == 4  # {2} and three boundary values
+    def test_linear_coefficient_samples_both_segments(self):
+        # a = 3 + 0.5 x1: a at the centres lies on I = [2.5, 3.5], (1 + a)/2 at
+        # the nodes on J = (1 + I)/2 and reaches both ends (nodes at x1 = -1, 1)
+        grid, mesh = _disc_discretization(16)
+        pts = essential_set(grid, mesh, linear_a(grid.domain, 1.0, 3.0, np.array([0.5, 0.0])))
+        cells, nodes = pts[:grid.n], pts[grid.n:]
+        assert len(pts) == grid.n + mesh.m
+        assert np.allclose(cells, 3.0 + 0.5 * grid.centers[:, 0], rtol=0, atol=1e-14)
+        assert np.all((cells.real > 2.5) & (cells.real < 3.5))
+        assert np.allclose(nodes, 2.0 + 0.25 * mesh.nodes[:, 0], rtol=0, atol=1e-14)
+        assert nodes.real.min() == pytest.approx(1.75, abs=1e-14)
+        assert nodes.real.max() == pytest.approx(2.25, abs=1e-14)
 
 
 class TestDetectClusters:
@@ -142,27 +158,30 @@ class TestDetectClusters:
 
 
 class TestFredholmVerdict:
-    def test_constant_two_passes_iff(self, unit_disc):
-        cf = constant_a(unit_disc, 1.0, 2.0)
-        v = fredholm_verdict(cf, unit_disc, [0.5])
+    """The verdict on the unit disc's grid of 16 cells per axis and mesh of 64 nodes."""
+
+    def test_constant_two_passes_iff(self):
+        grid, mesh = _disc_discretization(16)
+        v = fredholm_verdict(grid, mesh, constant_a(grid.domain, 1.0, 2.0), [0.5])
         assert v.condition_i and v.condition_ii and v.fredholm
         assert v.strength == "iff"
 
-    def test_minus_one_fails_boundary_condition(self, unit_disc):
-        cf = constant_a(unit_disc, 1.0, -1.0)
-        v = fredholm_verdict(cf, unit_disc, [0.5])
+    def test_minus_one_fails_boundary_condition(self):
+        grid, mesh = _disc_discretization(16)
+        v = fredholm_verdict(grid, mesh, constant_a(grid.domain, 1.0, -1.0), [0.5])
         assert v.condition_i and not v.condition_ii
 
-    def test_vanishing_coefficient_fails_interior_condition(self, unit_disc):
-        cf = linear_a(unit_disc, 1.0, 0.0, np.array([1.0, 0.0]))  # a = x1
-        v = fredholm_verdict(cf, unit_disc, [0.5])
+    def test_vanishing_coefficient_fails_interior_condition(self):
+        grid, mesh = _disc_discretization(16)
+        cf = linear_a(grid.domain, 1.0, 0.0, np.array([1.0, 0.0]))  # a = x1
+        v = fredholm_verdict(grid, mesh, cf, [0.5])
         assert not v.condition_i
         assert v.strength == "sufficient-only"
 
-    def test_near_breakdown_with_numeric_sigma_is_inconclusive(self, unit_disc):
-        cf = constant_a(unit_disc, 1.0, -1.01)
+    def test_near_breakdown_with_numeric_sigma_is_inconclusive(self):
+        grid, mesh = _disc_discretization(16)
         sigma_interval = np.linspace(0.45, 0.55, 11)
-        v = fredholm_verdict(cf, unit_disc, sigma_interval)
+        v = fredholm_verdict(grid, mesh, constant_a(grid.domain, 1.0, -1.01), sigma_interval)
         assert v.condition_ii and v.inconclusive
 
 
@@ -267,7 +286,7 @@ class TestSpectralInstrument:
             eigs[n], _ = eigenvalues_dense(
                 spectral_operator_matrix(unit_disc, params_k1, cf, n))
         rep = detect_clusters(eigs[16], eigs[24], 0.1)
-        pred = predict_clusters([-0.5], -0.5, [0.5])
+        pred = _disc_set(-0.5, 24)
         for p in pred:
             assert np.min(np.abs(rep.centers - p)) < 0.1
 
@@ -277,7 +296,7 @@ class TestSpectralInstrument:
         conds, verdicts = {}, {}
         for a in (2.0, -0.5, -1.0):
             cf = constant_a(unit_disc, params_k1.k, a)
-            verdicts[a] = fredholm_verdict(cf, unit_disc, [0.5]).fredholm
+            verdicts[a] = fredholm_verdict(*_disc_discretization(16), cf, [0.5]).fredholm
             matrix = spectral_operator_matrix(unit_disc, params_k1, cf, 16, 64)
             conds[a] = condition_estimate(matrix)
         assert verdicts[2.0] and verdicts[-0.5] and not verdicts[-1.0]

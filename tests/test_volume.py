@@ -277,6 +277,18 @@ class TestCachedKernels:
         for got, ref in zip((gm, *grads), (ref_gm, *ref_grads)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("domain, n, k", [
+        (DomainGeometry.disc(1.0), 24, 1.0),
+        (DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]]), 20, 2.5 + 0.3j),
+        (DomainGeometry.ball(1.0), 10, 2.5 + 0.3j),
+    ], ids=["disc", "square", "ball"])
+    def test_gradient_matrices_are_exactly_antisymmetric(self, domain, n, k):
+        # assemble_A_dense reads grads[c] for its transpose, bit for bit
+        grid = build_volume_grid(domain, n)
+        _, grads = kernel_matrices(grid, WaveParameters(k, grid.dimension))
+        for grad in grads:
+            assert np.array_equal(grad.T, -grad)
+
     def test_one_build_samples_each_kernel_once_per_offset(self, params_k1, monkeypatch):
         points = {"value": 0, "gradient": 0}
 
