@@ -81,8 +81,10 @@ class GmresResult:
     """Convergence record of a restarted GMRES run.
 
     ``reason`` is "converged", "stagnation" (no progress over a full
-    restart cycle), or "maxiter". ``history`` holds the relative
-    residual after every inner iteration.
+    restart cycle), or "maxiter". ``residual`` is the relative residual
+    recomputed in double at the last restart; ``history`` holds the Arnoldi
+    estimate of the relative residual after every inner iteration, which in
+    a single-precision cycle may undershoot the double one.
     """
 
     converged: bool
@@ -99,7 +101,16 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
     Solves ``applier(x) = rhs`` for a general complex linear map.
     Stagnation over a full restart cycle is reported distinctly from
     iteration-budget exhaustion; the true residual is recomputed once
-    per restart and carried into the next cycle.
+    per restart and carried into the next cycle. ``maxiter`` counts
+    Arnoldi iterations.
+
+    Mixed precision: the first cycle passes the applier complex128 vectors;
+    from the first restart on, its Arnoldi vectors are passed as complex64
+    (an applier may then compute in single precision), which makes the
+    restarts an iterative refinement. Orthogonalization, rotations, the
+    update of x and every closing residual b - applier(x) stay complex128,
+    and only that double residual decides convergence and stagnation. A
+    solve that converges within one cycle never sees a complex64 vector.
     """
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
@@ -113,8 +124,8 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
     x = np.zeros(n, dtype=np.complex128)
     history: list = []
     total_iters = 0
-    r = b - applier(x)
-    rel_end = float(np.linalg.norm(r)) / bnorm
+    r, rel_end = b, 1.0  # the residual of x = 0, without a matvec
+    single = False
     # the residual closing one cycle opens the next; a NaN one is not converged
     while not rel_end <= tol and total_iters < maxiter:
         cycle_start = rel_end
@@ -130,7 +141,8 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
             if total_iters >= maxiter:
                 break
             # copy defensively: the applier may return (a view of) its input
-            w = np.array(applier(v[j]), dtype=np.complex128, copy=True)
+            w = np.array(applier(v[j].astype(np.complex64) if single else v[j]),
+                         dtype=np.complex128, copy=True)
             total_iters += 1
             for i in range(j + 1):
                 h[i, j] = np.vdot(v[i], w)
@@ -169,6 +181,7 @@ def gmres_solve(applier: Callable, rhs: np.ndarray, tol: float = 1e-8,
             x = x + y @ v[: j_last + 1]
         r = b - applier(x)
         rel_end = float(np.linalg.norm(r)) / bnorm
+        single = True
         if rel_end > tol and rel_end >= 0.999 * cycle_start:
             logger.warning("GMRES stagnated at relative residual %.3e", rel_end)
             return x, GmresResult(False, "stagnation", total_iters, rel_end,

@@ -36,8 +36,11 @@ way back only those the grid keeps), and the dense assemblies and the
 direct-summation reference ``apply_A``, whose pairwise matrices are
 gathered from it by coordinate differences: identical weights by
 construction. The system map ``identity_minus_A`` samples the contrasts
-at the cell centers once, not at every application. Each cache holds one
-discretization: callers work on one grid at a time.
+at the cell centers once, not at every application, and is the one route
+that computes in single precision: a complex64 field runs its transforms
+in complex64 against the same complex128 tables (GMRES passes one after
+its first restart). Every other entry point casts its field to complex128.
+Each cache holds one discretization: callers work on one grid at a time.
 
 Dense memory budget: each dense builder estimates its peak as live
 complex arrays x 16 bytes x rows x cols plus a fixed allowance and,
@@ -82,13 +85,15 @@ def check_dense_budget(what: str, live: float, rows: int, cols: int) -> None:
         raise DenseBudgetError(what, need)
 
 
-def _check_field(grid: VolumeGrid, u: np.ndarray) -> np.ndarray:
+def _check_field(grid: VolumeGrid, u: np.ndarray, keep_single: bool = False) -> np.ndarray:
+    """The field as complex128, or as complex64 if it is one and ``keep_single``."""
     u = np.asarray(u)
     if u.shape != (grid.n,):
         raise ValueError(f"field must have length {grid.n}, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("field contains non-finite values")
-    return u.astype(np.complex128, copy=False)
+    single = keep_single and u.dtype == np.complex64
+    return u.astype(np.complex64 if single else np.complex128, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,8 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
     """FFTs of the sampled kernel tables on the zero-padded offset grid (read-only)."""
     import scipy.fft as sfft
     pshape, tables = _kernel_tables(grid, params)
-    hats = [sfft.fftn(tab) for tab in tables]
+    # each table is a fresh array: transform it in place
+    hats = [sfft.fftn(tab, overwrite_x=True) for tab in tables]
     for table in hats:
         table.setflags(write=False)
     return pshape, hats[0], tuple(hats[1:])
@@ -244,12 +250,13 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
 # ---------------------------------------------------------------------------
 # Kernel application (shared by the Newton potential and the operator)
 # ---------------------------------------------------------------------------
-def _apply_kernels(grid, params, sources):
+def _apply_kernels(grid, params, sources, dtype=np.complex128):
     """Kernels (G, then the d gradient components) applied by FFT to the matching
-    ``sources`` (None entries and missing trailing ones are skipped)."""
+    ``sources`` (None entries and missing trailing ones are skipped), computed
+    and returned in ``dtype`` (complex128 or complex64)."""
     import scipy.fft as sfft
     if all(src is None for src in sources):
-        return np.zeros(grid.n, dtype=np.complex128)
+        return np.zeros(grid.n, dtype=dtype)
     pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)
     acc = None
     for kern, src in zip((g_hat, *grad_hats), sources):
@@ -257,11 +264,11 @@ def _apply_kernels(grid, params, sources):
             continue
         # padded transform one axis at a time, each axis padded just before
         # its pass: every pass runs only over lines that can be nonzero
-        spec = np.zeros(pshape[:1] + grid.shape[1:], dtype=np.complex128)
+        spec = np.zeros(pshape[:1] + grid.shape[1:], dtype=dtype)
         spec[: grid.shape[0]][grid.mask] = src
         for ax, pc in enumerate(pshape):
             spec = sfft.fft(spec, n=pc, axis=ax, overwrite_x=True)
-        spec *= kern
+        spec *= kern  # a complex64 spectrum stays complex64 (same_kind casting)
         if acc is None:
             acc = spec
         else:
@@ -392,13 +399,16 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
     """Matrix-free applier u -> u - A u (the volume-integral system map).
 
     The contrasts are sampled at the cell centers once, when the applier
-    is built; each application checks its field and convolves by FFT.
+    is built; each application checks its field and convolves by FFT. A
+    complex64 field is applied in single precision (padded transforms and
+    result in complex64, products against the complex128 tables); any
+    other field is applied in complex128.
     """
     sources = _contrast_sources(grid, coeffs)
 
     def applier(u):
-        u = _check_field(grid, u)
-        return u - _apply_kernels(grid, params, sources(u))
+        u = _check_field(grid, u, keep_single=True)
+        return u - _apply_kernels(grid, params, sources(u), u.dtype)
     return applier
 
 

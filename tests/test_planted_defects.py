@@ -89,6 +89,17 @@ def coupled_agrees_with_vie_solve() -> bool:
     return diffs[1] < diffs[0] < 0.10
 
 
+def mixed_precision_solve_converges() -> bool:
+    """``TestMixedPrecision``'s solve (k = 4, n = 24, a = 3, GMRES(10) to
+    1e-12): complex64 Arnoldi cycles after the first restart still converge,
+    because every closing residual is double (measured 8.7e-13)."""
+    params = WaveParameters(4.0, 2)
+    grid = build_volume_grid(DISC, 24)
+    applier = volume.identity_minus_A(grid, params, constant_a(DISC, params.k, 3.0))
+    u_inc = incident_plane_wave(grid, params, (1.0, 0.0))
+    return gmres_solve(applier, u_inc, tol=1e-12, restart=10)[1].converged
+
+
 def test_negated_a1_gradient_weights_break_smooth_form(monkeypatch):
     assert smooth_form_decays()
     weights = volume.a1_weights
@@ -119,3 +130,15 @@ def test_double_layer_without_near_field_upgrade_breaks_coupled_solve(monkeypatc
 
     monkeypatch.setattr(coupled, "double_layer_matrix", far_field_only)
     assert not coupled_agrees_with_vie_solve()  # measured 2.45 -> 0.11
+
+
+def test_single_precision_residuals_break_mixed_precision_solve(monkeypatch):
+    assert mixed_precision_solve_converges()
+    system = volume.identity_minus_A
+
+    def all_single(*args):
+        applier = system(*args)
+        return lambda u: applier(np.asarray(u).astype(np.complex64))
+
+    monkeypatch.setattr(volume, "identity_minus_A", all_single)
+    assert not mixed_precision_solve_converges()  # stagnated at 1.5e-7

@@ -133,7 +133,8 @@ class TestGmres:
     @pytest.mark.parametrize("maxiter", [400, 25])
     def test_one_residual_per_restart(self, unit_disc, maxiter):
         # each cycle's closing residual opens the next: the applier runs once
-        # per iteration, once per cycle and once for the initial residual
+        # per iteration and once per cycle (the zero initial guess's residual
+        # is the right-hand side, taken without a call)
         params = WaveParameters(4.0, 2)
         grid = build_volume_grid(unit_disc, 24)
         applier = identity_minus_A(grid, params, constant_a(unit_disc, params.k, 3.0))
@@ -148,7 +149,7 @@ class TestGmres:
         assert info.reason == ("converged" if maxiter == 400 else "maxiter")
         cycles = -(-info.iterations // 10)
         assert cycles >= 3
-        assert len(calls) == info.iterations + cycles + 1
+        assert len(calls) == info.iterations + cycles
         assert not any(np.array_equal(x, y) for x, y in zip(calls, calls[1:]))
 
     def test_parameter_validation(self):
@@ -177,6 +178,65 @@ class TestGmres:
             assert info.converged
             iters.append(info.iterations)
         assert iters[0] < iters[1] < iters[2]
+
+
+class TestMixedPrecision:
+    """Arnoldi matvecs in complex64 after the first restart, every residual in
+    complex128, on the disc with k = 4, n = 24, a = 3."""
+
+    @pytest.fixture()
+    def system(self, unit_disc):
+        params = WaveParameters(4.0, 2)
+        grid = build_volume_grid(unit_disc, 24)
+        cf = constant_a(unit_disc, params.k, 3.0)
+        return grid, params, cf, incident_plane_wave(grid, params, (1.0, 0.0))
+
+    @staticmethod
+    def recorded_solve(system, restart):
+        grid, params, cf, u_inc = system
+        applier = identity_minus_A(grid, params, cf)
+        dtypes = []
+
+        def recording(v):
+            dtypes.append(np.asarray(v).dtype)
+            return applier(v)
+
+        x, info = gmres_solve(recording, u_inc, tol=1e-12, restart=restart)
+        assert info.converged
+        return x, info, dtypes
+
+    def test_one_cycle_solve_stays_double(self, system):
+        _, info, dtypes = self.recorded_solve(system, restart=200)
+        assert info.iterations < 200  # measured 28
+        assert set(dtypes) == {np.dtype(np.complex128)}
+
+    def test_later_cycles_pass_complex64(self, system):
+        _, info, dtypes = self.recorded_solve(system, restart=10)
+        # cycle 1 and every closing residual in complex128, the rest complex64
+        expected, left = [], info.iterations
+        while left:
+            inner = min(10, left)
+            expected += [np.complex64 if expected else np.complex128] * inner + [np.complex128]
+            left -= inner
+        assert len(expected) > 30  # measured 53 iterations: 16 double, 43 single calls
+        assert dtypes == [np.dtype(t) for t in expected]
+
+    def test_double_residual_decides_convergence(self, system):
+        grid, params, cf, u_inc = system
+        x, info, _ = self.recorded_solve(system, restart=10)
+        recomputed = np.linalg.norm(u_inc - identity_minus_A(grid, params, cf)(x))
+        assert info.residual == recomputed / np.linalg.norm(u_inc)
+        assert info.residual <= 1e-12  # measured 8.7e-13
+
+    def test_agrees_with_lu_and_one_cycle_solves(self, system):
+        from vielab import assemble_A_dense
+        grid, params, cf, u_inc = system
+        x, _, _ = self.recorded_solve(system, restart=10)
+        x_lu = np.linalg.solve(np.eye(grid.n) - assemble_A_dense(grid, params, cf), u_inc)
+        x_one, _, _ = self.recorded_solve(system, restart=200)
+        # measured 1.5e-12 and 1.6e-12
+        assert np.linalg.norm(x - x_lu) <= 1e-11 * np.linalg.norm(x_lu)
+        assert np.linalg.norm(x - x_one) <= 1e-11 * np.linalg.norm(x_one)
 
 
 class TestMieSeries:

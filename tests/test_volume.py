@@ -235,6 +235,38 @@ class TestApplyA:
         assert np.allclose(gy, 2.0, atol=1e-10)
 
 
+class TestSinglePrecision:
+    """The system applier computes a complex64 field in complex64; every other
+    field, and every other entry point, computes in complex128."""
+
+    @pytest.fixture()
+    def case(self, unit_disc):
+        params = WaveParameters(4.0, 2)
+        grid = build_volume_grid(unit_disc, 24)
+        return grid, params, constant_a(unit_disc, params.k, 3.0)
+
+    def test_applier_keeps_complex64(self, case, rng):
+        grid, params, cf = case
+        applier = identity_minus_A(grid, params, cf)
+        u = random_field(grid.n, rng)
+        double, single = applier(u), applier(u.astype(np.complex64))
+        assert double.dtype == np.complex128 and single.dtype == np.complex64
+        # measured 9.3e-8
+        assert np.linalg.norm(single - double) <= 1e-6 * np.linalg.norm(double)
+
+    def test_applier_on_complex128_is_unchanged(self, case, rng):
+        grid, params, cf = case
+        u = random_field(grid.n, rng)
+        assert np.array_equal(identity_minus_A(grid, params, cf)(u),
+                              u - apply_A_fft(grid, params, cf, u))
+
+    def test_public_routes_compute_in_complex128(self, case, rng):
+        grid, params, cf = case
+        u = random_field(grid.n, rng).astype(np.complex64)
+        assert apply_A_fft(grid, params, cf, u).dtype == np.complex128
+        assert newton_potential(grid, params, u).dtype == np.complex128
+
+
 class TestCachedKernels:
     def test_caches_hold_one_discretization(self):
         import vielab
