@@ -208,7 +208,8 @@ def write_csv(path: Path, scenario: Scenario, columns, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(_header(scenario))
         fh.write(",".join(columns) + "\n")
-        fh.write("".join(line % tuple(row) for row in np.asarray(rows, dtype=float).tolist()))
+        flat = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+        fh.write((line * len(flat)) % tuple(flat.ravel().tolist()))
 
 
 def write_report(path: Path, scenario: Scenario, status: str, results: dict,

@@ -26,20 +26,23 @@ differences inside the mask and one-sided first-order differences at
 mask-boundary cells.
 
 Application routes: the kernels, which depend only on the integer
-offset between cells, are tabulated once on the zero-padded offset grid,
-sampled on its non-negative orthant of offset magnitudes (G and the
-radial factor of grad G depend only on |offset|) and gathered by sign.
-That one table feeds every application on the grid by FFT circular
-convolution (d+1 scalar convolutions, O(N log N), whose padded transforms
-run one axis at a time over only the lines that can be nonzero, or on the
-way back only those the grid keeps), and the dense assemblies and the
-direct-summation reference ``apply_A``, whose pairwise matrices are
-gathered from it by coordinate differences: identical weights by
-construction. The system map ``identity_minus_A`` samples the contrasts
-at the cell centers once, not at every application, and is the one route
-that computes in single precision: a complex64 field runs its transforms
-in complex64 against the same complex128 tables (GMRES passes one after
-its first restart). Every other entry point casts its field to complex128.
+offset between cells, are sampled once on the non-negative orthant of
+offset magnitudes (G and the radial factor of grad G depend only on
+|offset|), up to half the zero-padded period on every axis. That one
+table feeds every application on the grid. The FFT route transforms it
+by DCT-I (and DST-I along a gradient's own axis) into half-spectrum
+hats, since the padded tables are even or odd about half the period; a
+product runs block by block against the halved hats, and the padded
+transforms run in place on two work arrays, one axis at a time over only
+the lines that can be nonzero (or on the way back only those the grid
+keeps). The dense assemblies and the direct-summation reference
+``apply_A`` gather their pairwise matrices from the same samples by
+coordinate differences: identical weights by construction. The system
+map ``identity_minus_A`` samples the contrasts at the cell centers once,
+not at every application, and is the one route that computes in single
+precision: a complex64 field runs its transforms and products in
+complex64 against the complex64 hats (GMRES passes one after its first
+restart). Every other entry point casts its field to complex128.
 Each cache holds one discretization: callers work on one grid at a time.
 
 Dense memory budget: each dense builder estimates its peak as live
@@ -51,6 +54,7 @@ before allocating, refuses (``DenseBudgetError``) an estimate above
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from typing import Callable, List, Tuple
 
@@ -169,23 +173,20 @@ def _neighbor_index(grid: VolumeGrid, axis: int, step: int) -> np.ndarray:
 
 
 def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
-    """``(pshape, (G, grad G_1, ..., grad G_d))``: the kernels times the cell
-    volume at every offset of the zero-padded grid (wrapped past the grid
-    extent), with the self-cell weight and zero at the origin.
+    """``(pshape, G, (grad G_1, ..., grad G_d))``: the zero-padded FFT shape
+    and the kernels times the cell volume sampled once per offset magnitude,
+    at offsets 0..pc/2 along every axis (the non-negative orthant), with
+    the self-cell weight and zero gradient at the origin.
 
-    G and the radial factor of grad G depend only on |offset|, so the
-    kernels are sampled once on the non-negative orthant of offset
-    magnitudes and gathered by |offset| per axis; gradient component c is
-    negated (as 0 - x, which also keeps the signed zeros) where offset c is
-    negative. Both steps are exact: the tables equal a sampling of the full
-    padded grid bit for bit.
+    ``pshape`` is the smallest even FFT-friendly length >= 2 nc per axis,
+    so the padded tables are even (G) or odd (grad G_c, along axis c)
+    about pc/2 and their transforms are DCT-I/DST-I of these samples. G
+    and the radial factor of grad G depend only on |offset|; the samples
+    equal a sampling of the full padded grid bit for bit.
     """
     import scipy.fft as sfft
-    pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
-    # |offset| per axis: 0..nc-1, then (negative offsets) pc-nc down to 1
-    mags = [np.where(np.arange(pc) < nc, np.arange(pc), pc - np.arange(pc))
-            for nc, pc in zip(grid.shape, pshape)]
-    qshape = tuple(int(m.max()) + 1 for m in mags)
+    pshape = tuple(2 * sfft.next_fast_len(nc) for nc in grid.shape)
+    qshape = tuple(pc // 2 + 1 for pc in pshape)
     mesh = np.meshgrid(*(np.arange(qc) * grid.h for qc in qshape), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)  # (Q, d), offsets >= 0
     r = np.linalg.norm(pts, axis=1)
@@ -195,34 +196,34 @@ def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
     g_q[origin] = self_cell_weight(params, grid.h)
     gvec = w * greens_gradient(params, np.where(origin[:, None], grid.h, pts))
     gvec[origin] = 0.0
-    gather = np.ix_(*mags)
-    tables = [g_q.reshape(qshape)[gather]]
-    for c in range(grid.dimension):
-        tab = gvec[:, c].reshape(qshape)[gather]
-        negative = tab[(slice(None),) * c + (slice(grid.shape[c], None),)]
-        np.subtract(0.0, negative, out=negative)
-        tables.append(tab)
-    return pshape, tuple(tables)
+    return pshape, g_q.reshape(qshape), tuple(gvec[:, c].reshape(qshape)
+                                              for c in range(grid.dimension))
 
 
 @functools.lru_cache(maxsize=1)
 def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
     """Pairwise quadrature matrices (G-kernel, then d gradient kernels).
 
-    Entry (i, j) is gathered from the offset table the FFT route
-    transforms, at offset coords_i - coords_j: entries carry the cell
-    volume, diagonals the self-cell correction (G) and zero (gradient
-    components). The cached matrices are shared by every caller and are
-    read-only.
+    Entry (i, j) is gathered from the orthant samples the FFT route
+    transforms, at |coords_i - coords_j| per axis, gradient component c
+    negated (as 0 - x, which also keeps the signed zeros) where offset c is
+    negative: entries carry the cell volume, diagonals the self-cell
+    correction (G) and zero (gradient components). The cached matrices are
+    shared by every caller and are read-only.
     """
     n = grid.n
     # the 1 + d matrices, the int64 gather index (at most half of one) and the tables
     check_dense_budget("dense kernel matrices", grid.dimension + 2.5, n, n)
-    pshape, tables = _kernel_tables(grid, params)
+    _, g_q, grad_q = _kernel_tables(grid, params)
     # On the unwrapped offsets 1-s..s-1 per axis, the flat index of
     # coords_i - coords_j is pos_i - pos_j + (index of the center).
-    unwrap = np.ix_(*[np.arange(1 - nc, nc) % pc for nc, pc in zip(grid.shape, pshape)])
-    tables = [tab[unwrap].ravel() for tab in tables]
+    gather = np.ix_(*[np.abs(np.arange(1 - nc, nc)) for nc in grid.shape])
+    tables = [g_q[gather].ravel()]
+    for c, q in enumerate(grad_q):
+        tab = q[gather]
+        negative = tab[(slice(None),) * c + (slice(0, grid.shape[c] - 1),)]
+        np.subtract(0.0, negative, out=negative)
+        tables.append(tab.ravel())
     pos = np.ravel_multi_index(tuple(grid.coords.T), tuple(2 * nc - 1 for nc in grid.shape))
     mats = [np.empty((n, n), dtype=np.complex128) for _ in tables]
     chunk = max(1, int(2**22 // max(n, 1)))
@@ -237,46 +238,109 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
 
 @functools.lru_cache(maxsize=1)
 def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
-    """FFTs of the sampled kernel tables on the zero-padded offset grid (read-only)."""
+    """``(pshape, double, single)``: the half-spectrum kernel hats (G, then
+    the d gradient components) in complex128 and in complex64, read-only.
+
+    Each hat is the DFT of the kernel's padded table, mirrored from the
+    orthant samples: G even about pc/2 on every axis, grad G_c odd along
+    axis c (zero at 0 and pc/2; the offset pc/2 >= nc is never read by a
+    convolution of nc cells). So G's hat is a DCT-I of the samples on every
+    axis and grad G_c's is -i DST-I along c. Only frequencies 0..pc/2 are
+    kept on every axis but the last, where the hat is gathered back to full
+    length (negated past pc/2 for the last gradient component): the DFT at
+    frequency pc - f is the one at f, negated along a gradient's own axis.
+    """
     import scipy.fft as sfft
-    pshape, tables = _kernel_tables(grid, params)
-    # each table is a fresh array: transform it in place
-    hats = [sfft.fftn(tab, overwrite_x=True) for tab in tables]
-    for table in hats:
-        table.setflags(write=False)
-    return pshape, hats[0], tuple(hats[1:])
+    pshape, g_q, grad_q = _kernel_tables(grid, params)
+    d = grid.dimension
+    half = pshape[-1] // 2
+    mirror = np.r_[0:half + 1, half - 1:0:-1]
+    hats = [sfft.dctn(g_q, type=1)[..., mirror]]
+    for c, q in enumerate(grad_q):
+        inner = (slice(None),) * c + (slice(1, -1),)
+        hat = np.zeros(q.shape, dtype=np.complex128)
+        if q.shape[c] > 2:  # an axis of one cell has no offset inside (0, pc/2)
+            others = [ax for ax in range(d) if ax != c]
+            hat[inner] = -1j * sfft.dst(sfft.dctn(q[inner], type=1, axes=others),
+                                        type=1, axis=c)
+        hat = hat[..., mirror]
+        if c == d - 1:
+            np.negative(hat[..., half + 1:], out=hat[..., half + 1:])
+        hats.append(hat)
+    double = tuple(hats)
+    single = tuple(hat.astype(np.complex64) for hat in double)
+    for hat in double + single:
+        hat.setflags(write=False)
+    return pshape, double, single
 
 
 # ---------------------------------------------------------------------------
 # Kernel application (shared by the Newton potential and the operator)
 # ---------------------------------------------------------------------------
+def _half_blocks(pshape):
+    """The 2^(d-1) blocks of a padded spectrum that each read one contiguous
+    view of a half-spectrum hat: per block, the spectrum's index, the hat's
+    index (frequencies pc/2+1..pc-1 read pc/2-1..1, reversed) and the set of
+    axes along which the block lies past pc/2."""
+    halves = [((slice(0, pc // 2 + 1), slice(None), ()),
+               (slice(pc // 2 + 1, pc), slice(pc // 2 - 1, 0, -1), (ax,)))
+              for ax, pc in enumerate(pshape[:-1])]
+    for block in itertools.product(*halves):
+        yield (tuple(s for s, _, _ in block) + (slice(None),),
+               tuple(h for _, h, _ in block) + (slice(None),),
+               {ax for _, _, upper in block for ax in upper})
+
+
+def _padded_fft(spec: np.ndarray, grid: VolumeGrid, src: np.ndarray) -> None:
+    """Transform the grid source ``src`` zero-padded to ``spec.shape``, in
+    place in ``spec``, one axis at a time over only the lines that can be
+    nonzero; each pass first zeroes the padding it reads. (scipy's FFT of a
+    complex array with ``overwrite_x`` writes into that array, views too.)"""
+    import scipy.fft as sfft
+    shape = grid.shape
+    for ax in range(grid.dimension):
+        view = spec[(slice(None),) * (ax + 1) + tuple(slice(0, nc) for nc in shape[ax + 1:])]
+        if ax == 0:
+            view.fill(0)
+            view[: shape[0]][grid.mask] = src
+        else:
+            view[(slice(None),) * ax + (slice(shape[ax], None),)] = 0
+        sfft.fft(view, axis=ax, overwrite_x=True)
+
+
 def _apply_kernels(grid, params, sources, dtype=np.complex128):
     """Kernels (G, then the d gradient components) applied by FFT to the matching
-    ``sources`` (None entries and missing trailing ones are skipped), computed
-    and returned in ``dtype`` (complex128 or complex64)."""
+    ``sources`` (the G source or None, then none or all d gradient sources),
+    computed and returned in ``dtype`` (complex128 or complex64) against the
+    hat set of that precision."""
     import scipy.fft as sfft
     if all(src is None for src in sources):
         return np.zeros(grid.n, dtype=dtype)
-    pshape, g_hat, grad_hats = fft_kernel_tables(grid, params)
-    acc = None
-    for kern, src in zip((g_hat, *grad_hats), sources):
-        if src is None:
+    pshape, double, single = fft_kernel_tables(grid, params)
+    hats = single if dtype == np.complex64 else double
+    d = grid.dimension
+    acc, work = np.empty(pshape, dtype=dtype), np.empty(pshape, dtype=dtype)
+    spec = acc
+    # the first product is formed in acc itself: G or, without it, the last
+    # gradient component, neither of which is negated in any block
+    for j in (0, d, *range(1, d)):
+        if j >= len(sources) or sources[j] is None:
             continue
-        # padded transform one axis at a time, each axis padded just before
-        # its pass: every pass runs only over lines that can be nonzero
-        spec = np.zeros(pshape[:1] + grid.shape[1:], dtype=dtype)
-        spec[: grid.shape[0]][grid.mask] = src
-        for ax, pc in enumerate(pshape):
-            spec = sfft.fft(spec, n=pc, axis=ax, overwrite_x=True)
-        spec *= kern  # a complex64 spectrum stays complex64 (same_kind casting)
-        if acc is None:
-            acc = spec
-        else:
-            acc += spec
-    # inverse, keeping after each pass only the grid's extent along that axis
-    for ax in reversed(range(grid.dimension)):
-        acc = sfft.ifft(acc, axis=ax, overwrite_x=True)[(slice(None),) * ax
-                                                        + (slice(0, grid.shape[ax]),)]
+        _padded_fft(spec, grid, sources[j])
+        for index, hat_index, upper in _half_blocks(pshape):
+            block = spec[index]
+            block *= hats[j][hat_index]
+            if spec is acc:
+                continue
+            if j - 1 in upper:  # past pc/2 along a gradient's own axis
+                acc[index] -= block
+            else:
+                acc[index] += block
+        spec = work
+    # inverse in place, keeping after each pass only the grid's extent along that axis
+    for ax in reversed(range(d)):
+        sfft.ifft(acc, axis=ax, overwrite_x=True)
+        acc = acc[(slice(None),) * ax + (slice(0, grid.shape[ax]),)]
     return grid.extract(acc)
 
 
@@ -378,10 +442,12 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
     Column j is A e_j by construction, so matrix-vector products
     reproduce ``apply_A(u)`` to rounding; the system matrix is I minus it.
     """
-    # the 1 + d kernel matrices, A and a gradient product, plus the sparse stencils
-    # (peak d + 3 arrays and up to 1.2 KB per unknown at N = 140-2244 in 2D and
-    # 160-2440 in 3D)
-    check_dense_budget("dense assembly", grid.dimension + 3.25, grid.n, grid.n)
+    # the 1 + d kernel matrices, A and a gradient product, plus 1280 bytes (80
+    # complex entries) per unknown for the sparse stencils and scipy's product
+    # set-up: beyond the d + 3 arrays the peak measured 1113 B per unknown at
+    # N = 140 and 183 B at N = 2244 in 2D, 1025 B at N = 160 and 263 B at
+    # N = 1208 in 3D
+    check_dense_budget("dense assembly", grid.dimension + 3 + 80 / grid.n, grid.n, grid.n)
     gm, grads = kernel_matrices(grid, params)
     alpha = coeffs.alpha(grid.centers)
     beta = coeffs.beta(grid.centers)
@@ -400,8 +466,8 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
 
     The contrasts are sampled at the cell centers once, when the applier
     is built; each application checks its field and convolves by FFT. A
-    complex64 field is applied in single precision (padded transforms and
-    result in complex64, products against the complex128 tables); any
+    complex64 field is applied in single precision (padded transforms,
+    products against the complex64 hats and result in complex64); any
     other field is applied in complex128.
     """
     sources = _contrast_sources(grid, coeffs)

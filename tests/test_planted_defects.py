@@ -6,12 +6,14 @@ code as it is, where the check must pass, and with the defect
 monkeypatched in, where it must fail. The caches that hold operator
 blocks are cleared around each case, so no planted block outlives it.
 (The sign of the Nystrom K is caught by no check yet; see ROADMAP item 11.)
+Where the designated check is a tier-1 test, its body is run as it stands.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import test_volume
 from conftest import smooth_probe
 from vielab import (
     DomainGeometry,
@@ -100,6 +102,29 @@ def mixed_precision_solve_converges() -> bool:
     return gmres_solve(applier, u_inc, tol=1e-12, restart=10)[1].converged
 
 
+def passes(test, *args) -> bool:
+    """Whether the body of a tier-1 test passes on the code as patched now."""
+    try:
+        test(*args)
+    except AssertionError:
+        return False
+    return True
+
+
+def orthant_tables_pass() -> bool:
+    """The 3D case of ``test_orthant_tables_equal_full_offset_sampling``: the
+    sampled kernel tables bit-equal an independent sampling of every offset."""
+    return passes(test_volume.TestCachedKernels().test_orthant_tables_equal_full_offset_sampling,
+                  3, 10)
+
+
+def fft_matches_direct_pass() -> bool:
+    """``test_fft_matches_direct_with_both_contrasts`` in 2D and 3D: the FFT
+    route and the system applier against direct summation, to 1e-12."""
+    test = test_volume.TestApplyA().test_fft_matches_direct_with_both_contrasts
+    return all(passes(test, dim, n, np.random.default_rng(1234)) for dim, n in ((2, 40), (3, 12)))
+
+
 def test_negated_a1_gradient_weights_break_smooth_form(monkeypatch):
     assert smooth_form_decays()
     weights = volume.a1_weights
@@ -142,3 +167,25 @@ def test_single_precision_residuals_break_mixed_precision_solve(monkeypatch):
 
     monkeypatch.setattr(volume, "identity_minus_A", all_single)
     assert not mixed_precision_solve_converges()  # stagnated at 1.5e-7
+
+
+def test_3d_self_cell_weight_left_off_breaks_orthant_tables(monkeypatch):
+    # no physics test sees this: the origin keeps the midpoint sample G(h) h^3
+    assert orthant_tables_pass()
+    weight = volume.self_cell_weight
+    monkeypatch.setattr(volume, "self_cell_weight",
+                        lambda params, h: weight(params, h) if params.dimension == 2
+                        else h ** 3 * greens_value(params, h))
+    assert not orthant_tables_pass()
+
+
+def test_added_negative_half_block_breaks_fft_against_direct(monkeypatch):
+    assert fft_matches_direct_pass()
+    blocks = volume._half_blocks
+
+    def all_added(pshape):
+        for index, hat_index, _ in blocks(pshape):
+            yield index, hat_index, set()
+
+    monkeypatch.setattr(volume, "_half_blocks", all_added)
+    assert not fft_matches_direct_pass()

@@ -58,10 +58,11 @@ def pairwise_kernel_matrices(grid, params):
 
 
 def full_offset_kernel_tables(grid, params):
-    """Reference: the kernels sampled at every offset of the zero-padded grid."""
-    pshape = tuple(sfft.next_fast_len(2 * nc) for nc in grid.shape)
-    offs = [np.where(np.arange(pc) < nc, np.arange(pc), np.arange(pc) - pc) * grid.h
-            for nc, pc in zip(grid.shape, pshape)]
+    """Reference: the kernels sampled at every offset of the zero-padded grid,
+    offsets 0..pc/2 then 1-pc/2..-1 along each axis."""
+    pshape = tuple(2 * sfft.next_fast_len(nc) for nc in grid.shape)
+    offs = [np.where(np.arange(pc) <= pc // 2, np.arange(pc), np.arange(pc) - pc) * grid.h
+            for pc in pshape]
     mesh = np.meshgrid(*offs, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     r = np.linalg.norm(pts, axis=1)
@@ -203,6 +204,23 @@ class TestApplyA:
         system = identity_minus_A(grid, params, cf)(u)
         assert np.linalg.norm(system - (u - direct)) <= 1e-12 * np.linalg.norm(u - direct)
 
+    @pytest.mark.parametrize("domain, n, pshape", [
+        (DomainGeometry.disc(1.0), 13, (28, 28)),
+        (DomainGeometry.ball(1.0), 13, (28, 28, 28)),
+        (DomainGeometry.ellipse((1.0, 0.09), margin=0.0), 10, (20, 2)),
+    ], ids=["disc", "ball", "one-cell-thick"])
+    def test_fft_matches_direct_on_edge_padding(self, domain, n, pshape, rng):
+        # n = 13: next_fast_len(26) = 27 is odd, so the padded length is
+        # 2 next_fast_len(13) = 28; one cell thick: no offset inside (0, pc/2)
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(2.0, grid.dimension)
+        assert fft_kernel_tables(grid, params)[0] == pshape
+        cf = constant_a(domain, params.k, 2.0 + 0.5j, k2_inside=6.0 + 1.0j)
+        u = random_field(grid.n, rng)
+        direct = apply_A(grid, params, cf, u)
+        assert np.linalg.norm(apply_A_fft(grid, params, cf, u) - direct) \
+            <= 1e-12 * np.linalg.norm(direct)
+
     def test_identity_minus_A_samples_contrasts_once(self, params_k1, rng, monkeypatch):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 16)
         cf = constant_a(grid.domain, params_k1.k, 2.0, k2_inside=3.0)
@@ -293,8 +311,8 @@ class TestCachedKernels:
     def test_cached_arrays_are_read_only(self, params_k1):
         grid = build_volume_grid(DomainGeometry.disc(1.0), 12)
         gm, grads = kernel_matrices(grid, params_k1)
-        _, g_hat, grad_hats = fft_kernel_tables(grid, params_k1)
-        for arr in (gm, *grads, g_hat, *grad_hats):
+        _, double, single = fft_kernel_tables(grid, params_k1)
+        for arr in (gm, *grads, *double, *single):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0.0
 
@@ -337,23 +355,50 @@ class TestCachedKernels:
         grid = build_volume_grid(DomainGeometry.disc(1.0), 20)
         kernel_matrices(grid, params_k1)
         built = dict(points)
-        pshape, _, _ = fft_kernel_tables(grid, params_k1)
+        pshape = fft_kernel_tables(grid, params_k1)[0]
         # one point per offset magnitude: the non-negative orthant of the padded grid
-        qshape = [max(nc - 1, pc - nc) + 1 for nc, pc in zip(grid.shape, pshape)]
+        qshape = [pc // 2 + 1 for pc in pshape]
         assert built["value"] == built["gradient"] == int(np.prod(qshape))
         assert int(np.prod(qshape)) < int(np.prod(pshape)) < grid.n ** 2
 
     @pytest.mark.parametrize("dim, n", [(2, 47), (3, 10)])
     def test_orthant_tables_equal_full_offset_sampling(self, dim, n):
-        # n = 47 pads to 96 > 2n, so the negative offsets reach past the grid extent
+        # n = 47 pads to 96 > 2n, so the orthant reaches past the grid extent
         domain = DomainGeometry.disc(1.0) if dim == 2 else DomainGeometry.ball(1.0)
         grid = build_volume_grid(domain, n)
         params = WaveParameters(1.0, dim)
-        pshape, tables = volume._kernel_tables(grid, params)
+        pshape, g_q, grad_q = volume._kernel_tables(grid, params)
         ref_pshape, ref_tables = full_offset_kernel_tables(grid, params)
-        assert pshape == ref_pshape and len(tables) == len(ref_tables) == dim + 1
-        for got, ref in zip(tables, ref_tables):
-            assert np.array_equal(got, ref)
+        assert pshape == ref_pshape and len(grad_q) == dim
+        orthant = tuple(slice(0, pc // 2 + 1) for pc in pshape)
+        for got, ref in zip((g_q, *grad_q), ref_tables):
+            assert np.array_equal(got, ref[orthant])
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.5 + 0.3j])
+    @pytest.mark.parametrize("dim, n", [(2, 20), (3, 10)])
+    def test_hats_are_ffts_of_mirrored_tables(self, dim, n, k):
+        # on the kept half: frequencies 0..pc/2 on every axis but the last
+        domain = DomainGeometry.disc(1.0) if dim == 2 else DomainGeometry.ball(1.0)
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(k, dim)
+        pshape, double, _ = fft_kernel_tables(grid, params)
+        _, tables = full_offset_kernel_tables(grid, params)
+        kept = tuple(slice(0, pc // 2 + 1) for pc in pshape[:-1])
+        for j, (hat, table) in enumerate(zip(double, tables)):
+            if j:  # odd along axis j - 1: zero at pc/2 there
+                table = table.copy()
+                table[(slice(None),) * (j - 1) + (pshape[j - 1] // 2,)] = 0.0
+            ref = np.fft.fftn(table)[kept]
+            assert hat.shape == ref.shape and hat.dtype == np.complex128
+            assert np.abs(hat - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_single_hats_are_the_cast_double_hats(self):
+        grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
+        _, double, single = fft_kernel_tables(grid, WaveParameters(2.5 + 0.3j, 3))
+        assert len(single) == len(double) == 4
+        for hat64, hat in zip(single, double):
+            assert hat64.dtype == np.complex64
+            assert np.array_equal(hat64, hat.astype(np.complex64))
 
     def test_size_guard_raises_before_any_kernel_evaluation(self, params_k1, monkeypatch):
         def forbidden(*args):
