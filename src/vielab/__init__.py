@@ -15,7 +15,6 @@ from .geometry import (
     VolumeGrid,
     build_boundary_mesh,
     build_volume_grid,
-    mesh_reflections,
     reflections,
 )
 from .special import WaveParameters, greens_gradient, greens_value

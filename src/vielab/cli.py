@@ -32,8 +32,7 @@ from . import __version__
 from .boundary import assemble_K, jump_relation_check, trace
 from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
 from .coupled import NEAR_SINGULAR_RCOND, assemble_coupled, check_equivalence, solve_coupled
-from .geometry import (DomainGeometry, build_boundary_mesh, build_volume_grid, mesh_reflections,
-                       reflections)
+from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid, reflections
 from .presets import get_preset, preset_names
 from .scattering import (
     extend_solution,
@@ -46,6 +45,7 @@ from .scattering import (
 from .special import WaveParameters
 from .spectral import (
     a_to_sigma,
+    condition_sweep,
     detect_clusters,
     eigenvalues_dense,
     essential_set,
@@ -87,10 +87,13 @@ class NumericalFailure(RuntimeError):
 # Configuration parsing
 # ---------------------------------------------------------------------------
 def _as_complex(value, label: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError):
+        pass
     raise ConfigError(f"{label} must be a number or [re, im] pair")
 
 
@@ -146,36 +149,32 @@ class Scenario:
             raise ConfigError(f"config task {cfg_task!r} does not match command {task!r}")
         self.task = task
         self.config = config
-        self.seed = int(config.get("seed", 0) if seed_override is None else seed_override)
-        self.rng = np.random.default_rng(self.seed)
-
         wave = _require(config, "wave", "scenario")
         k = _as_complex(_require(wave, "k", "wave"), "k")
-        dim = int(wave.get("dimension", 2))
+        disc = config.get("discretization", {})
         try:
+            self.seed = int(config.get("seed", 0) if seed_override is None else seed_override)
+            self.rng = np.random.default_rng(self.seed)
+            dim = int(wave.get("dimension", 2))
             self.params = WaveParameters(k, dim)
             self.domain = build_geometry(_require(config, "geometry", "scenario"))
             self.coeffs = build_coefficients(_require(config, "coefficients", "scenario"),
                                              self.domain, k)
+            self.n_per_axis = int(disc.get("n_per_axis", 32))
+            self.boundary_nodes = int(disc.get("boundary_nodes", 4 * self.n_per_axis))
+            self.grading = float(disc.get("grading", 3.0))
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if self.domain.dimension != dim:
             raise ConfigError("geometry dimension does not match wave dimension")
-
-        disc = config.get("discretization", {})
-        self.n_per_axis = int(disc.get("n_per_axis", 32))
-        self.boundary_nodes = int(disc.get("boundary_nodes", 4 * self.n_per_axis))
-        self.grading = float(disc.get("grading", 3.0))
         if self.n_per_axis < 4:
             raise ConfigError("n_per_axis must be at least 4")
         if self.boundary_nodes < 8:
             raise ConfigError("boundary_nodes must be at least 8")
-        for key in ("tol",):
-            t = config.get("solve", {}).get(key)
-            if t is not None and not 0 < float(t) < 1:
-                raise ConfigError("solver tolerance must lie in (0, 1)")
+        if not self.grading >= 1:
+            raise ConfigError("discretization.grading must be at least 1")
         self._hash = config_hash(config)
 
     @property
@@ -238,10 +237,17 @@ def _c2pair(z: complex):
 # ---------------------------------------------------------------------------
 def task_solve(scenario: Scenario, out: Path) -> dict:
     cfg = scenario.config.get("solve", {})
-    grid = scenario.grid()
-    incident_kind = cfg.get("incident", "plane-wave")
     # every input is checked before GMRES, so a bad one writes no file
     try:
+        tol = float(cfg.get("tol", 1e-8))
+        restart = int(cfg.get("restart", 30))
+        maxiter = int(cfg.get("maxiter", 400))
+        if not 0 < tol < 1:
+            raise ConfigError("solve.tol must lie in (0, 1)")
+        if restart < 10:
+            raise ConfigError("solve.restart must be at least 10")
+        grid = scenario.grid()
+        incident_kind = cfg.get("incident", "plane-wave")
         if incident_kind == "plane-wave":
             direction = np.asarray(cfg.get("direction", [1.0] + [0.0] * (grid.dimension - 1)),
                                    dtype=float)
@@ -262,13 +268,11 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
             raise ConfigError("exterior rings must lie outside the scatterer")
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     applier = identity_minus_A(grid, scenario.params, scenario.coeffs)
-    u, info = gmres_solve(applier, u_inc, tol=float(cfg.get("tol", 1e-8)),
-                          restart=int(cfg.get("restart", 30)),
-                          maxiter=int(cfg.get("maxiter", 400)))
+    u, info = gmres_solve(applier, u_inc, tol=tol, restart=restart, maxiter=maxiter)
     rows = np.column_stack([grid.centers, u.real, u.imag])
     write_csv(out / "field.csv", scenario,
               list("xyz"[: grid.dimension]) + ["re", "im"], rows)
@@ -302,37 +306,45 @@ def _coupled_discretization(scenario: Scenario, n_level: int):
 def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The spectrum operator at one level and the reflections of its unknowns."""
     op = scenario.config.get("spectrum", {}).get("operator", "coupled")
+    grid = mesh = None
     if op == "coupled":
         grid, mesh = _coupled_discretization(scenario, n_level)
         matrix = spectral_instrument(grid, mesh, scenario.params, scenario.coeffs)
-        return matrix, reflections(grid, mesh)
-    if op == "contrast":
+    elif op == "contrast":
         grid = scenario.grid(n_level)
-        return assemble_A_dense(grid, scenario.params, scenario.coeffs), reflections(grid)
-    if op == "half-minus-K":
+        matrix = assemble_A_dense(grid, scenario.params, scenario.coeffs)
+    elif op == "half-minus-K":
         mesh = scenario.mesh(n_level)
-        return 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(
-            mesh, scenario.params), mesh_reflections(mesh)
-    raise ConfigError(f"unknown spectrum operator {op!r}")
+        matrix = 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(mesh, scenario.params)
+    else:
+        raise ConfigError(f"unknown spectrum operator {op!r}")
+    return matrix, reflections(grid, mesh)
 
 
 def task_spectrum(scenario: Scenario, out: Path) -> dict:
     cfg = scenario.config.get("spectrum", {})
-    levels = cfg.get("levels")
-    if not levels or len(levels) != 2 or levels[0] >= levels[1]:
-        raise ConfigError("spectrum.levels must be two increasing resolutions")
-    delta = float(cfg.get("delta", 0.1))
-    if delta <= 0:
+    # a level is cells per axis, or boundary nodes for half-minus-K
+    least = 8 if cfg.get("operator") == "half-minus-K" else 4
+    try:
+        delta = float(cfg.get("delta", 0.1))
+        levels = [float(lvl) for lvl in cfg.get("levels") or ()]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"spectrum.delta and spectrum.levels must be numbers: {exc}") from exc
+    if not (len(levels) == 2 and all(lvl.is_integer() for lvl in levels)
+            and least <= levels[0] < levels[1]):
+        raise ConfigError(f"spectrum.levels must be two increasing whole resolutions, "
+                          f"each at least {least}")
+    levels = [int(lvl) for lvl in levels]
+    if not delta > 0:
         raise ConfigError("spectrum.delta must be positive")
     # both levels are solved before anything is written
-    eigs = {int(lvl): eigenvalues_dense(*_spectrum_matrix(scenario, int(lvl)))
-            for lvl in levels}
+    eigs = {lvl: eigenvalues_dense(*_spectrum_matrix(scenario, lvl)) for lvl in levels}
     for lvl, (vals, res) in eigs.items():
         write_csv(out / f"eigenvalues_{lvl}.csv", scenario, ["re", "im", "residual"],
                   np.column_stack([vals.real, vals.imag, res]))
-    report = detect_clusters(eigs[int(levels[0])][0], eigs[int(levels[1])][0], delta)
+    report = detect_clusters(eigs[levels[0]][0], eigs[levels[1]][0], delta)
     results = {
-        "levels": [int(l) for l in levels],
+        "levels": levels,
         "delta": delta,
         "clusters": [_c2pair(c) for c in report.centers],
         "counts_coarse": report.counts_coarse.tolist(),
@@ -343,7 +355,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
     }
     if cfg.get("operator", "coupled") == "coupled":
         # the essential set and the verdict on the fine level's own grid and mesh
-        grid, mesh = _coupled_discretization(scenario, int(levels[1]))
+        grid, mesh = _coupled_discretization(scenario, levels[1])
         points = np.unique(essential_set(grid, mesh, scenario.coeffs))
         results["predicted_clusters"] = [_c2pair(p) for p in points]
         verdict = fredholm_verdict(grid, mesh, scenario.coeffs, [0.5])
@@ -365,12 +377,11 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
 def task_sweep(scenario: Scenario, out: Path) -> dict:
     cfg = scenario.config.get("sweep", {})
     a_values = cfg.get("a_values")
-    if not a_values:
+    if not a_values or not isinstance(a_values, list):
         raise ConfigError("sweep.a_values must be a nonempty list")
     a_values = [_as_complex(a, "a_values entry") for a in a_values]
     if "n_per_axis" in cfg:
         raise ConfigError("sweep.n_per_axis is not read; set discretization.n_per_axis")
-    from .spectral import condition_sweep
     # one grid and mesh for every value, so the identity-keyed caches hit
     records = condition_sweep(scenario.grid(), scenario.mesh(), scenario.params, a_values)
     rows = [[a.real, a.imag, cond] for a, cond in records]

@@ -428,47 +428,30 @@ def _sphere_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh
 # ---------------------------------------------------------------------------
 # Reflection symmetries of the unknowns
 # ---------------------------------------------------------------------------
-def reflections(grid: VolumeGrid, mesh: Optional[BoundaryMesh] = None) -> List[np.ndarray]:
-    """Permutations of the unknowns by the reflections of the grid.
+def reflections(grid: Optional[VolumeGrid] = None,
+                mesh: Optional[BoundaryMesh] = None) -> List[np.ndarray]:
+    """Permutations of the unknowns by the reflections through the centre of
+    the bounding box.
 
-    One index array per axis whose reflection maps the grid onto itself
-    (grid index i -> n_c - 1 - i, kept where ``np.flip(mask, axis)`` equals
-    the mask): entry j is the unknown that unknown j is mirrored onto. A 2D
-    grid of square shape whose mask equals its transpose also has the
-    diagonal reflection x <-> y, listed between the axes (with the first it
-    generates the second). With a mesh the unknowns are the cells followed
-    by the boundary nodes, and a reflection is kept only if every mirrored
-    node matches a node within 1e-9 h. The permutations only propose
-    symmetries; the spectral routines keep those that commute with the
-    matrix at hand.
+    The unknowns are the grid's cell centres followed by the mesh's nodes
+    (either may be left out). One index array per reflection that maps each
+    point set onto itself within 1e-12 of the domain's diameter: entry j is
+    the unknown that unknown j is mirrored onto. The candidates are the
+    coordinate reflections and, in 2D, the diagonal x <-> y, listed between
+    the axes (with the first it generates the second). The permutations
+    only propose symmetries; the spectral routines keep those that commute
+    with the matrix at hand.
     """
-    centre = grid.domain.bounding_box.mean(axis=1)
+    point_sets = ([] if grid is None else [grid.centers]) + ([] if mesh is None else [mesh.nodes])
+    domain = (mesh if grid is None else grid).domain
+    centre = domain.bounding_box.mean(axis=1)
+    offsets = np.cumsum([0] + [len(s) for s in point_sets])
     out = []
-    for axis in ([0, None, 1] if grid.dimension == 2 else range(grid.dimension)):
-        if axis is None:
-            symmetric = grid.shape[0] == grid.shape[1] and np.array_equal(grid.mask.T, grid.mask)
-            coords = grid.coords[:, ::-1]
-        else:
-            symmetric = np.array_equal(np.flip(grid.mask, axis), grid.mask)
-            coords = grid.coords.copy()
-            coords[:, axis] = grid.shape[axis] - 1 - coords[:, axis]
-        nodes = (np.zeros(0, dtype=np.int64) if mesh is None or not symmetric
-                 else _mirror(mesh.nodes, axis, centre, 1e-9 * grid.h))
-        if symmetric and nodes is not None:
-            out.append(np.concatenate([grid.flat_index[tuple(coords.T)], grid.n + nodes]))
+    for axis in ([0, None, 1] if domain.dimension == 2 else range(domain.dimension)):
+        perms = [_mirror(s, axis, centre, 1e-12 * domain.diameter) for s in point_sets]
+        if all(p is not None for p in perms):
+            out.append(np.concatenate([p + o for p, o in zip(perms, offsets)]))
     return out
-
-
-def mesh_reflections(mesh: BoundaryMesh) -> List[np.ndarray]:
-    """Permutations of the boundary nodes by the reflections of
-    ``reflections`` through the bounding box's centre that map the mesh onto
-    itself (matching within 1e-9 of the mean node spacing)."""
-    centre = mesh.domain.bounding_box.mean(axis=1)
-    d = mesh.nodes.shape[1]
-    tol = 1e-9 * (float(np.sum(mesh.weights)) / mesh.m) ** (1.0 / (d - 1))
-    perms = (_mirror(mesh.nodes, axis, centre, tol)
-             for axis in ([0, None, 1] if d == 2 else range(d)))
-    return [p for p in perms if p is not None]
 
 
 def _mirror(nodes: np.ndarray, axis: Optional[int], centre: np.ndarray,

@@ -54,8 +54,7 @@ import numpy as np
 from .coefficients import CoefficientField, constant_a
 from .coupled import assemble_coupled, quadrature_weighted_matrix
 from .geometry import (BoundaryMesh, DomainGeometry, VolumeGrid, build_boundary_mesh,
-                       build_volume_grid)
-from .geometry import reflections as grid_reflections
+                       build_volume_grid, reflections)
 from .special import WaveParameters
 from .volume import check_dense_budget
 
@@ -510,10 +509,10 @@ def condition_sweep(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters
     Every value shares the grid and mesh objects, so the coefficient-free
     blocks are built once per (grid, mesh, params, variant); each value
     costs only their diagonal scalings and the singular values of the
-    blocks of the grid's reflections. The condition numbers are exact and
-    depend on no seed.
+    blocks of the reflections of the grid and mesh. The condition numbers
+    are exact and depend on no seed.
     """
-    symmetries = grid_reflections(grid, mesh)
+    symmetries = reflections(grid, mesh)
     out = []
     for a_val in a_values:
         coeffs = constant_a(grid.domain, params.k, a_val)

@@ -91,6 +91,37 @@ class TestConfigValidation:
         assert run_scenario(cfg, "solve", str(out)) == 2
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("preset, edit, argv", [
+        ("disc-a2-spectrum", {"discretization": {"grading": 0.5}}, []),
+        ("breakdown-sweep", {"discretization": {"grading": 0.5}}, []),
+        ("disc-a2-solve", {"discretization": {"n_per_axis": "x"}}, []),
+        ("disc-a2-solve", {"wave": {"dimension": "x"}}, []),
+        ("disc-a2-solve", {"seed": -1}, []),
+        ("disc-a2-solve", {}, ["--seed", "-1"]),
+        ("disc-a2-solve", {"solve": {"tol": "x"}}, []),
+        ("disc-a2-solve", {"solve": {"restart": 5}}, []),
+        ("disc-a2-solve", {"solve": {"maxiter": "a"}}, []),
+        ("disc-a2-spectrum", {"spectrum": {"delta": "x"}}, []),
+        ("disc-a2-spectrum", {"spectrum": {"levels": [2, 3]}}, []),
+        ("circle-sigma-spectrum", {"spectrum": {"levels": [4, 6]}}, []),
+        ("disc-a2-spectrum", {"spectrum": {"levels": [16, 16.5]}}, []),
+        ("breakdown-sweep", {"sweep": {"a_values": [["x", 0.0]]}}, []),
+    ], ids=["grading-spectrum", "grading-sweep", "n-per-axis", "dimension", "seed",
+            "seed-option", "tol", "restart", "maxiter", "delta", "levels-coupled",
+            "levels-half-minus-K", "levels-fractional", "a-value"])
+    def test_malformed_value_exits_2_without_report(self, tmp_path, capsys, preset, edit, argv):
+        cfg = get_preset(preset)
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                cfg[key].update(value)
+            else:
+                cfg[key] = value
+        out = tmp_path / "out"
+        assert main([cfg["task"], "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)] + argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_scenario_rejects_bad_wave(self):
         cfg = get_preset("disc-no-contrast-solve")
         cfg["wave"]["k"] = [1.0, -2.0]  # decaying exterior wavenumber

@@ -5,7 +5,6 @@ from vielab import (
     DomainGeometry,
     build_boundary_mesh,
     build_volume_grid,
-    mesh_reflections,
     reflections,
 )
 
@@ -191,12 +190,17 @@ class TestReflections:
         assert len(reflections(build_volume_grid(ellipse, 24))) == 2
         grid = build_volume_grid(unit_disc, 16)
         mesh = build_boundary_mesh(unit_disc, 66)
-        assert len(reflections(grid)) == 3 and len(mesh_reflections(mesh)) == 2
+        assert len(reflections(grid)) == 3 and len(reflections(mesh=mesh)) == 2
         assert len(reflections(grid, mesh)) == 2
 
     def test_ball_grid_mirrors_three_axes(self):
         grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
-        assert len(reflections(grid)) == 3
+        perms = reflections(grid)
+        assert len(perms) == 3
+        for axis, perm in enumerate(perms):
+            mirrored = grid.centers.copy()
+            mirrored[:, axis] *= -1.0
+            assert np.abs(grid.centers[perm] - mirrored).max() <= 1e-12
 
     @pytest.mark.parametrize("n, shape", [(16, (16, 11)), (20, (20, 14)), (32, (32, 22)),
                                           (40, (40, 27)), (56, (56, 38)), (64, (64, 43))])
@@ -217,13 +221,17 @@ class TestReflections:
         # an odd node count puts no node at angle pi: the x mirror misses
         assert len(reflections(grid, build_boundary_mesh(unit_disc, 63))) == 1
 
-    @pytest.mark.parametrize("m", [64, 128, 256])
-    def test_graded_square_mesh_is_mirror_exact(self, unit_square, m):
-        mesh = build_boundary_mesh(unit_square, m, grading=3.0)
-        perms = mesh_reflections(mesh)
+    @pytest.mark.parametrize("shape, m, tol", [
+        ("unit_square", 64, 0.0), ("unit_square", 128, 0.0), ("unit_square", 256, 0.0),
+        ("unit_disc", 64, 1e-12),
+    ], ids=["square-64", "square-128", "square-256", "disc-64"])
+    def test_mesh_alone_is_mirror_exact(self, request, shape, m, tol):
+        # the graded square's nodes are placed so that mirrors are exact
+        mesh = build_boundary_mesh(request.getfixturevalue(shape), m, grading=3.0)
+        perms = reflections(mesh=mesh)
         assert len(perms) == 3
         for perm, image in zip(perms, _square_images(mesh.nodes)):
-            assert np.array_equal(mesh.nodes[perm], image)
+            assert np.abs(mesh.nodes[perm] - image).max() <= tol
             assert np.array_equal(mesh.weights[perm], mesh.weights)
 
 

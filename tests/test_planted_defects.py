@@ -125,6 +125,13 @@ def fft_matches_direct_pass() -> bool:
     return all(passes(test, dim, n, np.random.default_rng(1234)) for dim, n in ((2, 40), (3, 12)))
 
 
+def laplace_case_pass() -> bool:
+    """``test_laplace_case_is_identical`` on level 24: for a beta-only
+    coefficient the stencil and integrated-by-parts forms of A bit-agree."""
+    return passes(test_volume.TestSmoothForm().test_laplace_case_is_identical,
+                  build_volume_grid(DISC, 24), K1, np.random.default_rng(1234))
+
+
 def test_negated_a1_gradient_weights_break_smooth_form(monkeypatch):
     assert smooth_form_decays()
     weights = volume.a1_weights
@@ -136,6 +143,21 @@ def test_negated_a1_gradient_weights_break_smooth_form(monkeypatch):
     for module in (volume, coupled):
         monkeypatch.setattr(module, "a1_weights", negated)
     assert not smooth_form_decays()  # measured 1.53 -> 1.54
+
+
+def test_flipped_beta_sign_in_a1_weights_breaks_laplace_case(monkeypatch):
+    # no coupled-system or spectrum test sees this: the laplace case is the one
+    assert laplace_case_pass()
+    weights = volume.a1_weights
+
+    def beta_added(grid, params, coeffs):
+        _, *grad_weights = weights(grid, params, coeffs)
+        centers = grid.centers
+        return [params.k ** 2 * coeffs.alpha(centers) + coeffs.beta(centers), *grad_weights]
+
+    for module in (volume, coupled):
+        monkeypatch.setattr(module, "a1_weights", beta_added)
+    assert not laplace_case_pass()
 
 
 def test_halved_2d_self_cell_weight_breaks_polar_quadrature(monkeypatch):
