@@ -61,7 +61,9 @@ from .volume import (
     apply_A_smooth_form,
     assemble_A_dense,
     discrete_laplacian,
+    even_axes,
     identity_minus_A,
+    mirror_half,
     newton_potential,
 )
 
@@ -95,6 +97,13 @@ def _as_complex(value, label: str) -> complex:
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{label} must be a number or [re, im] pair")
+
+
+def _whole(value, label: str) -> int:
+    """An integer setting: an int, or a float without a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{label} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _require(cfg: dict, key: str, label: str):
@@ -138,12 +147,19 @@ def build_coefficients(cfg: dict, domain: DomainGeometry, k: complex) -> Coeffic
     raise ConfigError(f"unknown coefficient registry entry {name!r}")
 
 
+#: The sections of a scenario, each a JSON object when present.
+SECTIONS = ("wave", "discretization", "geometry", "coefficients", "solve", "spectrum", "sweep")
+
+
 class Scenario:
     """Validated scenario: geometry, wave, coefficients, discretization."""
 
     def __init__(self, config: dict, task: str, seed_override: Optional[int] = None):
         if not isinstance(config, dict):
             raise ConfigError("scenario configuration must be a JSON object")
+        for section in SECTIONS:
+            if not isinstance(config.get(section, {}), dict):
+                raise ConfigError(f"scenario section {section!r} must be a JSON object")
         cfg_task = config.get("task", task)
         if cfg_task != task:
             raise ConfigError(f"config task {cfg_task!r} does not match command {task!r}")
@@ -153,15 +169,17 @@ class Scenario:
         k = _as_complex(_require(wave, "k", "wave"), "k")
         disc = config.get("discretization", {})
         try:
-            self.seed = int(config.get("seed", 0) if seed_override is None else seed_override)
+            self.seed = _whole(config.get("seed", 0) if seed_override is None else seed_override,
+                               "seed")
             self.rng = np.random.default_rng(self.seed)
-            dim = int(wave.get("dimension", 2))
+            dim = _whole(wave.get("dimension", 2), "wave.dimension")
             self.params = WaveParameters(k, dim)
             self.domain = build_geometry(_require(config, "geometry", "scenario"))
             self.coeffs = build_coefficients(_require(config, "coefficients", "scenario"),
                                              self.domain, k)
-            self.n_per_axis = int(disc.get("n_per_axis", 32))
-            self.boundary_nodes = int(disc.get("boundary_nodes", 4 * self.n_per_axis))
+            self.n_per_axis = _whole(disc.get("n_per_axis", 32), "discretization.n_per_axis")
+            self.boundary_nodes = _whole(disc.get("boundary_nodes", 4 * self.n_per_axis),
+                                         "discretization.boundary_nodes")
             self.grading = float(disc.get("grading", 3.0))
         except ConfigError:
             raise
@@ -240,8 +258,8 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     # every input is checked before GMRES, so a bad one writes no file
     try:
         tol = float(cfg.get("tol", 1e-8))
-        restart = int(cfg.get("restart", 30))
-        maxiter = int(cfg.get("maxiter", 400))
+        restart = _whole(cfg.get("restart", 30), "solve.restart")
+        maxiter = _whole(cfg.get("maxiter", 400), "solve.maxiter")
         if not 0 < tol < 1:
             raise ConfigError("solve.tol must lie in (0, 1)")
         if restart < 10:
@@ -271,8 +289,12 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    applier = identity_minus_A(grid, scenario.params, scenario.coeffs)
-    u, info = gmres_solve(applier, u_inc, tol=tol, restart=restart, maxiter=maxiter)
+    # a mirror-symmetric problem is solved for the kept half of its even field
+    even = even_axes(grid, scenario.coeffs, u_inc)
+    kept, unfold = mirror_half(grid, even)
+    applier = identity_minus_A(grid, scenario.params, scenario.coeffs, even)
+    u, info = gmres_solve(applier, u_inc[kept], tol=tol, restart=restart, maxiter=maxiter)
+    u = u[unfold]
     rows = np.column_stack([grid.centers, u.real, u.imag])
     write_csv(out / "field.csv", scenario,
               list("xyz"[: grid.dimension]) + ["re", "im"], rows)

@@ -45,6 +45,16 @@ complex64 against the complex64 hats (GMRES passes one after its first
 restart). Every other entry point casts its field to complex128.
 Each cache holds one discretization: callers work on one grid at a time.
 
+Mirrored route: when the mask, the contrasts at the cell centers and the
+incident field equal their index flip along an axis with an even number
+of cells (``even_axes``), the solution is even along it. The system map
+then acts on the cells of index >= nc/2 along each such axis
+(``mirror_half``), and a convolution along it runs on half the padded
+length: an even source by DCT-II, the odd gradient source of that axis
+by -i DST-II one frequency up, each against views of the same hats, and
+back by DCT-III (Martucci's symmetric convolution). Other axes keep the
+FFT, and with no even axis every operation is the full route's.
+
 Dense memory budget: each dense builder estimates its peak as live
 complex arrays x 16 bytes x rows x cols plus a fixed allowance and,
 before allocating, refuses (``DenseBudgetError``) an estimate above
@@ -56,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,11 +99,14 @@ def check_dense_budget(what: str, live: float, rows: int, cols: int) -> None:
         raise DenseBudgetError(what, need)
 
 
-def _check_field(grid: VolumeGrid, u: np.ndarray, keep_single: bool = False) -> np.ndarray:
-    """The field as complex128, or as complex64 if it is one and ``keep_single``."""
+def _check_field(grid: VolumeGrid, u: np.ndarray, keep_single: bool = False,
+                 size: Optional[int] = None) -> np.ndarray:
+    """The field (of ``size`` entries, by default one per cell) as complex128,
+    or as complex64 if it is one and ``keep_single``."""
     u = np.asarray(u)
-    if u.shape != (grid.n,):
-        raise ValueError(f"field must have length {grid.n}, got shape {u.shape}")
+    size = grid.n if size is None else size
+    if u.shape != (size,):
+        raise ValueError(f"field must have length {size}, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("field contains non-finite values")
     single = keep_single and u.dtype == np.complex64
@@ -277,71 +290,114 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
 # ---------------------------------------------------------------------------
 # Kernel application (shared by the Newton potential and the operator)
 # ---------------------------------------------------------------------------
-def _half_blocks(pshape):
-    """The 2^(d-1) blocks of a padded spectrum that each read one contiguous
-    view of a half-spectrum hat: per block, the spectrum's index, the hat's
-    index (frequencies pc/2+1..pc-1 read pc/2-1..1, reversed) and the set of
-    axes along which the block lies past pc/2."""
-    halves = [((slice(0, pc // 2 + 1), slice(None), ()),
-               (slice(pc // 2 + 1, pc), slice(pc // 2 - 1, 0, -1), (ax,)))
-              for ax, pc in enumerate(pshape[:-1])]
-    for block in itertools.product(*halves):
-        yield (tuple(s for s, _, _ in block) + (slice(None),),
-               tuple(h for _, h, _ in block) + (slice(None),),
-               {ax for _, _, upper in block for ax in upper})
+def _half_blocks(pshape, even=(), own=-1):
+    """The blocks of a padded spectrum that each read one contiguous view of a
+    half-spectrum hat, for the kernel whose gradient axis is ``own`` (-1 for
+    G): per block, the index read in the product's spectrum, the hat's index,
+    the index in the accumulated spectrum and whether the block is negated
+    there. Along an axis not in ``even`` but the last, frequencies
+    pc/2+1..pc-1 read the hat at pc/2-1..1, reversed, negated along ``own``.
+    Along an axis in ``even`` the spectrum holds frequencies 0..pc/2-1 and
+    reads them from the hat, except along ``own``, whose DST-II index f holds
+    frequency f + 1 (the hat vanishes at 0 and pc/2)."""
+    d = len(pshape)
+    choices = []
+    for ax, pc in enumerate(pshape):
+        half = pc // 2
+        if ax in even:
+            choices.append([((slice(0, half - 1), slice(1, half), slice(1, half)), False)]
+                           if ax == own else
+                           [((slice(None), slice(0, half), slice(None)), False)])
+        elif ax < d - 1:
+            choices.append([((slice(0, half + 1), slice(None), slice(0, half + 1)), False),
+                            ((slice(half + 1, pc), slice(half - 1, 0, -1), slice(half + 1, pc)),
+                             ax == own)])
+        else:
+            choices.append([((slice(None), slice(None), slice(None)), False)])
+    for block in itertools.product(*choices):
+        index, hat_index, out_index = zip(*(slices for slices, _ in block))
+        yield index, hat_index, out_index, any(negated for _, negated in block)
 
 
-def _padded_fft(spec: np.ndarray, grid: VolumeGrid, src: np.ndarray) -> None:
-    """Transform the grid source ``src`` zero-padded to ``spec.shape``, in
-    place in ``spec``, one axis at a time over only the lines that can be
-    nonzero; each pass first zeroes the padding it reads. (scipy's FFT of a
-    complex array with ``overwrite_x`` writes into that array, views too.)"""
+def _padded_transform(spec: np.ndarray, mask: np.ndarray, src: np.ndarray,
+                      even=(), odd: int = -1) -> None:
+    """Transform the source ``src`` on the cells of ``mask`` zero-padded to
+    ``spec.shape``, in place in ``spec``, one axis at a time over only the
+    lines that can be nonzero; each pass first zeroes the padding it reads.
+    An axis in ``even`` is transformed by DCT-II (by DST-II if it is the
+    ``odd`` one), any other by FFT. (scipy's transforms of a complex array
+    with ``overwrite_x`` write into that array, views too.)"""
     import scipy.fft as sfft
-    shape = grid.shape
-    for ax in range(grid.dimension):
+    shape = mask.shape
+    for ax in range(mask.ndim):
         view = spec[(slice(None),) * (ax + 1) + tuple(slice(0, nc) for nc in shape[ax + 1:])]
         if ax == 0:
             view.fill(0)
-            view[: shape[0]][grid.mask] = src
+            view[: shape[0]][mask] = src
         else:
             view[(slice(None),) * ax + (slice(shape[ax], None),)] = 0
-        sfft.fft(view, axis=ax, overwrite_x=True)
+        if ax not in even:
+            sfft.fft(view, axis=ax, overwrite_x=True)
+        else:
+            (sfft.dst if ax == odd else sfft.dct)(view, type=2, axis=ax, overwrite_x=True)
 
 
-def _apply_kernels(grid, params, sources, dtype=np.complex128):
+def _apply_kernels(grid, params, sources, dtype=np.complex128, even=()):
     """Kernels (G, then the d gradient components) applied by FFT to the matching
     ``sources`` (the G source or None, then none or all d gradient sources),
     computed and returned in ``dtype`` (complex128 or complex64) against the
-    hat set of that precision."""
+    hat set of that precision.
+
+    With ``even`` axes the sources are given, and the result returned, on the
+    cells of index >= nc/2 along each of them (the kept half): every source
+    is even along such an axis but the gradient source of that axis, which
+    is odd. There the padded length is pc/2: an even source is transformed
+    by DCT-II and the odd one by -i DST-II, one frequency up, against the
+    hats' frequencies 0..pc/2-1 (1..pc/2-1 for the odd kernel), and the
+    inverse is DCT-III (``idct`` of type 2). This is the convolution of the
+    mirrored sources restricted to the kept half (Martucci's symmetric
+    convolution)."""
     import scipy.fft as sfft
+    mask = grid.mask[tuple(slice(nc // 2 if ax in even else 0, None)
+                           for ax, nc in enumerate(grid.shape))]
     if all(src is None for src in sources):
-        return np.zeros(grid.n, dtype=dtype)
+        return np.zeros(np.count_nonzero(mask), dtype=dtype)
     pshape, double, single = fft_kernel_tables(grid, params)
     hats = single if dtype == np.complex64 else double
     d = grid.dimension
-    acc, work = np.empty(pshape, dtype=dtype), np.empty(pshape, dtype=dtype)
+    wshape = tuple(pc // 2 if ax in even else pc for ax, pc in enumerate(pshape))
+    acc, work = np.empty(wshape, dtype=dtype), np.empty(wshape, dtype=dtype)
     spec = acc
     # the first product is formed in acc itself: G or, without it, the last
-    # gradient component, neither of which is negated in any block
+    # gradient component, which no block negates; shifted, it is added to zeros
     for j in (0, d, *range(1, d)):
         if j >= len(sources) or sources[j] is None:
             continue
-        _padded_fft(spec, grid, sources[j])
-        for index, hat_index, upper in _half_blocks(pshape):
+        src = sources[j]
+        if j - 1 in even:
+            src = -1j * src
+            if spec is acc:
+                acc.fill(0)
+                spec = work
+        _padded_transform(spec, mask, src, even, j - 1)
+        for index, hat_index, out_index, negated in _half_blocks(pshape, even, j - 1):
             block = spec[index]
             block *= hats[j][hat_index]
             if spec is acc:
                 continue
-            if j - 1 in upper:  # past pc/2 along a gradient's own axis
-                acc[index] -= block
+            if negated:  # past pc/2 along a gradient's own axis
+                acc[out_index] -= block
             else:
-                acc[index] += block
+                acc[out_index] += block
         spec = work
-    # inverse in place, keeping after each pass only the grid's extent along that axis
+    # inverse in place, keeping after each pass only the cells' extent along that axis
     for ax in reversed(range(d)):
-        sfft.ifft(acc, axis=ax, overwrite_x=True)
-        acc = acc[(slice(None),) * ax + (slice(0, grid.shape[ax]),)]
-    return grid.extract(acc)
+        if ax in even:
+            sfft.idct(acc, type=2, axis=ax, overwrite_x=True)
+        else:
+            sfft.ifft(acc, axis=ax, overwrite_x=True)
+        acc = acc[(slice(None),) * ax + (slice(0, mask.shape[ax]),)]
+    return acc[mask]
 
 
 def _sum_at_targets(grid: VolumeGrid, params: WaveParameters, targets: np.ndarray,
@@ -460,8 +516,39 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
     return a_mat
 
 
+def even_axes(grid: VolumeGrid, coeffs: CoefficientField, u_inc: np.ndarray) -> tuple:
+    """The axes along which the system (I - A) u = u_inc is even: the axis
+    has an even number of cells (none on the mirror plane), and the mask,
+    alpha and beta at the cell centers and ``u_inc``, placed on the grid,
+    equal their flip along it exactly. The solution is then even along
+    these axes, and ``identity_minus_A`` can solve for its kept half."""
+    placed = []
+    for values in (coeffs.alpha(grid.centers), coeffs.beta(grid.centers), u_inc):
+        full = np.zeros(grid.shape, dtype=np.complex128)
+        full[grid.mask] = values
+        placed.append(full)
+    return tuple(ax for ax, nc in enumerate(grid.shape) if nc % 2 == 0 and all(
+        np.array_equal(arr, np.flip(arr, ax)) for arr in (grid.mask, *placed)))
+
+
+def mirror_half(grid: VolumeGrid, even) -> Tuple[np.ndarray, np.ndarray]:
+    """``(kept, unfold)`` for the ``even`` axes of a grid whose mask is even
+    along them: the unknowns of index >= nc/2 along each of those axes, in
+    order, and for every unknown the position in ``kept`` of its mirror
+    image there, so that ``v[unfold]`` is the even field whose kept half is
+    ``v``."""
+    folded = grid.coords.copy()
+    for ax in even:
+        np.maximum(folded[:, ax], grid.shape[ax] - 1 - folded[:, ax], out=folded[:, ax])
+    image = grid.flat_index[tuple(folded.T)]
+    kept = np.flatnonzero(image == np.arange(grid.n))
+    position = np.empty(grid.n, dtype=np.int64)
+    position[kept] = np.arange(len(kept))
+    return kept, position[image]
+
+
 def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
-                     coeffs: CoefficientField) -> Callable:
+                     coeffs: CoefficientField, even=()) -> Callable:
     """Matrix-free applier u -> u - A u (the volume-integral system map).
 
     The contrasts are sampled at the cell centers once, when the applier
@@ -469,13 +556,27 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
     complex64 field is applied in single precision (padded transforms,
     products against the complex64 hats and result in complex64); any
     other field is applied in complex128.
+
+    With ``even`` axes (see ``even_axes``) the applier maps the kept half of
+    an even field (``mirror_half``) to the kept half of its image: the field
+    is unfolded onto the grid for the sources, whose kept halves are
+    convolved by DCT-II/DST-II along those axes on half the padded length
+    each. Each kept cell stands for 2^r cells (r the number of even axes),
+    so relative residuals, and GMRES's iterates, are the full system's.
     """
     sources = _contrast_sources(grid, coeffs)
+    if not even:
+        def applier(u):
+            u = _check_field(grid, u, keep_single=True)
+            return u - _apply_kernels(grid, params, sources(u), u.dtype)
+        return applier
+    kept, unfold = mirror_half(grid, even)
 
-    def applier(u):
-        u = _check_field(grid, u, keep_single=True)
-        return u - _apply_kernels(grid, params, sources(u), u.dtype)
-    return applier
+    def mirrored(u):
+        u = _check_field(grid, u, keep_single=True, size=len(kept))
+        halves = [None if src is None else src[kept] for src in sources(u[unfold])]
+        return u - _apply_kernels(grid, params, halves, u.dtype, even)
+    return mirrored
 
 
 def discrete_laplacian(grid: VolumeGrid, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

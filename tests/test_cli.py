@@ -106,9 +106,29 @@ class TestConfigValidation:
         ("circle-sigma-spectrum", {"spectrum": {"levels": [4, 6]}}, []),
         ("disc-a2-spectrum", {"spectrum": {"levels": [16, 16.5]}}, []),
         ("breakdown-sweep", {"sweep": {"a_values": [["x", 0.0]]}}, []),
+        ("disc-a2-solve", {"wave": 5}, []),
+        ("disc-a2-solve", {"discretization": 5}, []),
+        ("disc-a2-solve", {"geometry": 5}, []),
+        ("disc-a2-solve", {"coefficients": 5}, []),
+        ("disc-a2-solve", {"solve": 5}, []),
+        ("disc-a2-spectrum", {"spectrum": 5}, []),
+        ("breakdown-sweep", {"sweep": 5}, []),
+        ("disc-a2-solve", {"solve": None}, []),
+        ("disc-a2-solve", {"discretization": {"n_per_axis": 16.7}}, []),
+        ("disc-a2-solve", {"discretization": {"boundary_nodes": 64.5}}, []),
+        ("disc-a2-solve", {"seed": 1.5}, []),
+        ("disc-a2-solve", {"wave": {"dimension": 2.5}}, []),
+        ("disc-a2-solve", {"solve": {"restart": 30.5}}, []),
+        ("disc-a2-solve", {"solve": {"maxiter": 400.5}}, []),
+        ("disc-a2-solve", {"discretization": {"n_per_axis": float("inf")}}, []),
     ], ids=["grading-spectrum", "grading-sweep", "n-per-axis", "dimension", "seed",
             "seed-option", "tol", "restart", "maxiter", "delta", "levels-coupled",
-            "levels-half-minus-K", "levels-fractional", "a-value"])
+            "levels-half-minus-K", "levels-fractional", "a-value", "wave-section",
+            "discretization-section", "geometry-section", "coefficients-section",
+            "solve-section", "spectrum-section", "sweep-section", "null-section",
+            "n-per-axis-fractional", "boundary-nodes-fractional", "seed-fractional",
+            "dimension-fractional", "restart-fractional", "maxiter-fractional",
+            "n-per-axis-infinite"])
     def test_malformed_value_exits_2_without_report(self, tmp_path, capsys, preset, edit, argv):
         cfg = get_preset(preset)
         for key, value in edit.items():
@@ -121,6 +141,16 @@ class TestConfigValidation:
                      "--out", str(out)] + argv) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_whole_float_integers_accepted(self, tmp_path):
+        cfg = get_preset("disc-no-contrast-solve")
+        cfg["discretization"].update(n_per_axis=16.0, boundary_nodes=64.0)
+        cfg["wave"]["dimension"] = 2.0
+        cfg["seed"] = 3.0
+        cfg["solve"].update(restart=30.0, maxiter=100.0)
+        scenario = Scenario(cfg, "solve")
+        assert (scenario.n_per_axis, scenario.boundary_nodes, scenario.seed) == (16, 64, 3)
+        assert run_scenario(cfg, "solve", str(tmp_path / "out")) == 0
 
     def test_scenario_rejects_bad_wave(self):
         cfg = get_preset("disc-no-contrast-solve")
@@ -180,6 +210,65 @@ class TestSolveTask:
         report = read_report(out)
         assert report["status"] == "numerical-failure"
         assert report["incomplete"] is True
+
+
+def mirrored_solve_config(shape, dim, n, direction):
+    return {"task": "solve", "geometry": {"shape": shape, "radius": 1.0},
+            "wave": {"k": 4.0, "dimension": dim},
+            "coefficients": {"name": "constant-a", "a": 3.0, "k2_inside": 20.0},
+            "discretization": {"n_per_axis": n},
+            "solve": {"direction": list(direction), "tol": 1e-10, "restart": 10}}
+
+
+class TestMirroredSolve:
+    @pytest.mark.parametrize("shape, dim, n, direction, even", [
+        ("disc", 2, 32, (0.0, 1.0), (0,)),
+        ("ball", 3, 12, (-1.0, 0.0, 0.0), (1, 2)),
+    ], ids=["disc", "ball"])
+    def test_matches_full_route_and_writes_an_even_field(self, tmp_path, monkeypatch, shape,
+                                                         dim, n, direction, even):
+        cfg = mirrored_solve_config(shape, dim, n, direction)
+        detected = []
+        monkeypatch.setattr(cli, "even_axes",
+                            lambda *args: detected.append(volume.even_axes(*args)) or detected[-1])
+        assert run_scenario(cfg, "solve", str(tmp_path / "half")) == 0
+        assert detected == [even]
+        monkeypatch.setattr(cli, "even_axes", lambda *args: ())
+        assert run_scenario(cfg, "solve", str(tmp_path / "full")) == 0
+        half, full = (read_report(tmp_path / run)["results"]["gmres"] for run in ("half", "full"))
+        assert (half["iterations"], half["reason"]) == (full["iterations"], full["reason"])
+        assert half["iterations"] > 10  # past the first restart: complex64 cycles too
+        fields = [np.loadtxt(tmp_path / run / "field.csv", delimiter=",", skiprows=2)
+                  for run in ("half", "full")]
+        assert np.array_equal(fields[0][:, :dim], fields[1][:, :dim])
+        u_half, u_full = (f[:, dim] + 1j * f[:, dim + 1] for f in fields)
+        assert np.linalg.norm(u_half - u_full) <= 1e-10 * np.linalg.norm(u_full)
+        grid = Scenario(cfg, "solve").grid()
+        placed = np.zeros(grid.shape, dtype=complex)
+        placed[grid.mask] = u_half
+        for ax in even:
+            assert np.array_equal(placed, np.flip(placed, ax))
+
+    def test_solve_applies_the_identity_minus_A_it_builds(self, tmp_path, monkeypatch):
+        # the benchmark traces the solve's matvecs by wrapping this binding
+        built, solved, matvecs = [], [], []
+        gmres = cli.gmres_solve
+
+        def system(*args):
+            applier = volume.identity_minus_A(*args)
+            built.append(lambda u: matvecs.append(1) or applier(u))
+            return built[-1]
+
+        def solver(applier, *args, **kwargs):
+            solved.append(applier)
+            return gmres(applier, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "identity_minus_A", system)
+        monkeypatch.setattr(cli, "gmres_solve", solver)
+        cfg = mirrored_solve_config("disc", 2, 16, (1.0, 0.0))
+        assert run_scenario(cfg, "solve", str(tmp_path / "out")) == 0
+        assert len(built) == len(solved) == 1 and solved[0] is built[0]
+        assert len(matvecs) >= read_report(tmp_path / "out")["results"]["gmres"]["iterations"]
 
 
 class TestSpectrumTask:

@@ -132,6 +132,15 @@ def laplace_case_pass() -> bool:
                   build_volume_grid(DISC, 24), K1, np.random.default_rng(1234))
 
 
+def mirrored_matches_full_pass() -> bool:
+    """``test_kept_half_matches_full_route`` in double precision on the disc
+    with both axes even and on the ball with two: the applier on the kept
+    half against the full FFT route, to 1e-13 (a = 3 + i, beta nonzero)."""
+    test = test_volume.TestMirroredRoute().test_kept_half_matches_full_route
+    return all(passes(test, domain, n, even, 3.0 + 1.0j, 6.0, np.complex128, 1e-13)
+               for domain, n, even in ((DISC, 24, (0, 1)), (DomainGeometry.ball(1.0), 10, (1, 2))))
+
+
 def test_negated_a1_gradient_weights_break_smooth_form(monkeypatch):
     assert smooth_form_decays()
     weights = volume.a1_weights
@@ -205,9 +214,28 @@ def test_added_negative_half_block_breaks_fft_against_direct(monkeypatch):
     assert fft_matches_direct_pass()
     blocks = volume._half_blocks
 
-    def all_added(pshape):
-        for index, hat_index, _ in blocks(pshape):
-            yield index, hat_index, set()
+    def all_added(*args):
+        for index, hat_index, out_index, _ in blocks(*args):
+            yield index, hat_index, out_index, False
 
     monkeypatch.setattr(volume, "_half_blocks", all_added)
     assert not fft_matches_direct_pass()
+
+
+@pytest.mark.parametrize("defect", ["dct-on-odd-source", "unshifted-odd-product"])
+def test_odd_gradient_source_defects_break_mirrored_route(monkeypatch, defect):
+    # the gradient source of an even axis is odd along it: -i DST-II, one frequency up
+    assert mirrored_matches_full_pass()
+    if defect == "dct-on-odd-source":
+        transform = volume._padded_transform
+        monkeypatch.setattr(volume, "_padded_transform",
+                            lambda spec, mask, src, even=(), odd=-1: transform(spec, mask, src, even))
+    else:
+        blocks = volume._half_blocks
+
+        def unshifted(*args):
+            for index, hat_index, _, negated in blocks(*args):
+                yield index, hat_index, index, negated
+
+        monkeypatch.setattr(volume, "_half_blocks", unshifted)
+    assert not mirrored_matches_full_pass()

@@ -14,7 +14,7 @@ from vielab import (
     mie_reference_disc,
 )
 from vielab.scattering import _log_derivative_j, plane_wave_function, point_source_function
-from vielab.volume import discrete_laplacian, identity_minus_A
+from vielab.volume import discrete_laplacian, even_axes, identity_minus_A, mirror_half
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +237,33 @@ class TestMixedPrecision:
         # measured 1.5e-12 and 1.6e-12
         assert np.linalg.norm(x - x_lu) <= 1e-11 * np.linalg.norm(x_lu)
         assert np.linalg.norm(x - x_one) <= 1e-11 * np.linalg.norm(x_one)
+
+
+class TestMirroredSolve:
+    """GMRES on the kept half of a mirror-symmetric system (k = 4, a = 3)
+    takes the full solve's iterates: each kept cell stands for 2^r cells."""
+
+    @pytest.mark.parametrize("domain, n, direction, even", [
+        (DomainGeometry.disc(1.0), 32, (1.0, 0.0), (1,)),
+        (DomainGeometry.ball(1.0), 12, (0.0, 0.0, 1.0), (0, 1)),
+    ], ids=["disc", "ball"])
+    def test_same_iterations_and_field_as_full_solve(self, domain, n, direction, even):
+        params = WaveParameters(4.0, domain.dimension)
+        grid = build_volume_grid(domain, n)
+        cf = constant_a(domain, params.k, 3.0, k2_inside=20.0)
+        u_inc = incident_plane_wave(grid, params, direction)
+        assert even_axes(grid, cf, u_inc) == even
+        kept, unfold = mirror_half(grid, even)
+        x_full, full = gmres_solve(identity_minus_A(grid, params, cf), u_inc,
+                                   tol=1e-10, restart=10)
+        x_half, half = gmres_solve(identity_minus_A(grid, params, cf, even), u_inc[kept],
+                                   tol=1e-10, restart=10)
+        assert full.converged and full.iterations > 10
+        assert (half.iterations, half.reason) == (full.iterations, full.reason)
+        # the Arnoldi estimates agree to single precision's rounding after the
+        # first restart (measured 1.2e-4 and 9.6e-5 relative), the fields to 5.4e-14
+        assert np.allclose(half.history, full.history, rtol=1e-3, atol=0)
+        assert np.linalg.norm(x_half[unfold] - x_full) <= 1e-10 * np.linalg.norm(x_full)
 
 
 class TestMieSeries:
