@@ -290,11 +290,10 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
         raise ConfigError(str(exc)) from exc
 
     # a mirror-symmetric problem is solved for the kept half of its even field
-    even = even_axes(grid, scenario.coeffs, u_inc)
-    kept, unfold = mirror_half(grid, even)
-    applier = identity_minus_A(grid, scenario.params, scenario.coeffs, even)
-    u, info = gmres_solve(applier, u_inc[kept], tol=tol, restart=restart, maxiter=maxiter)
-    u = u[unfold]
+    half = mirror_half(grid, even_axes(grid, scenario.coeffs, u_inc))
+    applier = identity_minus_A(grid, scenario.params, scenario.coeffs, half)
+    u, info = gmres_solve(applier, u_inc[half.kept], tol=tol, restart=restart, maxiter=maxiter)
+    u = u[half.unfold]
     rows = np.column_stack([grid.centers, u.real, u.imag])
     write_csv(out / "field.csv", scenario,
               list("xyz"[: grid.dimension]) + ["re", "im"], rows)

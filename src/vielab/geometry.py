@@ -243,12 +243,6 @@ class VolumeGrid:
     def cell_volume(self) -> float:
         return self.h ** self.dimension
 
-    def extract(self, full: np.ndarray) -> np.ndarray:
-        """Gather values at the included cells from a full grid array."""
-        if full.shape != self.shape:
-            raise ValueError(f"expected grid shape {self.shape}, got {full.shape}")
-        return full[self.mask]
-
 
 def build_volume_grid(domain: DomainGeometry, n_per_axis: int) -> VolumeGrid:
     """Build the uniform volume grid with inclusion-by-center masking.

@@ -66,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -531,12 +531,19 @@ def even_axes(grid: VolumeGrid, coeffs: CoefficientField, u_inc: np.ndarray) -> 
         np.array_equal(arr, np.flip(arr, ax)) for arr in (grid.mask, *placed)))
 
 
-def mirror_half(grid: VolumeGrid, even) -> Tuple[np.ndarray, np.ndarray]:
-    """``(kept, unfold)`` for the ``even`` axes of a grid whose mask is even
-    along them: the unknowns of index >= nc/2 along each of those axes, in
-    order, and for every unknown the position in ``kept`` of its mirror
-    image there, so that ``v[unfold]`` is the even field whose kept half is
-    ``v``."""
+class MirrorHalf(NamedTuple):
+    """The kept half of a grid along its ``even`` axes: ``kept`` indexes the
+    unknowns of index >= nc/2 along each of those axes, in order, and
+    ``unfold`` gives for every unknown the position in ``kept`` of its
+    mirror image there, so that ``v[unfold]`` is the even field whose kept
+    half is ``v``. With no even axis both are ``arange(n)``."""
+    even: tuple
+    kept: np.ndarray
+    unfold: np.ndarray
+
+
+def mirror_half(grid: VolumeGrid, even=()) -> MirrorHalf:
+    """The ``MirrorHalf`` of a grid whose mask is even along ``even``."""
     folded = grid.coords.copy()
     for ax in even:
         np.maximum(folded[:, ax], grid.shape[ax] - 1 - folded[:, ax], out=folded[:, ax])
@@ -544,11 +551,11 @@ def mirror_half(grid: VolumeGrid, even) -> Tuple[np.ndarray, np.ndarray]:
     kept = np.flatnonzero(image == np.arange(grid.n))
     position = np.empty(grid.n, dtype=np.int64)
     position[kept] = np.arange(len(kept))
-    return kept, position[image]
+    return MirrorHalf(tuple(even), kept, position[image])
 
 
 def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
-                     coeffs: CoefficientField, even=()) -> Callable:
+                     coeffs: CoefficientField, half: Optional[MirrorHalf] = None) -> Callable:
     """Matrix-free applier u -> u - A u (the volume-integral system map).
 
     The contrasts are sampled at the cell centers once, when the applier
@@ -557,26 +564,22 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
     products against the complex64 hats and result in complex64); any
     other field is applied in complex128.
 
-    With ``even`` axes (see ``even_axes``) the applier maps the kept half of
-    an even field (``mirror_half``) to the kept half of its image: the field
-    is unfolded onto the grid for the sources, whose kept halves are
-    convolved by DCT-II/DST-II along those axes on half the padded length
-    each. Each kept cell stands for 2^r cells (r the number of even axes),
-    so relative residuals, and GMRES's iterates, are the full system's.
+    The applier acts on the kept cells of ``half`` (``mirror_half``; by
+    default every cell): its field is the kept half of a field even along
+    ``half.even`` (see ``even_axes``), unfolded onto the grid for the
+    sources, whose kept halves are convolved by DCT-II/DST-II along those
+    axes on half the padded length each. Each kept cell stands for 2^r
+    cells (r the number of even axes), so relative residuals, and GMRES's
+    iterates, are the full system's.
     """
     sources = _contrast_sources(grid, coeffs)
-    if not even:
-        def applier(u):
-            u = _check_field(grid, u, keep_single=True)
-            return u - _apply_kernels(grid, params, sources(u), u.dtype)
-        return applier
-    kept, unfold = mirror_half(grid, even)
+    even, kept, unfold = mirror_half(grid) if half is None else half
 
-    def mirrored(u):
+    def applier(u):
         u = _check_field(grid, u, keep_single=True, size=len(kept))
         halves = [None if src is None else src[kept] for src in sources(u[unfold])]
         return u - _apply_kernels(grid, params, halves, u.dtype, even)
-    return mirrored
+    return applier
 
 
 def discrete_laplacian(grid: VolumeGrid, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

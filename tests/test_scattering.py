@@ -253,17 +253,17 @@ class TestMirroredSolve:
         cf = constant_a(domain, params.k, 3.0, k2_inside=20.0)
         u_inc = incident_plane_wave(grid, params, direction)
         assert even_axes(grid, cf, u_inc) == even
-        kept, unfold = mirror_half(grid, even)
+        mirror = mirror_half(grid, even)
         x_full, full = gmres_solve(identity_minus_A(grid, params, cf), u_inc,
                                    tol=1e-10, restart=10)
-        x_half, half = gmres_solve(identity_minus_A(grid, params, cf, even), u_inc[kept],
-                                   tol=1e-10, restart=10)
+        x_half, half = gmres_solve(identity_minus_A(grid, params, cf, mirror),
+                                   u_inc[mirror.kept], tol=1e-10, restart=10)
         assert full.converged and full.iterations > 10
         assert (half.iterations, half.reason) == (full.iterations, full.reason)
         # the Arnoldi estimates agree to single precision's rounding after the
         # first restart (measured 1.2e-4 and 9.6e-5 relative), the fields to 5.4e-14
         assert np.allclose(half.history, full.history, rtol=1e-3, atol=0)
-        assert np.linalg.norm(x_half[unfold] - x_full) <= 1e-10 * np.linalg.norm(x_full)
+        assert np.linalg.norm(x_half[mirror.unfold] - x_full) <= 1e-10 * np.linalg.norm(x_full)
 
 
 class TestMieSeries:

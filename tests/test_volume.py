@@ -315,19 +315,20 @@ class TestMirroredRoute:
         grid = build_volume_grid(domain, n)
         params = WaveParameters(2.0, grid.dimension)
         cf = constant_a(domain, params.k, a, k2)
-        kept, unfold = mirror_half(grid, even)
-        assert len(kept) * 2 ** len(even) == grid.n
+        half = mirror_half(grid, even)
+        assert len(half.kept) * 2 ** len(even) == grid.n
         rng = np.random.default_rng(5)
-        v = random_field(len(kept), rng).astype(dtype)
-        full = identity_minus_A(grid, params, cf)(v[unfold])[kept]
-        half = identity_minus_A(grid, params, cf, even)(v)
-        assert half.dtype == dtype
+        v = random_field(len(half.kept), rng).astype(dtype)
+        full = identity_minus_A(grid, params, cf)(v[half.unfold])[half.kept]
+        reduced = identity_minus_A(grid, params, cf, half)(v)
+        assert reduced.dtype == dtype
         # measured at most 3.4e-16 in double and 1.6e-7 in single
-        assert np.linalg.norm(half - full) <= tol * np.linalg.norm(full)
+        assert np.linalg.norm(reduced - full) <= tol * np.linalg.norm(full)
 
     def test_unfold_mirrors_the_kept_half(self):
         grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
-        kept, unfold = mirror_half(grid, (0, 2))
+        even, kept, unfold = mirror_half(grid, (0, 2))
+        assert even == (0, 2)
         assert np.array_equal(unfold[kept], np.arange(len(kept)))
         placed = np.zeros(grid.shape)
         placed[grid.mask] = np.arange(len(kept))[unfold]
