@@ -46,11 +46,6 @@ TRACE_MAX_NEIGHBORS = 6
 NEAR_OVERSAMPLE = 8
 
 
-def _require_2d(mesh: BoundaryMesh) -> None:
-    if mesh.nodes.shape[1] != 2:
-        raise ValueError("boundary operators are implemented for 2D meshes only")
-
-
 def _check_density(mesh: BoundaryMesh, phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi)
     if phi.shape != (mesh.m,):
@@ -199,7 +194,6 @@ def double_layer_matrix(mesh: BoundaryMesh, params: WaveParameters,
     upgraded by a ``NEAR_OVERSAMPLE``-times finer mesh with the density
     interpolated onto it.
     """
-    _require_2d(mesh)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     near = np.zeros(len(targets), dtype=bool)
     if near_distance is not None and near_distance > 0:
@@ -240,7 +234,6 @@ def assemble_K(mesh: BoundaryMesh, params: WaveParameters) -> np.ndarray:
     Nystrom with zero self-node diagonal (same-edge kernel entries
     vanish identically since (x - y) is tangential there).
     """
-    _require_2d(mesh)
     m = mesh.m
     check_dense_budget("boundary operator K", 8, m, m)  # (M, M, 2) arrays and temporaries
     diff = mesh.nodes[:, None, :] - mesh.nodes
@@ -261,7 +254,6 @@ def jump_relation_check(mesh: BoundaryMesh, params: WaveParameters,
     semi-axis; oversampled quadrature) and Richardson-extrapolated to the
     boundary with three levels.
     """
-    _require_2d(mesh)
     if not mesh.is_smooth:
         raise ValueError("quantitative jump relation check requires a smooth curve")
     phi = _check_density(mesh, phi)

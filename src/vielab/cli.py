@@ -21,53 +21,35 @@ import argparse
 import hashlib
 import json
 import logging
+import math
+import operator
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .boundary import assemble_K, jump_relation_check, trace
-from .coefficients import CoefficientField, beta_only, constant_a, linear_a, smooth_bump_a
+from .boundary import assemble_K, double_layer_potential, jump_relation_check, trace
+from .coefficients import beta_only, constant_a, linear_a, smooth_bump_a
 from .coupled import NEAR_SINGULAR_RCOND, assemble_coupled, check_equivalence, solve_coupled
-from .geometry import DomainGeometry, build_boundary_mesh, build_volume_grid, reflections
+from .geometry import (DEFAULT_BBOX_MARGIN, DomainGeometry, build_boundary_mesh,
+                       build_volume_grid, reflections)
 from .presets import get_preset, preset_names
-from .scattering import (
-    extend_solution,
-    gmres_solve,
-    incident_plane_wave,
-    incident_point_source,
-    plane_wave_function,
-    point_source_function,
-)
+from .scattering import (extend_solution, gmres_solve, incident_plane_wave, incident_point_source,
+                         plane_wave_function, point_source_function)
 from .special import WaveParameters
-from .spectral import (
-    a_to_sigma,
-    condition_sweep,
-    detect_clusters,
-    eigenvalues_dense,
-    essential_set,
-    farthest_distance,
-    fredholm_verdict,
-    sigma_to_a,
-    spectral_instrument,
-)
-from .volume import (
-    DenseBudgetError,
-    apply_A,
-    apply_A_fft,
-    apply_A_smooth_form,
-    assemble_A_dense,
-    discrete_laplacian,
-    even_axes,
-    identity_minus_A,
-    mirror_half,
-    newton_potential,
-)
+from .spectral import (a_to_sigma, condition_sweep, detect_clusters, eigenvalues_dense,
+                       essential_set, farthest_distance, fredholm_verdict, sigma_to_a,
+                       spectral_instrument)
+from .volume import (DenseBudgetError, apply_A, apply_A_fft, apply_A_smooth_form,
+                     assemble_A_dense, discrete_laplacian, even_axes, identity_minus_A,
+                     mirror_half, newton_potential)
 
-logger = logging.getLogger(__name__)
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration (exit code 2)."""
@@ -86,118 +68,209 @@ class NumericalFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Configuration parsing
+# Configuration schema
 # ---------------------------------------------------------------------------
-def _as_complex(value, label: str) -> complex:
-    try:
-        if isinstance(value, (int, float)):
-            return complex(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{label} must be a number or [re, im] pair")
+REQUIRED = object()
+
+#: A scenario key: its kind (see ``_value``), its default (``REQUIRED`` if it must
+#: be given, None if the scenario fills it in) and its bound, (operator, edge) pairs
+#: each number of its value meets. A choice maps its options to the keys they add.
+Key = namedtuple("Key", "kind default bound options", defaults=(REQUIRED, (), None))
+
+_TESTS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+_POSITIVE = (">", 0.0)
+_CONSTANT_A = {"a": Key("complex"), "k2_inside": Key("complex", None)}
+
+#: The top-level key besides the sections, ``task`` and ``output_dir`` (read by ``main``).
+SEED = Key("whole", 0, (">=", 0))
+
+#: Every key a scenario may carry, by section. A key that one option of a
+#: choice reads hangs off that option. A level is cells per axis, or boundary
+#: nodes for ``half-minus-K``.
+SCHEMA = {
+    "wave": {"k": Key("complex"), "dimension": Key("whole", 2, (">=", 2, "<=", 3))},
+    "geometry": {
+        "shape": Key("choice", options={
+            "disc": {"radius": Key("number", bound=_POSITIVE)},
+            "ellipse": {"semi_axes": Key("pair of number", bound=_POSITIVE)},
+            "polygon": {"vertices": Key("list of vector")},
+            "ball": {"radius": Key("number", bound=_POSITIVE)}}),
+        "margin": Key("number", DEFAULT_BBOX_MARGIN, (">=", 0.0))},
+    "coefficients": {"name": Key("choice", options={
+        "constant-a": _CONSTANT_A,
+        "polygon-constant-a": _CONSTANT_A,
+        "smooth-bump-a": {"amplitude": Key("complex"), "rho": Key("number", None, _POSITIVE)},
+        "beta-only": {"amplitude": Key("complex"), "r_plateau": Key("number", 0.7, _POSITIVE),
+                      "r_cut": Key("number", 0.95, _POSITIVE)},
+        "linear-a": {"a0": Key("complex", 1.0), "gradient": Key("vector")}})},
+    "discretization": {
+        "n_per_axis": Key("whole", 32, (">=", 4)),
+        "boundary_nodes": Key("whole", None, (">=", 8)),  # None: 4 n_per_axis
+        "grading": Key("number", 3.0, (">=", 1.0))},
+    "solve": {
+        "incident": Key("choice", "plane-wave", options={
+            "plane-wave": {"direction": Key("vector", None)},  # None: the first axis
+            "point-source": {"source": Key("vector")}}),
+        "tol": Key("number", 1e-8, (">", 0.0, "<", 1.0)),
+        "restart": Key("whole", 30, (">=", 10)),
+        "maxiter": Key("whole", 400, (">=", 1)),
+        "exterior_radii": Key("list of number", (), _POSITIVE)},
+    "spectrum": {
+        "operator": Key("choice", "coupled", options={
+            "coupled": {"levels": Key("pair of whole", bound=(">=", 4))},
+            "contrast": {"levels": Key("pair of whole", bound=(">=", 4))},
+            "half-minus-K": {"levels": Key("pair of whole", bound=(">=", 8))}}),
+        "delta": Key("number", 0.1, _POSITIVE)},
+    "sweep": {"a_values": Key("list of complex")},
+}
+
+COEFFICIENTS = {"constant-a": constant_a, "polygon-constant-a": constant_a,
+                "smooth-bump-a": smooth_bump_a, "beta-only": beta_only, "linear-a": linear_a}
+
+#: Coefficient tags whose alpha jumps across the boundary.
+JUMP_TAGS = ("piecewise-constant", "piecewise-smooth")
 
 
-def _whole(value, label: str) -> int:
-    """An integer setting: an int, or a float without a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
+def declared_keys():
+    """Each ``(section, selector, name, key)`` of ``SCHEMA``, where ``selector``
+    is the ``(choice, option)`` the key hangs off, or None."""
+    for section, table in SCHEMA.items():
+        for name, key in table.items():
+            yield section, None, name, key
+            for option, keys in (key.options or {}).items():
+                yield from ((section, (name, option), sub, k) for sub, k in keys.items())
+
+
+def _unknown(label: str, name: str) -> ConfigError:
+    homes = [f"{section}.{key}" + (f" (with {section}.{sel[0]} {sel[1]})" if sel else "")
+             for section, sel, key, _ in declared_keys() if key == name]
+    return ConfigError(f"unknown key {label}"
+                       + (f"; {name!r} is read as {' or '.join(homes)}" if homes else ""))
+
+
+def _value(label: str, key: Key, value, dim: int):
+    """``value`` as the type ``key.kind`` names: "number" (a finite real),
+    "whole" (an integer, or a float without a fractional part), "complex" (a
+    number or an [re, im] pair), "choice" (an option), "vector" (one number
+    per axis), "pair of <kind>" or "list of <kind>" (one or more entries)."""
+    shape, _, item = key.kind.partition(" of ")
+    if shape in ("vector", "pair", "list"):
+        count = {"vector": dim, "pair": 2}.get(shape)
+        if not (isinstance(value, list) and (len(value) == count if count else value)):
+            raise ConfigError(f"{label} must be a list of {count or 'one or more'} entries, "
+                              f"got {value!r}")
+        entries = [_value(f"{label}[{i}]", key._replace(kind=item or "number"), v, dim)
+                   for i, v in enumerate(value)]
+        return np.array(entries) if shape == "vector" else entries
+    if shape == "choice" and not (isinstance(value, str) and value in key.options):
+        raise ConfigError(f"{label} must be one of {', '.join(key.options)}, got {value!r}")
+    if shape == "choice":
+        return value
+    if shape == "complex" and isinstance(value, list) and len(value) == 2:
+        return complex(_value(label, key, value[0], dim), _value(label, key, value[1], dim))
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
+    if shape == "whole" and not float(value).is_integer():
         raise ConfigError(f"{label} must be a whole number, got {value!r}")
-    return int(value)
+    for op, edge in zip(key.bound[::2], key.bound[1::2]):
+        if not _TESTS[op](value, edge):
+            raise ConfigError(f"{label} must be {op} {edge:g}, got {value!r}")
+    return {"whole": int, "complex": complex}.get(shape, float)(value)
 
 
-def _require(cfg: dict, key: str, label: str):
-    if key not in cfg:
-        raise ConfigError(f"missing {label} entry {key!r}")
-    return cfg[key]
-
-
-def build_geometry(cfg: dict) -> DomainGeometry:
-    shape = _require(cfg, "shape", "geometry")
-    margin = float(cfg.get("margin", 0.1))
-    if shape == "disc":
-        return DomainGeometry.disc(float(_require(cfg, "radius", "geometry")), margin)
-    if shape == "ellipse":
-        return DomainGeometry.ellipse(_require(cfg, "semi_axes", "geometry"), margin)
-    if shape == "polygon":
-        return DomainGeometry.polygon(_require(cfg, "vertices", "geometry"), margin)
-    if shape == "ball":
-        return DomainGeometry.ball(float(_require(cfg, "radius", "geometry")), margin)
-    raise ConfigError(f"unknown shape {shape!r}")
-
-
-def build_coefficients(cfg: dict, domain: DomainGeometry, k: complex) -> CoefficientField:
-    name = _require(cfg, "name", "coefficients")
-    if name in ("constant-a", "polygon-constant-a"):
-        a_val = _as_complex(_require(cfg, "a", "coefficients"), "a")
-        k2_in = cfg.get("k2_inside")
-        return constant_a(domain, k, a_val,
-                          None if k2_in is None else _as_complex(k2_in, "k2_inside"))
-    if name == "smooth-bump-a":
-        return smooth_bump_a(domain, k, _as_complex(_require(cfg, "amplitude", "coefficients"),
-                                                    "amplitude"),
-                             cfg.get("rho"))
-    if name == "beta-only":
-        return beta_only(domain, k, _as_complex(_require(cfg, "amplitude", "coefficients"),
-                                                "amplitude"),
-                         float(cfg.get("r_plateau", 0.7)), float(cfg.get("r_cut", 0.95)))
-    if name == "linear-a":
-        return linear_a(domain, k, _as_complex(cfg.get("a0", 1.0), "a0"),
-                        np.asarray(_require(cfg, "gradient", "coefficients"), dtype=complex))
-    raise ConfigError(f"unknown coefficient registry entry {name!r}")
-
-
-#: The sections of a scenario, each a JSON object when present.
-SECTIONS = ("wave", "discretization", "geometry", "coefficients", "solve", "spectrum", "sweep")
+def _section(name: str, cfg, dim: int) -> dict:
+    """The typed keys of section ``name`` of a scenario."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"scenario section {name!r} must be a JSON object")
+    keys, values = list(SCHEMA[name].items()), {}
+    for key_name, key in keys:  # a choice appends its option's keys as it goes
+        if key_name in cfg:
+            values[key_name] = _value(f"{name}.{key_name}", key, cfg[key_name], dim)
+        elif key.default is REQUIRED:
+            raise ConfigError(f"missing {name}.{key_name}")
+        else:
+            values[key_name] = key.default
+        if key.options:
+            keys.extend(key.options[values[key_name]].items())
+    for key_name in cfg:
+        if key_name not in values:
+            raise _unknown(f"{name}.{key_name}", key_name)
+    return values
 
 
 class Scenario:
-    """Validated scenario: geometry, wave, coefficients, discretization."""
+    """Validated scenario: geometry, wave, coefficients, discretization, and
+    the typed keys of ``solve``, ``spectrum`` and ``sweep`` (None if absent)."""
 
     def __init__(self, config: dict, task: str, seed_override: Optional[int] = None):
-        if not isinstance(config, dict):
-            raise ConfigError("scenario configuration must be a JSON object")
-        for section in SECTIONS:
-            if not isinstance(config.get(section, {}), dict):
-                raise ConfigError(f"scenario section {section!r} must be a JSON object")
-        cfg_task = config.get("task", task)
-        if cfg_task != task:
-            raise ConfigError(f"config task {cfg_task!r} does not match command {task!r}")
         self.task = task
-        self.config = config
-        wave = _require(config, "wave", "scenario")
-        k = _as_complex(_require(wave, "k", "wave"), "k")
-        disc = config.get("discretization", {})
         try:
-            self.seed = _whole(config.get("seed", 0) if seed_override is None else seed_override,
-                               "seed")
-            self.rng = np.random.default_rng(self.seed)
-            dim = _whole(wave.get("dimension", 2), "wave.dimension")
-            self.params = WaveParameters(k, dim)
-            self.domain = build_geometry(_require(config, "geometry", "scenario"))
-            self.coeffs = build_coefficients(_require(config, "coefficients", "scenario"),
-                                             self.domain, k)
-            self.n_per_axis = _whole(disc.get("n_per_axis", 32), "discretization.n_per_axis")
-            self.boundary_nodes = _whole(disc.get("boundary_nodes", 4 * self.n_per_axis),
-                                         "discretization.boundary_nodes")
-            self.grading = float(disc.get("grading", 3.0))
+            self._read(config, seed_override)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        self.hash = config_hash(config)
+
+    def _read(self, config: dict, seed_override: Optional[int]) -> None:
+        if not isinstance(config, dict):
+            raise ConfigError("scenario configuration must be a JSON object")
+        if config.get("task", self.task) != self.task:
+            raise ConfigError(f"config task {config['task']!r} does not match command "
+                              f"{self.task!r}")
+        for name in config:
+            if name not in SCHEMA and name not in ("task", "seed", "output_dir"):
+                raise _unknown(name, name)
+        self.seed = _value("seed", SEED, config.get("seed", 0) if seed_override is None
+                           else seed_override, 0)
+        self.rng = np.random.default_rng(self.seed)
+        # the first four sections and the task's own are read even when absent;
+        # wave comes first, as a vector has one number per axis
+        parsed, dim = {}, 2
+        for name in SCHEMA:
+            if name in config or name in ("wave", "geometry", "coefficients",
+                                          "discretization", self.task):
+                parsed[name] = _section(name, config.get(name, {}), dim)
+                dim = parsed["wave"]["dimension"]
+        self.params = WaveParameters(parsed["wave"]["k"], dim)
+        geometry, coefficients = parsed["geometry"], parsed["coefficients"]
+        self.domain = getattr(DomainGeometry, geometry.pop("shape"))(**geometry)
         if self.domain.dimension != dim:
             raise ConfigError("geometry dimension does not match wave dimension")
-        if self.n_per_axis < 4:
-            raise ConfigError("n_per_axis must be at least 4")
-        if self.boundary_nodes < 8:
-            raise ConfigError("boundary_nodes must be at least 8")
-        if not self.grading >= 1:
-            raise ConfigError("discretization.grading must be at least 1")
-        self._hash = config_hash(config)
-
-    @property
-    def hash(self) -> str:
-        return self._hash
+        self.coeffs = COEFFICIENTS[coefficients.pop("name")](self.domain, self.params.k,
+                                                             **coefficients)
+        self.n_per_axis, self.boundary_nodes, self.grading = parsed["discretization"].values()
+        self.boundary_nodes = self.boundary_nodes or 4 * self.n_per_axis
+        self.solve, self.spectrum, self.sweep = (
+            SimpleNamespace(**parsed[name]) if name in parsed else None
+            for name in ("solve", "spectrum", "sweep"))
+        solve, spectrum = self.solve, self.spectrum
+        if solve and solve.incident == "plane-wave":
+            solve.direction = np.eye(dim)[0] if solve.direction is None else solve.direction
+            if not abs(np.linalg.norm(solve.direction) - 1.0) <= 1e-12:
+                raise ConfigError("solve.direction must be a unit vector")
+        if solve and solve.incident == "point-source":
+            x0 = solve.source[None, :]
+            if (self.domain.contains(x0)[0] or self.domain.boundary_distance(x0)[0]
+                    < self.domain.cell_width(self.n_per_axis)):
+                raise ConfigError("solve.source must lie outside the scatterer, at least one "
+                                  "cell width from it")
+        if solve:  # the 16 points of each exterior ring
+            th = 2 * np.pi * np.arange(16) / 16
+            solve.rings = [rho * np.stack([np.cos(th), np.sin(th)], axis=1)
+                           for rho in solve.exterior_radii]
+            if solve.rings and (dim != 2 or self.domain.contains(np.vstack(solve.rings)).any()):
+                raise ConfigError("solve.exterior_radii needs a 2D scatterer and rings outside it")
+        if spectrum and spectrum.levels[0] >= spectrum.levels[1]:
+            raise ConfigError("spectrum.levels must increase")
+        if spectrum and spectrum.operator == "contrast" and self.coeffs.tag in JUMP_TAGS:
+            raise ConfigError(f"spectrum.operator contrast is polluted for a {self.coeffs.tag} "
+                              f"coefficient; use operator coupled")
+        if dim != 2 and spectrum and spectrum.operator != "contrast":
+            raise ConfigError(f"spectrum.operator {spectrum.operator} needs a boundary mesh, "
+                              f"which only 2D shapes have")
+        if dim != 2 and self.sweep:
+            raise ConfigError("the sweep task needs a boundary mesh, which only 2D shapes have")
 
     def grid(self, n: Optional[int] = None):
         return build_volume_grid(self.domain, n or self.n_per_axis)
@@ -216,14 +289,10 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 # Output writers
 # ---------------------------------------------------------------------------
-def _header(scenario: Scenario) -> str:
-    return f"# vielab {__version__} config_hash={scenario.hash}\n"
-
-
 def write_csv(path: Path, scenario: Scenario, columns, rows) -> None:
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(_header(scenario))
+        fh.write(f"# vielab {__version__} config_hash={scenario.hash}\n")
         fh.write(",".join(columns) + "\n")
         flat = np.asarray(rows, dtype=float).reshape(-1, len(columns))
         fh.write((line * len(flat)) % tuple(flat.ravel().tolist()))
@@ -254,45 +323,19 @@ def _c2pair(z: complex):
 # Tasks
 # ---------------------------------------------------------------------------
 def task_solve(scenario: Scenario, out: Path) -> dict:
-    cfg = scenario.config.get("solve", {})
-    # every input is checked before GMRES, so a bad one writes no file
-    try:
-        tol = float(cfg.get("tol", 1e-8))
-        restart = _whole(cfg.get("restart", 30), "solve.restart")
-        maxiter = _whole(cfg.get("maxiter", 400), "solve.maxiter")
-        if not 0 < tol < 1:
-            raise ConfigError("solve.tol must lie in (0, 1)")
-        if restart < 10:
-            raise ConfigError("solve.restart must be at least 10")
-        grid = scenario.grid()
-        incident_kind = cfg.get("incident", "plane-wave")
-        if incident_kind == "plane-wave":
-            direction = np.asarray(cfg.get("direction", [1.0] + [0.0] * (grid.dimension - 1)),
-                                   dtype=float)
-            u_inc = incident_plane_wave(grid, scenario.params, direction)
-            incident_fn = plane_wave_function(scenario.params, direction)
-        elif incident_kind == "point-source":
-            source = np.asarray(_require(cfg, "source", "solve"), dtype=float)
-            u_inc = incident_point_source(grid, scenario.params, source)
-            incident_fn = point_source_function(scenario.params, source)
-        else:
-            raise ConfigError(f"unknown incident field {incident_kind!r}")
-        th = 2 * np.pi * np.arange(16) / 16
-        rings = [float(rho) * np.stack([np.cos(th), np.sin(th)], axis=1)
-                 for rho in cfg.get("exterior_radii") or ()]
-        if rings and grid.dimension != 2:
-            raise ConfigError("exterior_radii needs a 2D scatterer")
-        if rings and np.any(grid.domain.contains(np.vstack(rings))):
-            raise ConfigError("exterior rings must lie outside the scatterer")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
+    cfg = scenario.solve
+    grid = scenario.grid()
+    if cfg.incident == "plane-wave":
+        u_inc = incident_plane_wave(grid, scenario.params, cfg.direction)
+        incident_fn = plane_wave_function(scenario.params, cfg.direction)
+    else:
+        u_inc = incident_point_source(grid, scenario.params, cfg.source)
+        incident_fn = point_source_function(scenario.params, cfg.source)
     # a mirror-symmetric problem is solved for the kept half of its even field
     half = mirror_half(grid, even_axes(grid, scenario.coeffs, u_inc))
     applier = identity_minus_A(grid, scenario.params, scenario.coeffs, half)
-    u, info = gmres_solve(applier, u_inc[half.kept], tol=tol, restart=restart, maxiter=maxiter)
+    u, info = gmres_solve(applier, u_inc[half.kept], tol=cfg.tol, restart=cfg.restart,
+                          maxiter=cfg.maxiter)
     u = u[half.unfold]
     rows = np.column_stack([grid.centers, u.real, u.imag])
     write_csv(out / "field.csv", scenario,
@@ -307,9 +350,9 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
         raise NumericalFailure(f"GMRES did not converge ({info.reason}, "
                                f"residual {info.residual:.3e})",
                                partial_results=results)
-    if rings:
+    if cfg.rings:
         rows = []
-        for targets in rings:
+        for targets in cfg.rings:
             vals = extend_solution(grid, scenario.params, scenario.coeffs, u,
                                    targets, incident_fn)
             rows.append(np.column_stack([targets, vals.real, vals.imag]))
@@ -326,7 +369,7 @@ def _coupled_discretization(scenario: Scenario, n_level: int):
 
 def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The spectrum operator at one level and the reflections of its unknowns."""
-    op = scenario.config.get("spectrum", {}).get("operator", "coupled")
+    op = scenario.spectrum.operator
     grid = mesh = None
     if op == "coupled":
         grid, mesh = _coupled_discretization(scenario, n_level)
@@ -334,30 +377,14 @@ def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List
     elif op == "contrast":
         grid = scenario.grid(n_level)
         matrix = assemble_A_dense(grid, scenario.params, scenario.coeffs)
-    elif op == "half-minus-K":
+    else:
         mesh = scenario.mesh(n_level)
         matrix = 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(mesh, scenario.params)
-    else:
-        raise ConfigError(f"unknown spectrum operator {op!r}")
     return matrix, reflections(grid, mesh)
 
 
 def task_spectrum(scenario: Scenario, out: Path) -> dict:
-    cfg = scenario.config.get("spectrum", {})
-    # a level is cells per axis, or boundary nodes for half-minus-K
-    least = 8 if cfg.get("operator") == "half-minus-K" else 4
-    try:
-        delta = float(cfg.get("delta", 0.1))
-        levels = [float(lvl) for lvl in cfg.get("levels") or ()]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"spectrum.delta and spectrum.levels must be numbers: {exc}") from exc
-    if not (len(levels) == 2 and all(lvl.is_integer() for lvl in levels)
-            and least <= levels[0] < levels[1]):
-        raise ConfigError(f"spectrum.levels must be two increasing whole resolutions, "
-                          f"each at least {least}")
-    levels = [int(lvl) for lvl in levels]
-    if not delta > 0:
-        raise ConfigError("spectrum.delta must be positive")
+    levels, delta = scenario.spectrum.levels, scenario.spectrum.delta
     # both levels are solved before anything is written
     eigs = {lvl: eigenvalues_dense(*_spectrum_matrix(scenario, lvl)) for lvl in levels}
     for lvl, (vals, res) in eigs.items():
@@ -374,7 +401,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
         "outside_fine": report.outside_fine,
         "accumulation_diameter": report.diameter,
     }
-    if cfg.get("operator", "coupled") == "coupled":
+    if scenario.spectrum.operator == "coupled":
         # the essential set and the verdict on the fine level's own grid and mesh
         grid, mesh = _coupled_discretization(scenario, levels[1])
         points = np.unique(essential_set(grid, mesh, scenario.coeffs))
@@ -396,15 +423,9 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
 
 
 def task_sweep(scenario: Scenario, out: Path) -> dict:
-    cfg = scenario.config.get("sweep", {})
-    a_values = cfg.get("a_values")
-    if not a_values or not isinstance(a_values, list):
-        raise ConfigError("sweep.a_values must be a nonempty list")
-    a_values = [_as_complex(a, "a_values entry") for a in a_values]
-    if "n_per_axis" in cfg:
-        raise ConfigError("sweep.n_per_axis is not read; set discretization.n_per_axis")
     # one grid and mesh for every value, so the identity-keyed caches hit
-    records = condition_sweep(scenario.grid(), scenario.mesh(), scenario.params, a_values)
+    records = condition_sweep(scenario.grid(), scenario.mesh(), scenario.params,
+                              scenario.sweep.a_values)
     rows = [[a.real, a.imag, cond] for a, cond in records]
     write_csv(out / "sweep.csv", scenario, ["a_re", "a_im", "condition"], rows)
     results = {
@@ -461,10 +482,7 @@ def verify_suite(scenario: Scenario) -> dict:
             entry["detail"] = "not applicable"
         checks.append(entry)
 
-    rng = scenario.rng
-    params = scenario.params
-    domain = scenario.domain
-    coeffs = scenario.coeffs
+    rng, params, domain, coeffs = scenario.rng, scenario.params, scenario.domain, scenario.coeffs
 
     def potential_residual():
         vals = []
@@ -533,7 +551,6 @@ def verify_suite(scenario: Scenario) -> dict:
         mesh = build_boundary_mesh(domain, 256)
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 32))
         p0 = WaveParameters(0.0, 2)
-        from .boundary import double_layer_potential
         inner = grid.centers[domain.boundary_distance(grid.centers) > 4 * grid.h]
         vals = double_layer_potential(mesh, p0, np.ones(mesh.m, complex), inner)
         dev = float(np.max(np.abs(np.abs(vals) - 1.0)))
@@ -558,12 +575,8 @@ def verify_suite(scenario: Scenario) -> dict:
         rel = check_equivalence(u, phi, mesh, grid) / float(np.abs(phi).max())
         return rel, rel <= 1e-8, "relative trace defect of the coupled solve"
 
-    boundary_tags = ("piecewise-constant", "piecewise-smooth")
-    a_nodes_ok = True
-    if tag in boundary_tags and smooth_2d:
-        probe_mesh = build_boundary_mesh(domain, 64)
-        a_nodes_ok = bool(np.min(np.abs(coeffs.a(probe_mesh.nodes))) > 1e-9)
-    run("trace-equivalence", tag in boundary_tags and smooth_2d and a_nodes_ok,
+    run("trace-equivalence", tag in JUMP_TAGS and smooth_2d
+        and np.min(np.abs(coeffs.a(build_boundary_mesh(domain, 64).nodes))) > 1e-9,
         1e-8, trace_equivalence)
 
     def compact_cluster():
@@ -615,14 +628,10 @@ TASKS = {"solve": task_solve, "spectrum": task_spectrum,
 def run_scenario(config: dict, task: str, out_dir: str,
                  seed_override: Optional[int] = None) -> int:
     """Execute one scenario; returns the process exit code."""
-    try:
-        scenario = Scenario(config, task, seed_override)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        scenario = Scenario(config, task, seed_override)
         results = TASKS[task](scenario, out)
     except (ConfigError, DenseBudgetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -636,20 +645,9 @@ def run_scenario(config: dict, task: str, out_dir: str,
     return 0
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="vie",
-        description="Volume-integral-equation scattering laboratory")
+        prog="vie", description="Volume-integral-equation scattering laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (("solve", "iterative scattering solve"),
                        ("spectrum", "dense spectra and cluster detection"),
@@ -684,9 +682,10 @@ def main(argv=None) -> int:
         if args.config.startswith("preset:"):
             config = get_preset(args.config.split(":", 1)[1])
         else:
-            config = _load_config(args.config)
-    except (ConfigError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+            with open(args.config) as fh:
+                config = json.load(fh)
+    except (OSError, ValueError, KeyError) as exc:  # a JSON syntax error is a ValueError
+        print(f"configuration error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or config.get("output_dir") or "vie-out"
     return run_scenario(config, args.command, out_dir, args.seed)

@@ -61,13 +61,13 @@ def _masked(domain: DomainGeometry, fn: Callable[[np.ndarray], np.ndarray]):
     return evaluate
 
 
-def constant_a(domain: DomainGeometry, k: complex, a_inside: complex,
+def constant_a(domain: DomainGeometry, k: complex, a: complex,
                k2_inside: Optional[complex] = None) -> CoefficientField:
-    """Piecewise-constant medium: a = a_inside, k^2 = k2_inside in the domain.
+    """Piecewise-constant medium: a(x) = a, k(x)^2 = k2_inside in the domain.
 
     With ``k2_inside`` omitted the wavenumber is unperturbed (beta = 0).
     """
-    alpha_val = complex(a_inside) - 1.0
+    alpha_val = complex(a) - 1.0
     beta_val = 0.0 if k2_inside is None else complex(k2_inside) - complex(k) ** 2
     tag = "laplace-case" if alpha_val == 0 else "piecewise-constant"
     return CoefficientField(

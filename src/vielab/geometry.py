@@ -2,8 +2,8 @@
 
 The scatterer occupies a bounded domain with boundary Gamma. Volume
 unknowns live at the centers of uniform grid cells whose center falls
-inside the domain; boundary unknowns live at quadrature nodes on Gamma
-carrying outward unit normals and arclength (or surface-measure) weights.
+inside the domain; boundary unknowns live at quadrature nodes on a 2D
+Gamma carrying outward unit normals and arclength weights.
 
 Shapes: disc, ellipse, counterclockwise polygon (2D), ball (3D). Smooth
 closed curves use nodes equispaced in parameter with trapezoidal weights
@@ -103,6 +103,11 @@ class DomainGeometry:
         """Diameter of the bounding box (an upper bound for the shape's)."""
         ext = self.bounding_box[:, 1] - self.bounding_box[:, 0]
         return float(np.linalg.norm(ext))
+
+    def cell_width(self, n_per_axis: int) -> float:
+        """Side of the cells of a grid of ``n_per_axis`` cells along the box's
+        longest axis."""
+        return float(np.max(self.bounding_box[:, 1] - self.bounding_box[:, 0])) / n_per_axis
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized inside test; points on the boundary count as inside.
@@ -256,7 +261,7 @@ def build_volume_grid(domain: DomainGeometry, n_per_axis: int) -> VolumeGrid:
         raise ValueError("n_per_axis must be at least 4")
     box = domain.bounding_box
     ext = box[:, 1] - box[:, 0]
-    h = float(ext.max()) / n_per_axis
+    h = domain.cell_width(n_per_axis)
     counts = tuple(int(math.ceil(e / h - 1e-12)) for e in ext)
     start = box[:, 0] - 0.5 * (np.array(counts) * h - ext)
     axes = [start[c] + h * (np.arange(counts[c]) + 0.5) for c in range(domain.dimension)]
@@ -312,7 +317,7 @@ class BoundaryMesh:
 
     @property
     def is_smooth(self) -> bool:
-        return self.domain.kind in ("disc", "ellipse", "ball")
+        return self.domain.kind in ("disc", "ellipse")
 
 
 def build_boundary_mesh(domain: DomainGeometry, n_nodes: int, grading: float = 3.0) -> BoundaryMesh:
@@ -321,8 +326,7 @@ def build_boundary_mesh(domain: DomainGeometry, n_nodes: int, grading: float = 3
     Smooth shapes get nodes equispaced in parameter with trapezoidal
     weights; polygons get per-edge meshes graded toward both endpoints
     with the given exponent (1 = uniform), nodes at panel midpoints so
-    no node ever coincides with a vertex. The 3D ball uses a
-    Gauss-Legendre (polar) x trapezoid (azimuthal) product rule.
+    no node ever coincides with a vertex.
     """
     if n_nodes < 8:
         raise ValueError("n_nodes must be at least 8")
@@ -334,9 +338,7 @@ def build_boundary_mesh(domain: DomainGeometry, n_nodes: int, grading: float = 3
         return _ellipse_mesh(domain, n_nodes, grading)
     if domain.kind == "polygon":
         return _polygon_mesh(domain, n_nodes, grading)
-    if domain.kind == "ball":
-        return _sphere_mesh(domain, n_nodes, grading)
-    raise ValueError(f"no boundary mesh for shape {domain.kind!r}")
+    raise ValueError(f"boundary meshes are built for 2D shapes only, not a {domain.kind}")
 
 
 def _circle_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh:
@@ -397,26 +399,6 @@ def _polygon_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMes
     m = len(nodes)
     return BoundaryMesh(domain, nodes, np.vstack(normals), np.concatenate(weights),
                         np.zeros(m), np.concatenate(edge_idx), grading)
-
-
-def _sphere_mesh(domain: DomainGeometry, n: int, grading: float) -> BoundaryMesh:
-    r = domain.radius
-    n_polar = max(4, int(round(math.sqrt(n / 2.0))))
-    n_azim = 2 * n_polar
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_polar)  # cos(theta) rule
-    phi = 2 * np.pi * np.arange(n_azim) / n_azim
-    ct = x_gl[:, None] * np.ones(n_azim)[None, :]
-    stheta = np.sqrt(1.0 - x_gl**2)[:, None] * np.ones(n_azim)[None, :]
-    dirs = np.stack([
-        (stheta * np.cos(phi)[None, :]).ravel(),
-        (stheta * np.sin(phi)[None, :]).ravel(),
-        ct.ravel(),
-    ], axis=1)
-    weights = np.broadcast_to(r * r * w_gl[:, None] * (2 * np.pi / n_azim),
-                              (n_polar, n_azim)).ravel()
-    m = len(dirs)
-    return BoundaryMesh(domain, r * dirs, dirs, weights, np.full(m, 1.0 / r),
-                        np.full(m, -1, dtype=int), grading)
 
 
 # ---------------------------------------------------------------------------

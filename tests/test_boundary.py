@@ -160,12 +160,6 @@ class TestAssembleK:
         k_mat = assemble_K(mesh, params_k0)
         assert np.all(np.diag(k_mat) == 0)
 
-    def test_3d_rejected(self, params_k1):
-        ball = DomainGeometry.ball(1.0)
-        mesh = build_boundary_mesh(ball, 64)
-        with pytest.raises(ValueError, match="2D"):
-            assemble_K(mesh, WaveParameters(1.0, 3))
-
 
 class TestTrigResample:
     def test_owned_real_matrix(self):

@@ -46,6 +46,55 @@ def data_rows(path):
     return Path(path).read_text().splitlines()[2:]
 
 
+def scenario_reading(section, selector):
+    """A valid scenario that reads ``section``, with the option of
+    ``selector`` (a (choice, option) pair, or None) chosen there."""
+    option = selector[1] if selector else section
+    presets = {"spectrum": "disc-a2-spectrum", "coupled": "disc-a2-spectrum",
+               "contrast": "beta-only-spectrum", "half-minus-K": "circle-sigma-spectrum",
+               "sweep": "breakdown-sweep", "polygon": "square-sigma-spectrum",
+               "polygon-constant-a": "square-sigma-spectrum",
+               "smooth-bump-a": "verify-smooth-bump", "beta-only": "verify-laplace",
+               "linear-a": "disc-a2-spectrum"}
+    cfg = get_preset(presets.get(option, "disc-no-contrast-solve"))
+    edits = {"ellipse": {"geometry": {"shape": "ellipse", "semi_axes": [1.0, 0.6]}},
+             "ball": {"geometry": {"shape": "ball", "radius": 1.0},
+                      "wave": {"k": 1.0, "dimension": 3},
+                      "solve": {"direction": [1.0, 0.0, 0.0]}},
+             "linear-a": {"coefficients": {"name": "linear-a", "gradient": [0.5, 0.0]}},
+             "point-source": {"solve": {"incident": "point-source", "source": [3.0, 0.0]}}}
+    cfg.update(edits.get(option, {}))
+    return cfg
+
+
+def malformed_values(key):
+    """One value of the wrong kind for ``key``, then one per way out of its
+    bound: an unknown option, a list of the wrong length, or a number past
+    each edge (every entry of a list)."""
+    shape = key.kind.split(" of ")[0]
+    yield {"choice": 5, "whole": 4.5}.get(shape, "x")
+    if shape == "choice":
+        yield "nonsense"
+    entries = {"vector": [0.0] * 4, "pair": [0.0], "list": []}.get(shape)
+    if entries is not None:
+        yield entries
+    for op, edge in zip(key.bound[::2], key.bound[1::2]):
+        past = {">": edge, ">=": edge - 1, "<": edge, "<=": edge + 1}[op]
+        yield {"pair": [past] * 2, "list": [past]}.get(shape, past)
+
+
+def label(section, name):
+    return f"{section}.{name}" if section else name
+
+
+MALFORMED = [pytest.param(section, selector, name, value,
+                          id=label(section, name) + (f"[{selector[1]}]" if selector else "")
+                          + f"={value!r}")
+             for section, selector, name, key in [("", None, "seed", cli.SEED),
+                                                   *cli.declared_keys()]
+             for value in malformed_values(key)]
+
+
 class TestConfigValidation:
     def test_negative_tolerance_exits_2_without_outputs(self, tmp_path):
         cfg = get_preset("disc-no-contrast-solve")
@@ -73,7 +122,6 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("edit", [
-        {"solve": {"direction": [1.0, 0.0, 0.0]}},
         {"solve": {"direction": [float("nan"), 0.0]}},
         {"solve": {"incident": "point-source", "source": [float("nan"), 3.0]}},
         {"wave": {"k": float("nan")}},
@@ -81,8 +129,7 @@ class TestConfigValidation:
         {"geometry": {"shape": "ball"}, "wave": {"dimension": 3},
          "discretization": {"n_per_axis": 8}, "solve": {"direction": [1.0, 0.0, 0.0],
                                                        "exterior_radii": [2.0]}},
-    ], ids=["direction-3d-on-disc", "direction-nan", "source-nan", "k-nan",
-            "ring-inside-disc", "ring-on-ball"])
+    ], ids=["direction-nan", "source-nan", "k-nan", "ring-inside-disc", "ring-on-ball"])
     def test_malformed_solve_exits_2_without_outputs(self, tmp_path, edit):
         cfg = get_preset("disc-no-contrast-solve")
         for section, values in edit.items():
@@ -92,18 +139,7 @@ class TestConfigValidation:
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("preset, edit, argv", [
-        ("disc-a2-spectrum", {"discretization": {"grading": 0.5}}, []),
-        ("breakdown-sweep", {"discretization": {"grading": 0.5}}, []),
-        ("disc-a2-solve", {"discretization": {"n_per_axis": "x"}}, []),
-        ("disc-a2-solve", {"wave": {"dimension": "x"}}, []),
-        ("disc-a2-solve", {"seed": -1}, []),
         ("disc-a2-solve", {}, ["--seed", "-1"]),
-        ("disc-a2-solve", {"solve": {"tol": "x"}}, []),
-        ("disc-a2-solve", {"solve": {"restart": 5}}, []),
-        ("disc-a2-solve", {"solve": {"maxiter": "a"}}, []),
-        ("disc-a2-spectrum", {"spectrum": {"delta": "x"}}, []),
-        ("disc-a2-spectrum", {"spectrum": {"levels": [2, 3]}}, []),
-        ("circle-sigma-spectrum", {"spectrum": {"levels": [4, 6]}}, []),
         ("disc-a2-spectrum", {"spectrum": {"levels": [16, 16.5]}}, []),
         ("breakdown-sweep", {"sweep": {"a_values": [["x", 0.0]]}}, []),
         ("disc-a2-solve", {"wave": 5}, []),
@@ -114,20 +150,10 @@ class TestConfigValidation:
         ("disc-a2-spectrum", {"spectrum": 5}, []),
         ("breakdown-sweep", {"sweep": 5}, []),
         ("disc-a2-solve", {"solve": None}, []),
-        ("disc-a2-solve", {"discretization": {"n_per_axis": 16.7}}, []),
-        ("disc-a2-solve", {"discretization": {"boundary_nodes": 64.5}}, []),
-        ("disc-a2-solve", {"seed": 1.5}, []),
-        ("disc-a2-solve", {"wave": {"dimension": 2.5}}, []),
-        ("disc-a2-solve", {"solve": {"restart": 30.5}}, []),
-        ("disc-a2-solve", {"solve": {"maxiter": 400.5}}, []),
         ("disc-a2-solve", {"discretization": {"n_per_axis": float("inf")}}, []),
-    ], ids=["grading-spectrum", "grading-sweep", "n-per-axis", "dimension", "seed",
-            "seed-option", "tol", "restart", "maxiter", "delta", "levels-coupled",
-            "levels-half-minus-K", "levels-fractional", "a-value", "wave-section",
+    ], ids=["seed-option", "levels-fractional", "a-value", "wave-section",
             "discretization-section", "geometry-section", "coefficients-section",
             "solve-section", "spectrum-section", "sweep-section", "null-section",
-            "n-per-axis-fractional", "boundary-nodes-fractional", "seed-fractional",
-            "dimension-fractional", "restart-fractional", "maxiter-fractional",
             "n-per-axis-infinite"])
     def test_malformed_value_exits_2_without_report(self, tmp_path, capsys, preset, edit, argv):
         cfg = get_preset(preset)
@@ -141,6 +167,54 @@ class TestConfigValidation:
                      "--out", str(out)] + argv) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_every_declared_option_has_a_valid_scenario(self):
+        # the malformed-key cases below edit these, so each fails by its edit alone
+        for section, selector, _, _ in cli.declared_keys():
+            cfg = scenario_reading(section, selector)
+            Scenario(cfg, cfg["task"])
+            if selector:
+                assert cfg[section][selector[0]] == selector[1]
+
+    @pytest.mark.parametrize("section, selector, name, value", MALFORMED)
+    def test_malformed_key_exits_2_naming_it(self, tmp_path, capsys, section, selector, name,
+                                             value):
+        cfg = scenario_reading(section, selector)
+        (cfg[section] if section else cfg)[name] = value
+        out = tmp_path / "out"
+        assert run_scenario(cfg, cfg["task"], str(out)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and label(section, name) in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("section, name", [
+        ("solve", "tolerance"), ("discretization", "n_per_axs"), ("coefficients", "k2_insde"),
+        ("", "sede"), ("solve", "source"), ("coefficients", "rho"),
+    ])
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, section, name):
+        # source and rho are keys of another incident field and coefficient entry
+        cfg = get_preset("disc-no-contrast-solve")
+        (cfg[section] if section else cfg)[name] = 1.0
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "solve", str(out)) == 2
+        assert f"unknown key {label(section, name)}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("task, block, named", [
+        ("spectrum", {"operator": "coupled", "levels": [8, 12]}, "spectrum.operator coupled"),
+        ("spectrum", {"operator": "half-minus-K", "levels": [16, 32]},
+         "spectrum.operator half-minus-K"),
+        ("sweep", {"a_values": [-1.4]}, "sweep task"),
+    ], ids=["coupled", "half-minus-K", "sweep"])
+    def test_boundary_task_on_a_ball_exits_2(self, tmp_path, capsys, task, block, named):
+        cfg = {"task": task, "geometry": {"shape": "ball", "radius": 1.0},
+               "wave": {"k": 1.0, "dimension": 3},
+               "coefficients": {"name": "constant-a", "a": 2.0},
+               "discretization": {"n_per_axis": 8}, task: block}
+        out = tmp_path / "out"
+        assert run_scenario(cfg, task, str(out)) == 2
+        assert f"{named} needs a boundary mesh" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_whole_float_integers_accepted(self, tmp_path):
         cfg = get_preset("disc-no-contrast-solve")
@@ -285,6 +359,19 @@ class TestSpectrumTask:
         header = eig_file.read_text().splitlines()
         assert header[0].startswith("# vielab")
         assert header[1] == "re,im,residual"
+
+    @pytest.mark.parametrize("coefficients", [
+        {"name": "constant-a", "a": 2.0},
+        {"name": "linear-a", "a0": 3.0, "gradient": [0.5, 0.0]},
+    ], ids=["piecewise-constant", "piecewise-smooth"])
+    def test_contrast_refuses_a_jump_coefficient(self, tmp_path, capsys, coefficients):
+        cfg = get_preset("disc-a2-spectrum")
+        cfg["coefficients"] = coefficients
+        cfg["spectrum"].update(operator="contrast", levels=[12, 16])
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "spectrum", str(out)) == 2
+        assert "use operator coupled" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_levels_validated(self, tmp_path):
         cfg = get_preset("disc-a2-spectrum")
@@ -447,6 +534,19 @@ class TestVerifyTask:
         assert not by_name["jump-relation"]["applicable"]
         assert by_name["jump-relation"]["detail"] == "not applicable"
         assert not by_name["trace-equivalence"]["applicable"]
+
+
+    def test_ball_suite_runs_without_boundary_checks(self, tmp_path):
+        cfg = {"task": "verify", "geometry": {"shape": "ball", "radius": 1.0},
+               "wave": {"k": 1.0, "dimension": 3},
+               "coefficients": {"name": "constant-a", "a": 2.0},
+               "discretization": {"n_per_axis": 8}}
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "verify", str(out)) == 0
+        by_name = {c["name"]: c for c in read_report(out)["results"]["checks"]}
+        for name in ("jump-relation", "gauss-anchor-sign", "trace-equivalence"):
+            assert by_name[name]["detail"] == "not applicable"
+        assert by_name["fft-direct-agreement"]["passed"]
 
 
 class TestDeterminism:

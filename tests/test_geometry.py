@@ -150,16 +150,9 @@ class TestBoundaryMesh:
         exact = 4 * a * ellipe(1 - (b / a) ** 2)
         assert mesh.weights.sum() == pytest.approx(exact, rel=1e-12)
 
-    def test_sphere_weight_sum_is_area(self):
-        ball = DomainGeometry.ball(1.0)
-        mesh = build_boundary_mesh(ball, 128)
-        assert mesh.weights.sum() == pytest.approx(4 * np.pi, rel=1e-12)
-        assert_valid_mesh(mesh)
-
-    def test_dimension_3_non_ball_rejected(self):
-        # only the ball carries a 3D quadrature
-        ball = DomainGeometry.ball(1.0)
-        assert build_boundary_mesh(ball, 64).m >= 8
+    def test_ball_has_no_boundary_mesh(self):
+        with pytest.raises(ValueError, match="2D shapes only"):
+            build_boundary_mesh(DomainGeometry.ball(1.0), 64)
 
     def test_too_few_nodes_rejected(self, unit_disc):
         with pytest.raises(ValueError):
