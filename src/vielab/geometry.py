@@ -263,8 +263,9 @@ def build_volume_grid(domain: DomainGeometry, n_per_axis: int) -> VolumeGrid:
     ext = box[:, 1] - box[:, 0]
     h = domain.cell_width(n_per_axis)
     counts = tuple(int(math.ceil(e / h - 1e-12)) for e in ext)
-    start = box[:, 0] - 0.5 * (np.array(counts) * h - ext)
-    axes = [start[c] + h * (np.arange(counts[c]) + 0.5) for c in range(domain.dimension)]
+    # offsets from the box centre by half-integers of h: mirror pairs are exact negatives
+    mid = box.mean(axis=1)
+    axes = [mid[c] + h * (np.arange(nc) - (nc - 1) / 2) for c, nc in enumerate(counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     all_centers = np.stack([m.ravel() for m in mesh], axis=1)  # (total, d)
     mask_flat = domain.contains(all_centers)

@@ -286,22 +286,23 @@ class TestSolveTask:
         assert report["incomplete"] is True
 
 
-def mirrored_solve_config(shape, dim, n, direction):
+def mirrored_solve_config(shape, dim, n, incident):
     return {"task": "solve", "geometry": {"shape": shape, "radius": 1.0},
             "wave": {"k": 4.0, "dimension": dim},
             "coefficients": {"name": "constant-a", "a": 3.0, "k2_inside": 20.0},
             "discretization": {"n_per_axis": n},
-            "solve": {"direction": list(direction), "tol": 1e-10, "restart": 10}}
+            "solve": dict(incident, tol=1e-10, restart=10)}
 
 
 class TestMirroredSolve:
-    @pytest.mark.parametrize("shape, dim, n, direction, even", [
-        ("disc", 2, 32, (0.0, 1.0), (0,)),
-        ("ball", 3, 12, (-1.0, 0.0, 0.0), (1, 2)),
-    ], ids=["disc", "ball"])
+    @pytest.mark.parametrize("shape, dim, n, incident, even", [
+        ("disc", 2, 32, {"direction": [0.0, 1.0]}, (0,)),
+        ("ball", 3, 12, {"direction": [-1.0, 0.0, 0.0]}, (1, 2)),
+        ("disc", 2, 32, {"incident": "point-source", "source": [3.0, 0.0]}, (1,)),
+    ], ids=["disc", "ball", "on-axis-point-source"])
     def test_matches_full_route_and_writes_an_even_field(self, tmp_path, monkeypatch, shape,
-                                                         dim, n, direction, even):
-        cfg = mirrored_solve_config(shape, dim, n, direction)
+                                                         dim, n, incident, even):
+        cfg = mirrored_solve_config(shape, dim, n, incident)
         detected = []
         monkeypatch.setattr(cli, "even_axes",
                             lambda *args: detected.append(volume.even_axes(*args)) or detected[-1])
@@ -339,7 +340,7 @@ class TestMirroredSolve:
 
         monkeypatch.setattr(cli, "identity_minus_A", system)
         monkeypatch.setattr(cli, "gmres_solve", solver)
-        cfg = mirrored_solve_config("disc", 2, 16, (1.0, 0.0))
+        cfg = mirrored_solve_config("disc", 2, 16, {"direction": [1.0, 0.0]})
         assert run_scenario(cfg, "solve", str(tmp_path / "out")) == 0
         assert len(built) == len(solved) == 1 and solved[0] is built[0]
         assert len(matvecs) >= read_report(tmp_path / "out")["results"]["gmres"]["iterations"]
