@@ -208,7 +208,7 @@ class Scenario:
             self._read(config, seed_override)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         self.hash = config_hash(config)
 

@@ -151,10 +151,11 @@ class TestConfigValidation:
         ("breakdown-sweep", {"sweep": 5}, []),
         ("disc-a2-solve", {"solve": None}, []),
         ("disc-a2-solve", {"discretization": {"n_per_axis": float("inf")}}, []),
+        ("disc-a2-solve", {"discretization": {"n_per_axis": 10**400}}, []),
     ], ids=["seed-option", "levels-fractional", "a-value", "wave-section",
             "discretization-section", "geometry-section", "coefficients-section",
             "solve-section", "spectrum-section", "sweep-section", "null-section",
-            "n-per-axis-infinite"])
+            "n-per-axis-infinite", "n-per-axis-huge"])
     def test_malformed_value_exits_2_without_report(self, tmp_path, capsys, preset, edit, argv):
         cfg = get_preset(preset)
         for key, value in edit.items():
