@@ -2,7 +2,7 @@
 
 Usage:
     vie solve|spectrum|verify|sweep --config scenario.json [--out DIR] [--seed N]
-    vie presets [--list] [--write DIR]
+    vie presets [--write DIR]
 
 A scenario is a single JSON file naming the geometry, wave parameters,
 a coefficient registry entry, the discretization, and task parameters.
@@ -47,8 +47,8 @@ from .spectral import (a_to_sigma, condition_sweep, detect_clusters, eigenvalues
                        essential_set, farthest_distance, fredholm_verdict, sigma_to_a,
                        spectral_instrument)
 from .volume import (DenseBudgetError, apply_A, apply_A_fft, apply_A_smooth_form,
-                     assemble_A_dense, discrete_laplacian, even_axes, identity_minus_A,
-                     mirror_half, newton_potential)
+                     assemble_A_dense, discrete_laplacian, identity_minus_A, mirror_half,
+                     newton_potential)
 
 
 class ConfigError(ValueError):
@@ -332,7 +332,7 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
         u_inc = incident_point_source(grid, scenario.params, cfg.source)
         incident_fn = point_source_function(scenario.params, cfg.source)
     # a mirror-symmetric problem is solved for the kept half of its even field
-    half = mirror_half(grid, even_axes(grid, scenario.coeffs, u_inc))
+    half = mirror_half(grid, scenario.coeffs, u_inc)
     applier = identity_minus_A(grid, scenario.params, scenario.coeffs, half)
     u, info = gmres_solve(applier, u_inc[half.kept], tol=cfg.tol, restart=cfg.restart,
                           maxiter=cfg.maxiter)
@@ -684,6 +684,8 @@ def main(argv=None) -> int:
         else:
             with open(args.config) as fh:
                 config = json.load(fh)
+        if not isinstance(config, dict) or not isinstance(config.get("output_dir", ""), str):
+            raise ConfigError("a scenario is a JSON object whose output_dir is a string")
     except (OSError, ValueError, KeyError) as exc:  # a JSON syntax error is a ValueError
         print(f"configuration error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2

@@ -47,9 +47,11 @@ Each cache holds one discretization: callers work on one grid at a time.
 
 Mirrored route: when the mask, the contrasts at the cell centers and the
 incident field equal their index flip along an axis with an even number
-of cells (``even_axes``), the solution is even along it. The system map
-then acts on the cells of index >= nc/2 along each such axis
-(``mirror_half``), and a convolution along it runs on half the padded
+of cells, the solution is even along it. ``mirror_half`` finds these
+axes and the kept half (the cells of index >= nc/2 along each) from one
+flip of ``flat_index`` per axis. The system map then runs on the kept
+half alone: its contrasts are sampled there and its stencils folded onto
+it once, and a convolution along an even axis runs on half the padded
 length: an even source by DCT-II, the odd gradient source of that axis
 by -i DST-II one frequency up, each against views of the same hats, and
 back by DCT-III (Martucci's symmetric convolution). Other axes keep the
@@ -419,13 +421,21 @@ def _sum_at_targets(grid: VolumeGrid, params: WaveParameters, targets: np.ndarra
     return out
 
 
-def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField) -> Callable:
+def _contrast_sources(grid: VolumeGrid, coeffs: CoefficientField,
+                      half: Optional[MirrorHalf] = None) -> Callable:
     """``u -> (beta u, alpha d_1 u, ..., alpha d_d u)``, the sources of A u
     for a checked field u, with alpha and beta sampled at the cell centers
     once; beta u is None and the gradient terms are left out where that
-    contrast vanishes."""
+    contrast vanishes. With ``half``, u and the sources are on its kept
+    cells, and each stencil keeps their rows, its columns mapped by
+    ``unfold`` in stored order: bit for bit the full stencil on u[unfold]."""
+    import scipy.sparse as sparse
     alpha, beta = coeffs.alpha(grid.centers), coeffs.beta(grid.centers)
     ops = gradient_ops(grid) if np.any(alpha != 0) else ()
+    if half is not None:
+        alpha, beta, m = alpha[half.kept], beta[half.kept], len(half.kept)
+        ops = [sparse.csr_matrix((rows.data, half.unfold[rows.indices], rows.indptr), (m, m))
+               for rows in (op[half.kept] for op in ops)]
     beta = beta if np.any(beta != 0) else None
     return lambda u: (None if beta is None else beta * u, *(alpha * (op @ u) for op in ops))
 
@@ -516,21 +526,6 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
     return a_mat
 
 
-def even_axes(grid: VolumeGrid, coeffs: CoefficientField, u_inc: np.ndarray) -> tuple:
-    """The axes along which the system (I - A) u = u_inc is even: the axis
-    has an even number of cells (none on the mirror plane), and the mask,
-    alpha and beta at the cell centers and ``u_inc``, placed on the grid,
-    equal their flip along it exactly. The solution is then even along
-    these axes, and ``identity_minus_A`` can solve for its kept half."""
-    placed = []
-    for values in (coeffs.alpha(grid.centers), coeffs.beta(grid.centers), u_inc):
-        full = np.zeros(grid.shape, dtype=np.complex128)
-        full[grid.mask] = values
-        placed.append(full)
-    return tuple(ax for ax, nc in enumerate(grid.shape) if nc % 2 == 0 and all(
-        np.array_equal(arr, np.flip(arr, ax)) for arr in (grid.mask, *placed)))
-
-
 class MirrorHalf(NamedTuple):
     """The kept half of a grid along its ``even`` axes: ``kept`` indexes the
     unknowns of index >= nc/2 along each of those axes, in order, and
@@ -542,16 +537,21 @@ class MirrorHalf(NamedTuple):
     unfold: np.ndarray
 
 
-def mirror_half(grid: VolumeGrid, even=()) -> MirrorHalf:
-    """The ``MirrorHalf`` of a grid whose mask is even along ``even``."""
-    folded = grid.coords.copy()
-    for ax in even:
-        np.maximum(folded[:, ax], grid.shape[ax] - 1 - folded[:, ax], out=folded[:, ax])
-    image = grid.flat_index[tuple(folded.T)]
+def mirror_half(grid: VolumeGrid, coeffs: CoefficientField, u_inc: np.ndarray) -> MirrorHalf:
+    """The ``MirrorHalf`` of (I - A) u = u_inc along every axis on which the
+    system is even: one with an even cell count (no cell on the mirror
+    plane) where ``np.flip(grid.flat_index, ax)[grid.mask]``, the cell each
+    cell is mirrored onto, is never -1 and has exactly the same alpha and
+    beta (at the centers) and ``u_inc``. The solution is even along them."""
+    values = (coeffs.alpha(grid.centers), coeffs.beta(grid.centers), u_inc)
+    even, image = [], np.arange(grid.n)
+    for ax, nc in enumerate(grid.shape):
+        mirror = np.flip(grid.flat_index, ax)[grid.mask]
+        if nc % 2 == 0 and mirror.min() >= 0 and all(np.array_equal(v[mirror], v) for v in values):
+            even.append(ax)
+            image = np.where(grid.coords[image, ax] < nc // 2, mirror[image], image)
     kept = np.flatnonzero(image == np.arange(grid.n))
-    position = np.empty(grid.n, dtype=np.int64)
-    position[kept] = np.arange(len(kept))
-    return MirrorHalf(tuple(even), kept, position[image])
+    return MirrorHalf(tuple(even), kept, np.searchsorted(kept, image))
 
 
 def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
@@ -565,20 +565,17 @@ def identity_minus_A(grid: VolumeGrid, params: WaveParameters,
     other field is applied in complex128.
 
     The applier acts on the kept cells of ``half`` (``mirror_half``; by
-    default every cell): its field is the kept half of a field even along
-    ``half.even`` (see ``even_axes``), unfolded onto the grid for the
-    sources, whose kept halves are convolved by DCT-II/DST-II along those
-    axes on half the padded length each. Each kept cell stands for 2^r
-    cells (r the number of even axes), so relative residuals, and GMRES's
-    iterates, are the full system's.
+    default every cell), with the contrasts sampled and the stencils folded
+    there once, and convolves along ``half.even`` by DCT-II/DST-II on half
+    the padded length each. Each kept cell stands for 2^r cells (r even
+    axes), so relative residuals, and GMRES's iterates, are the full system's.
     """
-    sources = _contrast_sources(grid, coeffs)
-    even, kept, unfold = mirror_half(grid) if half is None else half
+    sources = _contrast_sources(grid, coeffs, half)
+    even, size = ((), grid.n) if half is None else (half.even, len(half.kept))
 
     def applier(u):
-        u = _check_field(grid, u, keep_single=True, size=len(kept))
-        halves = [None if src is None else src[kept] for src in sources(u[unfold])]
-        return u - _apply_kernels(grid, params, halves, u.dtype, even)
+        u = _check_field(grid, u, keep_single=True, size=size)
+        return u - _apply_kernels(grid, params, sources(u), u.dtype, even)
     return applier
 
 

@@ -121,6 +121,19 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("config", [
+        dict(get_preset("disc-no-contrast-solve"), output_dir=5),
+        [get_preset("disc-no-contrast-solve")],
+    ], ids=["output-dir-not-a-string", "json-array"])
+    def test_malformed_config_exits_2_before_writing(self, tmp_path, monkeypatch, capsys,
+                                                     config):
+        # without --out, main reads the output directory from the config
+        path = write_config(tmp_path, config)
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--config", path]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     @pytest.mark.parametrize("edit", [
         {"solve": {"direction": [float("nan"), 0.0]}},
         {"solve": {"incident": "point-source", "source": [float("nan"), 3.0]}},
@@ -305,11 +318,12 @@ class TestMirroredSolve:
                                                          dim, n, incident, even):
         cfg = mirrored_solve_config(shape, dim, n, incident)
         detected = []
-        monkeypatch.setattr(cli, "even_axes",
-                            lambda *args: detected.append(volume.even_axes(*args)) or detected[-1])
+        monkeypatch.setattr(cli, "mirror_half", lambda *args: detected.append(
+            volume.mirror_half(*args)) or detected[-1])
         assert run_scenario(cfg, "solve", str(tmp_path / "half")) == 0
-        assert detected == [even]
-        monkeypatch.setattr(cli, "even_axes", lambda *args: ())
+        assert [half.even for half in detected] == [even]
+        monkeypatch.setattr(cli, "mirror_half", lambda grid, *args: volume.MirrorHalf(
+            (), np.arange(grid.n), np.arange(grid.n)))
         assert run_scenario(cfg, "solve", str(tmp_path / "full")) == 0
         half, full = (read_report(tmp_path / run)["results"]["gmres"] for run in ("half", "full"))
         assert (half["iterations"], half["reason"]) == (full["iterations"], full["reason"])

@@ -34,8 +34,9 @@ from vielab.special import greens_gradient
 from vielab.scattering import incident_plane_wave, incident_point_source
 from vielab.volume import (
     DenseBudgetError,
+    _apply_kernels,
+    _contrast_sources,
     discrete_laplacian,
-    even_axes,
     fft_kernel_tables,
     gradient_ops,
     identity_minus_A,
@@ -291,31 +292,55 @@ class TestSinglePrecision:
 SQUARE = DomainGeometry.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
+def even_field(grid, axes, rng):
+    """A random field on the cells that equals its index flip along ``axes``
+    (and, almost surely, along no other axis)."""
+    placed = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    for ax in axes:
+        placed = placed + np.flip(placed, ax)
+    return placed[grid.mask]
+
+
+def mirrored_system(domain, n, even, a, k2):
+    """The grid, wave, coefficient and ``mirror_half`` of a constant-a system
+    (k = 2) whose incident field is even along exactly the axes ``even``."""
+    grid = build_volume_grid(domain, n)
+    params = WaveParameters(2.0, grid.dimension)
+    cf = constant_a(domain, params.k, a, k2)
+    half = mirror_half(grid, cf, even_field(grid, even, np.random.default_rng(0)))
+    assert half.even == even
+    return grid, params, cf, half
+
+
+MIRRORED_CASES = [
+    (DomainGeometry.disc(1.0), 32, (0,), 2.0, 6.0),
+    (DomainGeometry.disc(1.0), 32, (1,), 3.0 + 1.0j, None),
+    (DomainGeometry.disc(1.0), 32, (0, 1), 2.0, None),
+    (SQUARE, 14, (0, 1), 3.0 + 1.0j, 6.0),
+    (SQUARE, 14, (1,), 2.0, None),
+    (DomainGeometry.ellipse((1.0, 0.6)), 30, (0, 1), 3.0 + 1.0j, 6.0),
+    (DomainGeometry.ball(1.0), 12, (1, 2), 2.0, 6.0),
+    (DomainGeometry.ball(1.0), 12, (0, 1, 2), 3.0 + 1.0j, None),
+    (DomainGeometry.ball(1.0), 14, (0, 2), 2.0, None),
+]
+MIRRORED_IDS = ["disc-x", "disc-y", "disc-xy", "square-xy", "square-y", "ellipse-xy",
+                "ball-yz", "ball-xyz", "ball-xz-n14"]
+#: the n = 16 disc: its outermost lines along either axis (index 1 and 14) hold
+#: two cells, so the kept one's only neighbour there is its mirror image
+REPEATING_CASE = (DomainGeometry.disc(1.0), 16, (0, 1), 3.0 + 1.0j, 6.0)
+
+
 class TestMirroredRoute:
     """The system applier on the kept half of fields even along some axes
     (DCT-II/DST-II along those, FFT along the others) against the full FFT
     route restricted to the kept half."""
 
-    @pytest.mark.parametrize("domain, n, even, a, k2", [
-        (DomainGeometry.disc(1.0), 32, (0,), 2.0, 6.0),
-        (DomainGeometry.disc(1.0), 32, (1,), 3.0 + 1.0j, None),
-        (DomainGeometry.disc(1.0), 32, (0, 1), 2.0, None),
-        (SQUARE, 14, (0, 1), 3.0 + 1.0j, 6.0),
-        (SQUARE, 14, (1,), 2.0, None),
-        (DomainGeometry.ellipse((1.0, 0.6)), 30, (0, 1), 3.0 + 1.0j, 6.0),
-        (DomainGeometry.ball(1.0), 12, (1, 2), 2.0, 6.0),
-        (DomainGeometry.ball(1.0), 12, (0, 1, 2), 3.0 + 1.0j, None),
-        (DomainGeometry.ball(1.0), 14, (0, 2), 2.0, None),
-    ], ids=["disc-x", "disc-y", "disc-xy", "square-xy", "square-y", "ellipse-xy",
-            "ball-yz", "ball-xyz", "ball-xz-n14"])
+    @pytest.mark.parametrize("domain, n, even, a, k2", MIRRORED_CASES, ids=MIRRORED_IDS)
     @pytest.mark.parametrize("dtype, tol", [(np.complex128, 1e-13), (np.complex64, 1e-6)],
                              ids=["double", "single"])
     def test_kept_half_matches_full_route(self, domain, n, even, a, k2, dtype, tol):
         # n = 14: next_fast_len(14) = 15, so the padded length is 30 > 2 nc
-        grid = build_volume_grid(domain, n)
-        params = WaveParameters(2.0, grid.dimension)
-        cf = constant_a(domain, params.k, a, k2)
-        half = mirror_half(grid, even)
+        grid, params, cf, half = mirrored_system(domain, n, even, a, k2)
         assert len(half.kept) * 2 ** len(even) == grid.n
         rng = np.random.default_rng(5)
         v = random_field(len(half.kept), rng).astype(dtype)
@@ -325,9 +350,33 @@ class TestMirroredRoute:
         # measured at most 3.4e-16 in double and 1.6e-7 in single
         assert np.linalg.norm(reduced - full) <= tol * np.linalg.norm(full)
 
+    @pytest.mark.parametrize("domain, n, even, a, k2", MIRRORED_CASES + [REPEATING_CASE],
+                             ids=MIRRORED_IDS + ["disc-xy-n16"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["double", "single"])
+    def test_folded_stencils_equal_unfolded_sources(self, domain, n, even, a, k2, dtype):
+        # the folded stencils give the sources of the unfolded field on the
+        # kept cells, each row summed in the same order: equal bit for bit
+        grid, params, cf, half = mirrored_system(domain, n, even, a, k2)
+        v = random_field(len(half.kept), np.random.default_rng(5)).astype(dtype)
+        sources = _contrast_sources(grid, cf)(v[half.unfold])
+        unfolded = v - _apply_kernels(grid, params, [None if s is None else s[half.kept]
+                                                     for s in sources], dtype, even)
+        assert np.array_equal(identity_minus_A(grid, params, cf, half)(v), unfolded)
+
+    def test_a_folded_row_repeats_a_column(self):
+        grid, _, _, half = mirrored_system(*REPEATING_CASE)
+        repeats = 0
+        for op in gradient_ops(grid):
+            rows = op[half.kept]
+            columns = np.split(half.unfold[rows.indices], rows.indptr[1:-1])
+            repeats += sum(len(set(c)) < len(c) for c in columns)
+        assert repeats == 2
+
     def test_unfold_mirrors_the_kept_half(self):
         grid = build_volume_grid(DomainGeometry.ball(1.0), 10)
-        even, kept, unfold = mirror_half(grid, (0, 2))
+        cf = constant_a(grid.domain, 2.0, 2.0)
+        u_inc = even_field(grid, (0, 2), np.random.default_rng(0))
+        even, kept, unfold = mirror_half(grid, cf, u_inc)
         assert even == (0, 2)
         assert np.array_equal(unfold[kept], np.arange(len(kept)))
         placed = np.zeros(grid.shape)
@@ -359,7 +408,7 @@ class TestMirroredRoute:
             direction = {"oblique": (0.6, 0.8), "ball-plane-z": (0.0, 0.0, -1.0)}.get(
                 case, (0.0, 1.0) if case.endswith("plane-y") else (1.0, 0.0))
             u_inc = incident_plane_wave(grid, params, direction)
-        assert even_axes(grid, cf, u_inc) == expected
+        assert mirror_half(grid, cf, u_inc).even == expected
 
 
 class TestCachedKernels:
