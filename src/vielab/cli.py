@@ -629,11 +629,15 @@ def run_scenario(config: dict, task: str, out_dir: str,
                  seed_override: Optional[int] = None) -> int:
     """Execute one scenario; returns the process exit code."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    made = []  # the directories this call creates, deepest first
     try:
         scenario = Scenario(config, task, seed_override)
+        made = [path for path in (out, *out.parents) if not path.exists()]
+        out.mkdir(parents=True, exist_ok=True)
         results = TASKS[task](scenario, out)
     except (ConfigError, DenseBudgetError) as exc:
+        while made and not any(made[0].iterdir()):  # none left empty by a refusal
+            made.pop(0).rmdir()
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -41,9 +41,11 @@ L2(volume) x L2(boundary) norms (eigenvalues are unchanged).
 
 Reuse: the trace, double layer and K blocks do not depend on the
 coefficient. They are built once per (grid, mesh, params, variant) and
-cached read-only, keyed on the grid and mesh objects like the kernel
-matrices behind A1. Each system is written into one preallocated matrix
-as diagonal scalings of these blocks and of A1, plus the two diagonals.
+cached read-only, keyed on the grid and mesh objects. Each system is
+written into one preallocated matrix: A1 gathered straight into its
+volume block (``volume.gather_kernels``, no kernel matrix), the trace
+times that block below it, column scalings of the double layer and K,
+and the two diagonals.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .boundary import assemble_K, double_layer_matrix, trace_matrix
 from .coefficients import CoefficientField
 from .geometry import BoundaryMesh, VolumeGrid
 from .special import WaveParameters
-from .volume import a1_weights, check_dense_budget, kernel_matrices
+from .volume import a1_weights, check_dense_budget, chunk_rows, gather_kernels, gathered_live
 
 logger = logging.getLogger(__name__)
 
@@ -73,12 +75,11 @@ def assemble_A1(grid: VolumeGrid, params: WaveParameters,
     Uses the same kernels, weights, and self-cell correction as the
     volume operator assembly, with the weights of ``a1_weights``.
     """
-    gm, grads = kernel_matrices(grid, params)
-    g_weight, *grad_weights = a1_weights(grid, params, coeffs)
-    mat = gm * g_weight[None, :]
-    for kern, weight in zip(grads, grad_weights):
-        mat += kern * weight[None, :]
-    return mat
+    n = grid.n
+    # A1, then per row chunk the int64 index and the 1 + d gathered blocks
+    check_dense_budget("dense A1", gathered_live(grid, 1, grid.dimension + 1.5), n, n)
+    return gather_kernels(grid, params, a1_weights(grid, params, coeffs),
+                          np.empty((n, n), dtype=np.complex128))
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,18 +111,18 @@ def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameter
     """
     if boundary_operator not in ("trace-consistent", "nystrom"):
         raise ValueError(f"unknown boundary operator {boundary_operator!r}")
-    n, size = grid.n, grid.n + mesh.m
-    # the 1 + d kernel matrices, A1 and the system; A1 is built before the
-    # system is allocated, so its temporary product is gone by then. The
-    # double layer's near rows add the float (8M, M) interpolation and the
-    # complex copy numpy makes of it for their product: 12 M^2 entries
-    check_dense_budget("coupled system", grid.dimension + 3 + 12 * (mesh.m / size) ** 2,
-                       size, size)
+    n, m, size = grid.n, mesh.m, grid.n + mesh.m
+    # the system; the cached float trace (half of M N complex entries), double
+    # layer and K, and the complex copy numpy makes of the trace for the lower
+    # left block; the double layer's near rows add the float (8M, M)
+    # interpolation and its complex copy while it is built (12 M^2); and the
+    # gather's row chunk temporaries (its index and the 1 + d gathered blocks)
+    live = 2.5 * m * n + 13 * m * m + (grid.dimension + 1.5) * chunk_rows(n) * n
+    check_dense_budget("coupled system", 1 + live / size**2, size, size)
     t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
-    a1 = assemble_A1(grid, params, coeffs)
     alpha_nodes = coeffs.alpha(mesh.nodes)
     matrix = np.empty((size, size), dtype=np.complex128)
-    matrix[:n, :n] = a1
+    a1 = gather_kernels(grid, params, a1_weights(grid, params, coeffs), matrix[:n, :n])
     np.multiply(dl, alpha_nodes[None, :], out=matrix[:n, n:])
     np.matmul(t_mat, a1, out=matrix[n:, :n])
     np.multiply(k_mat, alpha_nodes[None, :], out=matrix[n:, n:])

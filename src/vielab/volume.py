@@ -35,9 +35,11 @@ hats, since the padded tables are even or odd about half the period; a
 product runs block by block against the halved hats, and the padded
 transforms run in place on two work arrays, one axis at a time over only
 the lines that can be nonzero (or on the way back only those the grid
-keeps). The dense assemblies and the direct-summation reference
-``apply_A`` gather their pairwise matrices from the same samples by
-coordinate differences: identical weights by construction. The system
+keeps). The dense operators gather their entries from the same samples
+by coordinate differences, one row chunk at a time straight into their
+output (``gather_kernels``): identical weights by construction, and no
+(n, n) kernel matrix is formed. Only the direct-summation reference
+``apply_A`` reads whole unweighted matrices (``kernel_matrices``). The system
 map ``identity_minus_A`` samples the contrasts at the cell centers once,
 not at every application, and is the one route that computes in single
 precision: a complex64 field runs its transforms and products in
@@ -99,6 +101,14 @@ def check_dense_budget(what: str, live: float, rows: int, cols: int) -> None:
     need = int(live * 16 * rows * cols) + 80 * 2**10
     if need > DENSE_BUDGET_BYTES:
         raise DenseBudgetError(what, need)
+
+
+def gathered_live(grid: VolumeGrid, arrays: float, chunks: float) -> float:
+    """Live (n, n) arrays of a build holding ``arrays`` of them and ``chunks``
+    temporaries of one row chunk of a gather (``chunk_rows``), plus 20 * 2^d
+    complex entries per unknown for the offset tables (2^d each), stencils
+    and ufunc buffers (measured at most 55 in 2D and 130 in 3D, N = 56-2440)."""
+    return arrays + (chunks * chunk_rows(grid.n) + 20 * 2**grid.dimension) / grid.n
 
 
 def _check_field(grid: VolumeGrid, u: np.ndarray, keep_single: bool = False,
@@ -215,23 +225,25 @@ def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
                                               for c in range(grid.dimension))
 
 
-@functools.lru_cache(maxsize=1)
-def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
-    """Pairwise quadrature matrices (G-kernel, then d gradient kernels).
+#: Entries per row chunk of a dense gather: its temporaries stay a few MiB.
+_GATHER_ENTRIES = 2**16
 
-    Entry (i, j) is gathered from the orthant samples the FFT route
-    transforms, at |coords_i - coords_j| per axis, gradient component c
-    negated (as 0 - x, which also keeps the signed zeros) where offset c is
-    negative: entries carry the cell volume, diagonals the self-cell
-    correction (G) and zero (gradient components). The cached matrices are
-    shared by every caller and are read-only.
-    """
-    n = grid.n
-    # the 1 + d matrices, the int64 gather index (at most half of one) and the tables
-    check_dense_budget("dense kernel matrices", grid.dimension + 2.5, n, n)
+
+def chunk_rows(n: int) -> int:
+    """Rows per chunk of a dense gather over n columns (at least 1, at most n)."""
+    return min(n, max(1, _GATHER_ENTRIES // n))
+
+
+def _kernel_rows(grid: VolumeGrid, params: WaveParameters, kernels):
+    """Yield ``(rows, blocks)`` over chunks of ``chunk_rows`` rows: for each
+    kernel c in ``kernels`` (0 for G, c for grad G_c) its block at
+    coords_i - coords_j, i in ``rows``, every j. The blocks are gathered from
+    the orthant samples the FFT route transforms, at |offset| per axis on the
+    unwrapped offsets 1-nc..nc-1, gradient component c negated (as 0 - x,
+    which also keeps the signed zeros) where offset c is negative: entries
+    carry the cell volume, and i = j the self-cell correction (G) or zero.
+    The blocks are one buffer, overwritten by the next chunk."""
     _, g_q, grad_q = _kernel_tables(grid, params)
-    # On the unwrapped offsets 1-s..s-1 per axis, the flat index of
-    # coords_i - coords_j is pos_i - pos_j + (index of the center).
     gather = np.ix_(*[np.abs(np.arange(1 - nc, nc)) for nc in grid.shape])
     tables = [g_q[gather].ravel()]
     for c, q in enumerate(grad_q):
@@ -239,15 +251,52 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
         negative = tab[(slice(None),) * c + (slice(0, grid.shape[c] - 1),)]
         np.subtract(0.0, negative, out=negative)
         tables.append(tab.ravel())
-    pos = np.ravel_multi_index(tuple(grid.coords.T), tuple(2 * nc - 1 for nc in grid.shape))
-    mats = [np.empty((n, n), dtype=np.complex128) for _ in tables]
-    chunk = max(1, int(2**22 // max(n, 1)))
-    for i0 in range(0, n, chunk):
-        idx = (pos[i0:i0 + chunk, None] + tables[0].size // 2) - pos[None, :]
-        for tab, mat in zip(tables, mats):
-            np.take(tab, idx, out=mat[i0:i0 + chunk], mode="clip")
-    for mat in mats:
-        mat.setflags(write=False)
+    # the flat offset index of coords_i - coords_j is pos_i - pos_j + (zero offset's)
+    spans = tuple(2 * nc - 1 for nc in grid.shape)
+    pos = np.ravel_multi_index(tuple(grid.coords.T), spans)
+    chunk = chunk_rows(grid.n)
+    index = np.empty((chunk, grid.n), dtype=pos.dtype)
+    blocks = np.empty((len(kernels), chunk, grid.n), dtype=np.complex128)
+    for i0 in range(0, grid.n, chunk):
+        rows, size = slice(i0, min(i0 + chunk, grid.n)), min(chunk, grid.n - i0)
+        np.subtract(pos[rows, None] + tables[0].size // 2, pos[None, :], out=index[:size])
+        for block, c in zip(blocks, kernels):
+            np.take(tables[c], index[:size], out=block[:size], mode="clip")
+        yield rows, blocks[:, :size]
+
+
+def gather_kernels(grid: VolumeGrid, params: WaveParameters, weights,
+                   out: np.ndarray) -> np.ndarray:
+    """Write sum_c K_c(x_i - x_j) w_c[j] into the (n, n) complex ``out`` (a
+    view is fine) and return it, K_c being G, then the d gradient components,
+    and ``weights`` their w_c (None, or fewer entries, for none). Kernels whose
+    weight is identically zero are skipped; if all are, ``out`` is zeroed."""
+    kernels = [c for c, w in enumerate(weights) if w is not None and np.any(w != 0)]
+    if not kernels:
+        out.fill(0)
+        return out
+    # weights cast once: a real weight would be cast in ufunc buffers per chunk
+    scales = [np.asarray(weights[c], dtype=np.complex128) for c in kernels]
+    for rows, blocks in _kernel_rows(grid, params, kernels):
+        target = out[rows]
+        np.multiply(blocks[0], scales[0], out=target)
+        for block, scale in zip(blocks[1:], scales[1:]):
+            block *= scale
+            target += block
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
+    """Pairwise quadrature matrices (G-kernel, then d gradient kernels): the
+    blocks ``gather_kernels`` weights, read-only and shared by every caller.
+    They are the direct-summation reference of ``apply_A`` only."""
+    n, d = grid.n, grid.dimension
+    check_dense_budget("dense kernel matrices", gathered_live(grid, d + 1, d + 1.5), n, n)
+    mats = np.empty((d + 1, n, n), dtype=np.complex128)
+    for rows, blocks in _kernel_rows(grid, params, range(d + 1)):
+        mats[:, rows] = blocks
+    mats.setflags(write=False)
     return mats[0], tuple(mats[1:])
 
 
@@ -507,22 +556,23 @@ def assemble_A_dense(grid: VolumeGrid, params: WaveParameters,
 
     Column j is A e_j by construction, so matrix-vector products
     reproduce ``apply_A(u)`` to rounding; the system matrix is I minus it.
+    G diag(beta) is gathered into the matrix; where alpha is not identically
+    zero, each row chunk of grad G_c then adds its product with the sparse
+    diag(alpha) D_c. No (n, n) kernel matrix is formed.
     """
-    # the 1 + d kernel matrices, A and a gradient product, plus 1280 bytes (80
-    # complex entries) per unknown for the sparse stencils and scipy's product
-    # set-up: beyond the d + 3 arrays the peak measured 1113 B per unknown at
-    # N = 140 and 183 B at N = 2244 in 2D, 1025 B at N = 160 and 263 B at
-    # N = 1208 in 3D
-    check_dense_budget("dense assembly", grid.dimension + 3 + 80 / grid.n, grid.n, grid.n)
-    gm, grads = kernel_matrices(grid, params)
+    n = grid.n
+    # A, then per row chunk the int64 index, the d gathered gradient blocks, the
+    # C-ordered copy scipy's product takes of one's transpose and the product
+    check_dense_budget("dense assembly", gathered_live(grid, 1, grid.dimension + 2.5), n, n)
     alpha = coeffs.alpha(grid.centers)
-    beta = coeffs.beta(grid.centers)
-    a_mat = gm * beta[None, :]
-    for c, dop in enumerate(gradient_ops(grid)):
-        scaled = dop.multiply(alpha[:, None]).tocsc()  # diag(alpha) @ D_c
-        # grads[c] @ scaled = -(scaled.T @ grads[c]).T, grads[c] being antisymmetric:
-        # the C-ordered grads[c] is read in place (its transpose would be copied)
-        a_mat -= (scaled.T @ grads[c]).T
+    a_mat = gather_kernels(grid, params, [coeffs.beta(grid.centers)],
+                           np.empty((n, n), dtype=np.complex128))
+    if np.any(alpha != 0):
+        scaled = [dop.multiply(alpha[:, None]).tocsc() for dop in gradient_ops(grid)]
+        for rows, blocks in _kernel_rows(grid, params, range(1, grid.dimension + 1)):
+            target = a_mat[rows]
+            for block, op in zip(blocks, scaled):  # op = diag(alpha) D_c
+                target += block @ op
     return a_mat
 
 

@@ -66,3 +66,20 @@ def smooth_probe(points, seed=7, modes=3, scale=1.5):
         coef = gen.standard_normal() + 1j * gen.standard_normal()
         out += coef * np.exp(1j * np.pi * (points @ freq) / scale)
     return out
+
+
+def kernel_matrix_operators(grid, params, coeffs):
+    """(A1, A) built from the cached dense kernel matrices, the construction
+    the row-chunked gathers of ``assemble_A1`` and ``assemble_A_dense``
+    replace: A1 as sum_c K_c w_c[j] over every kernel, A as G beta[j] minus
+    (diag(alpha) D_c)^T grad G_c, as the dense builders once formed them."""
+    gm, grads = volume.kernel_matrices(grid, params)
+    g_weight, *grad_weights = volume.a1_weights(grid, params, coeffs)
+    a1 = gm * g_weight[None, :]
+    for kern, weight in zip(grads, grad_weights):
+        a1 += kern * weight[None, :]
+    alpha = coeffs.alpha(grid.centers)
+    a_mat = gm * coeffs.beta(grid.centers)[None, :]
+    for grad, dop in zip(grads, volume.gradient_ops(grid)):
+        a_mat -= (dop.multiply(alpha[:, None]).tocsc().T @ grad).T
+    return a1, a_mat

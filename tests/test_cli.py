@@ -149,7 +149,7 @@ class TestConfigValidation:
             cfg[section].update(values)
         out = tmp_path / "out"
         assert run_scenario(cfg, "solve", str(out)) == 2
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset, edit, argv", [
         ("disc-a2-solve", {}, ["--seed", "-1"]),
@@ -199,7 +199,7 @@ class TestConfigValidation:
         assert run_scenario(cfg, cfg["task"], str(out)) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and label(section, name) in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, name", [
         ("solve", "tolerance"), ("discretization", "n_per_axs"), ("coefficients", "k2_insde"),
@@ -212,7 +212,7 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert run_scenario(cfg, "solve", str(out)) == 2
         assert f"unknown key {label(section, name)}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("task, block, named", [
         ("spectrum", {"operator": "coupled", "levels": [8, 12]}, "spectrum.operator coupled"),
@@ -228,7 +228,7 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert run_scenario(cfg, task, str(out)) == 2
         assert f"{named} needs a boundary mesh" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_whole_float_integers_accepted(self, tmp_path):
         cfg = get_preset("disc-no-contrast-solve")
@@ -264,7 +264,7 @@ class TestDenseBudget:
         out = tmp_path / "out"
         assert run_scenario(cfg, "spectrum", str(out)) == 2
         assert "configuration error" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset", ["breakdown-sweep", "verify-default"])
     def test_sweep_and_verify_over_budget(self, tmp_path, monkeypatch, capsys, preset):
@@ -274,7 +274,18 @@ class TestDenseBudget:
         out = tmp_path / "out"
         assert run_scenario(cfg, cfg["task"], str(out)) == 2
         assert "capped by the dense memory budget" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_refusal_removes_only_the_directories_it_created(self, tmp_path, monkeypatch):
+        cfg = get_preset("breakdown-sweep")
+        cfg["discretization"].update(n_per_axis=16, boundary_nodes=64)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
+        assert run_scenario(cfg, "sweep", str(tmp_path / "a" / "b" / "c")) == 2
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "kept").mkdir()
+        assert run_scenario(cfg, "sweep", str(tmp_path / "kept" / "out")) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
 
 class TestSolveTask:
@@ -387,7 +398,7 @@ class TestSpectrumTask:
         out = tmp_path / "out"
         assert run_scenario(cfg, "spectrum", str(out)) == 2
         assert "use operator coupled" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_levels_validated(self, tmp_path):
         cfg = get_preset("disc-a2-spectrum")
@@ -493,7 +504,7 @@ class TestSweepTask:
         out = tmp_path / "out"
         assert run_scenario(cfg, "sweep", str(out)) == 2
         assert "discretization.n_per_axis" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_sweep_runs_on_the_scenario_discretization(self, tmp_path, monkeypatch):
         cfg = square_config("sweep", 1.0, a_values=[-1.4, -0.6])
@@ -623,6 +634,15 @@ class TestPresets:
             cfg = get_preset(name)
             scenario = Scenario(cfg, cfg["task"])
             assert scenario.hash
+
+    @pytest.mark.parametrize("preset", ["disc-a2-spectrum", "beta-only-spectrum",
+                                        "breakdown-sweep"])
+    def test_dense_presets_build_no_kernel_matrix(self, tmp_path, preset):
+        # their dense operators gather the kernels straight into the matrices
+        volume.kernel_matrices.cache_clear()
+        cfg = get_preset(preset)
+        assert run_scenario(cfg, cfg["task"], str(tmp_path / "out")) == 0
+        assert volume.kernel_matrices.cache_info().currsize == 0
 
     def test_presets_subcommand_writes_files(self, tmp_path):
         assert main(["presets", "--write", str(tmp_path / "p")]) == 0

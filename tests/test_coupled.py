@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_field, smooth_probe
+from conftest import kernel_matrix_operators, random_field, smooth_probe
 from vielab import (
     assemble_A1,
     assemble_A_dense,
     assemble_coupled,
+    beta_only,
     build_boundary_mesh,
     build_volume_grid,
     check_equivalence,
@@ -75,10 +76,11 @@ class TestAssembleA1:
 
 
 def _four_block_reference(grid, mesh, params, coeffs, variant):
-    """The system glued from its four blocks with np.block, the construction
-    the in-place assembly must reproduce bit for bit."""
+    """The system glued from its four blocks with np.block around the A1 of
+    the dense kernel matrices, the construction the in-place assembly must
+    reproduce bit for bit."""
     t_mat, dl, k_mat = coupled._coefficient_free_blocks(grid, mesh, params, variant)
-    a1 = assemble_A1(grid, params, coeffs)
+    a1, _ = kernel_matrix_operators(grid, params, coeffs)
     alpha_nodes = coeffs.alpha(mesh.nodes)
     a_nodes = 1.0 + alpha_nodes
     a_cells = 1.0 + coeffs.alpha(grid.centers)
@@ -107,17 +109,31 @@ class TestAssembleCoupled:
         assert np.array_equal(matrix[grid.n:, grid.n:], expected)
 
     @pytest.mark.parametrize("variant", ["trace-consistent", "nystrom"])
-    @pytest.mark.parametrize("field", ["a=2", "a=-0.5", "a=3+i", "linear-a"])
+    @pytest.mark.parametrize("field", ["a=2", "a=-0.5", "a=3+i", "beta-only", "linear-a",
+                                       "smooth-bump"])
     def test_equals_four_block_construction(self, setup32, params_k1, unit_disc,
                                             variant, field):
+        # the gathered system and A equal the kernel-matrix construction bit for
+        # bit where the coefficient is piecewise constant (one kernel); with
+        # gradient weights they are held to 1e-14 of the largest entry
+        # (measured: bit for bit too)
         grid, mesh, _ = setup32
         cf = {"a=2": lambda: constant_a(unit_disc, params_k1.k, 2.0),
               "a=-0.5": lambda: constant_a(unit_disc, params_k1.k, -0.5),
               "a=3+i": lambda: constant_a(unit_disc, params_k1.k, 3.0 + 1.0j),
+              "beta-only": lambda: beta_only(unit_disc, params_k1.k, 3.0),
               "linear-a": lambda: linear_a(unit_disc, params_k1.k, 2.0,
-                                           np.array([0.5, -0.3]))}[field]()
-        ref = _four_block_reference(grid, mesh, params_k1, cf, variant)
-        assert np.array_equal(assemble_coupled(grid, mesh, params_k1, cf, variant), ref)
+                                           np.array([0.5, -0.3])),
+              "smooth-bump": lambda: smooth_bump_a(unit_disc, params_k1.k, 2.0)}[field]()
+        pairs = [(assemble_coupled(grid, mesh, params_k1, cf, variant),
+                  _four_block_reference(grid, mesh, params_k1, cf, variant)),
+                 (assemble_A_dense(grid, params_k1, cf),
+                  kernel_matrix_operators(grid, params_k1, cf)[1])]
+        for got, ref in pairs:
+            if field in ("linear-a", "smooth-bump"):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            else:
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("variant", ["trace-consistent", "nystrom"])
     def test_coefficient_free_blocks_shared_and_read_only(self, setup32, params_k1,

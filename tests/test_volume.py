@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from conftest import random_field, smooth_probe
+from conftest import kernel_matrix_operators, random_field, smooth_probe
 from vielab import (
     DomainGeometry,
     WaveParameters,
@@ -452,6 +452,14 @@ class TestCachedKernels:
         assert len(grads) == dim
         for got, ref in zip((gm, *grads), (ref_gm, *ref_grads)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the dense operators gathered row chunk by row chunk agree with their
+        # kernel-matrix construction to 1e-14 of the largest entry (measured:
+        # bit for bit), with every kernel weighted
+        cf = linear_a(domain, k, 2.0, np.linspace(0.5, -0.3, dim))
+        a1, a_mat = kernel_matrix_operators(grid, params, cf)
+        for got, ref in ((coupled.assemble_A1(grid, params, cf), a1),
+                         (assemble_A_dense(grid, params, cf), a_mat)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("domain, n, k", [
         (DomainGeometry.disc(1.0), 24, 1.0),
@@ -459,7 +467,8 @@ class TestCachedKernels:
         (DomainGeometry.ball(1.0), 10, 2.5 + 0.3j),
     ], ids=["disc", "square", "ball"])
     def test_gradient_matrices_are_exactly_antisymmetric(self, domain, n, k):
-        # assemble_A_dense reads grads[c] for its transpose, bit for bit
+        # so assemble_A_dense's row-chunk products grad G_c diag(alpha) D_c equal
+        # the transposed products of the kernel-matrix construction bit for bit
         grid = build_volume_grid(domain, n)
         _, grads = kernel_matrices(grid, WaveParameters(k, grid.dimension))
         for grad in grads:
@@ -631,6 +640,10 @@ def _cold_dense_builds(n):
         "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
         "assemble_A_dense": lambda: assemble_A_dense(grid, p2, cf),
         "assemble_A_dense-3d": lambda: assemble_A_dense(grid3, p3, cf3),
+        "assemble_A_dense-beta": lambda: assemble_A_dense(grid, p2, beta_only(disc, 1.0, 3.0)),
+        "assemble_A1": lambda: coupled.assemble_A1(grid, p2, linear_a(disc, 1.0, 2.0, [0.5, -0.3])),
+        "assemble_A1-3d": lambda: coupled.assemble_A1(
+            grid3, p3, linear_a(ball, 1.0, 2.0, [0.5, -0.3, 0.2])),
         "assemble_coupled": lambda: assemble_coupled(grid, mesh, p2, cf),
         "assemble_coupled-nystrom": lambda: assemble_coupled(grid, mesh, p2, cf,
                                                              boundary_operator="nystrom"),
@@ -690,6 +703,19 @@ class TestDenseBudget:
             peak, result = _traced_peak(call)
             assert not isinstance(result, DenseBudgetError)
             assert peak <= err.need, f"n={n}: peak {peak} above the estimate {err.need}"
+
+    @pytest.mark.parametrize("builder", ["assemble_coupled-nystrom", "assemble_A_dense-beta"])
+    def test_gathered_builds_peak_under_two_outputs(self, builder):
+        # disc n = 40 from cold caches: the kernels are gathered into the output
+        # in row chunks, so no (n, n) kernel matrix or separate A1 is ever alive
+        disc, p2 = DomainGeometry.disc(1.0), WaveParameters(1.0, 2)
+        grid, mesh = build_volume_grid(disc, 40), build_boundary_mesh(disc, 160)
+        call = {"assemble_coupled-nystrom": lambda: assemble_coupled(
+                    grid, mesh, p2, constant_a(disc, 1.0, 2.0), boundary_operator="nystrom"),
+                "assemble_A_dense-beta": lambda: assemble_A_dense(
+                    grid, p2, beta_only(disc, 1.0, 3.0))}[builder]
+        peak, matrix = _traced_peak(call)
+        assert peak < 2 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f} outputs"
 
     @pytest.mark.parametrize("solve, live, pad", [(eigenvalues_dense, 4, 40),
                                                   (condition_estimate, 1, 96)])
