@@ -37,6 +37,7 @@ from .coupled import (
     assemble_A1,
     assemble_coupled,
     check_equivalence,
+    coupled_blocks,
     quadrature_weighted_matrix,
     solve_coupled,
 )

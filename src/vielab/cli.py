@@ -29,14 +29,15 @@ from fractions import Fraction
 from numbers import Real
 from pathlib import Path
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .boundary import assemble_K, double_layer_potential, jump_relation_check, trace
 from .coefficients import beta_only, constant_a, linear_a, smooth_bump_a
-from .coupled import NEAR_SINGULAR_RCOND, assemble_coupled, check_equivalence, solve_coupled
+from .coupled import (NEAR_SINGULAR_RCOND, assemble_coupled, check_equivalence, coupled_blocks,
+                      solve_coupled)
 from .geometry import (DEFAULT_BBOX_MARGIN, DomainGeometry, build_boundary_mesh,
                        build_volume_grid, reflections)
 from .presets import get_preset, preset_names
@@ -362,31 +363,27 @@ def task_solve(scenario: Scenario, out: Path) -> dict:
     return results
 
 
-def _coupled_discretization(scenario: Scenario, n_level: int):
-    """The grid and mesh of a coupled spectrum's level n: n cells per axis, 4n nodes."""
-    return scenario.grid(n_level), scenario.mesh(4 * n_level)
-
-
-def _spectrum_matrix(scenario: Scenario, n_level: int) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The spectrum operator at one level and the reflections of its unknowns."""
-    op = scenario.spectrum.operator
-    grid = mesh = None
-    if op == "coupled":
-        grid, mesh = _coupled_discretization(scenario, n_level)
-        matrix = spectral_instrument(grid, mesh, scenario.params, scenario.coeffs)
-    elif op == "contrast":
-        grid = scenario.grid(n_level)
-        matrix = assemble_A_dense(grid, scenario.params, scenario.coeffs)
-    else:
-        mesh = scenario.mesh(n_level)
-        matrix = 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(mesh, scenario.params)
-    return matrix, reflections(grid, mesh)
+def _spectrum_matrix(scenario: Scenario, n_level: int) -> tuple:
+    """The spectrum operator at level n, the reflections of its unknowns, and its
+    grid (n cells per axis) and mesh (4n nodes, n for ``half-minus-K``) or None."""
+    op, params, coeffs = scenario.spectrum.operator, scenario.params, scenario.coeffs
+    grid = None if op == "half-minus-K" else scenario.grid(n_level)
+    mesh = None if op == "contrast" else scenario.mesh(4 * n_level if op == "coupled" else n_level)
+    matrix = (spectral_instrument(grid, mesh, params, coeffs) if op == "coupled"
+              else assemble_A_dense(grid, params, coeffs) if op == "contrast"
+              else 0.5 * np.eye(mesh.m, dtype=np.complex128) - assemble_K(mesh, params))
+    return matrix, reflections(grid, mesh), grid, mesh
 
 
 def task_spectrum(scenario: Scenario, out: Path) -> dict:
     levels, delta = scenario.spectrum.levels, scenario.spectrum.delta
-    # both levels are solved before anything is written
-    eigs = {lvl: eigenvalues_dense(*_spectrum_matrix(scenario, lvl)) for lvl in levels}
+    # both levels are solved before anything is written; the fine one, last,
+    # keeps its grid and mesh for the essential set and the verdict
+    eigs = {}
+    for lvl in levels:
+        matrix, symmetries, grid, mesh = _spectrum_matrix(scenario, lvl)
+        eigs[lvl] = eigenvalues_dense(matrix, symmetries)
+        del matrix  # freed before the next level is built
     for lvl, (vals, res) in eigs.items():
         write_csv(out / f"eigenvalues_{lvl}.csv", scenario, ["re", "im", "residual"],
                   np.column_stack([vals.real, vals.imag, res]))
@@ -402,8 +399,6 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
         "accumulation_diameter": report.diameter,
     }
     if scenario.spectrum.operator == "coupled":
-        # the essential set and the verdict on the fine level's own grid and mesh
-        grid, mesh = _coupled_discretization(scenario, levels[1])
         points = np.unique(essential_set(grid, mesh, scenario.coeffs))
         results["predicted_clusters"] = [_c2pair(p) for p in points]
         verdict = fredholm_verdict(grid, mesh, scenario.coeffs, [0.5])
@@ -423,7 +418,7 @@ def task_spectrum(scenario: Scenario, out: Path) -> dict:
 
 
 def task_sweep(scenario: Scenario, out: Path) -> dict:
-    # one grid and mesh for every value, so the identity-keyed caches hit
+    # one grid and mesh for every value, so their coefficient-free blocks are built once
     records = condition_sweep(scenario.grid(), scenario.mesh(), scenario.params,
                               scenario.sweep.a_values)
     rows = [[a.real, a.imag, cond] for a, cond in records]
@@ -566,7 +561,7 @@ def verify_suite(scenario: Scenario) -> dict:
     def trace_equivalence():
         grid = build_volume_grid(domain, min(scenario.n_per_axis, 32))
         mesh = build_boundary_mesh(domain, scenario.boundary_nodes, scenario.grading)
-        matrix = assemble_coupled(grid, mesh, params, coeffs)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params), coeffs)
         u_inc = incident_plane_wave(grid, params, np.eye(grid.dimension)[0])
         psi = trace(grid, mesh, u_inc)
         u, phi, rcond = solve_coupled(matrix, grid, u_inc, psi)

@@ -40,19 +40,18 @@ similarity that makes the Euclidean norm approximate the
 L2(volume) x L2(boundary) norms (eigenvalues are unchanged).
 
 Reuse: the trace, double layer and K blocks do not depend on the
-coefficient. They are built once per (grid, mesh, params, variant) and
-cached read-only, keyed on the grid and mesh objects. Each system is
-written into one preallocated matrix: A1 gathered straight into its
-volume block (``volume.gather_kernels``, no kernel matrix), the trace
-times that block below it, column scalings of the double layer and K,
-and the two diagonals.
+coefficient. ``coupled_blocks`` builds them read-only, and the caller
+keeps them while it assembles systems on their grid, mesh and k. Each
+system is written into one preallocated matrix: A1 gathered straight
+into its volume block (``volume.gather_kernels``, no kernel matrix), the
+trace times that block below it, column scalings of the double layer
+and K, and the two diagonals.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -82,55 +81,58 @@ def assemble_A1(grid: VolumeGrid, params: WaveParameters,
                           np.empty((n, n), dtype=np.complex128))
 
 
-@functools.lru_cache(maxsize=1)
-def _coefficient_free_blocks(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
-                             boundary_operator: str):
-    """Dense trace (M, N), double layer (N, M) and K (M, M), shared (hence
-    read-only) by every coupled system assembled on this discretization."""
-    # the Nystrom K first: its budget check, above the density interpolation's,
-    # then refuses a large boundary before the double layer allocates
-    k_mat = assemble_K(mesh, params) if boundary_operator == "nystrom" else None
-    t_mat = trace_matrix(grid, mesh).toarray()
-    dl = double_layer_matrix(mesh, params, grid.centers, near_distance=0.5 * grid.h)
-    if k_mat is None:
-        k_mat = 0.5 * np.eye(mesh.m, dtype=np.complex128) + t_mat @ dl
-    for block in (t_mat, dl, k_mat):
-        block.setflags(write=False)
-    return t_mat, dl, k_mat
+class CoupledBlocks(NamedTuple):
+    """The read-only coefficient-free blocks on one grid, mesh and k: the trace
+    (M, N), complex so that no product copies it, the double layer and K."""
+    grid: VolumeGrid
+    mesh: BoundaryMesh
+    params: WaveParameters
+    trace: np.ndarray
+    double_layer: np.ndarray
+    K: np.ndarray
 
 
-def assemble_coupled(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
-                     coeffs: CoefficientField,
-                     boundary_operator: str = "trace-consistent") -> np.ndarray:
-    """Assemble the boundary-domain system, volume unknowns first.
-
-    ``boundary_operator`` selects the realization of K in the boundary
-    row: ``"trace-consistent"`` for exact discrete equivalence with the
-    volume equation (the solve instrument), ``"nystrom"`` for spectral
-    studies (sharp essential clusters, meaningful conditioning).
-    """
+def coupled_blocks(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters,
+                   boundary_operator: str = "trace-consistent") -> CoupledBlocks:
+    """The blocks every coupled system on this grid and mesh shares, with K
+    realized as ``boundary_operator``: ``"trace-consistent"`` (the solve
+    instrument) or ``"nystrom"`` (the spectral instrument)."""
     if boundary_operator not in ("trace-consistent", "nystrom"):
         raise ValueError(f"unknown boundary operator {boundary_operator!r}")
+    n, m, near_distance = grid.n, mesh.m, 0.5 * grid.h
+    near = np.count_nonzero(mesh.domain.boundary_distance(grid.centers) < near_distance)
+    # the trace and K, the double layer and its temporaries (measured at most
+    # 7 N M), and its near rows: the (8M, M) float interpolation with its complex
+    # copy (12 M^2) and the (near, 8M) refined block's temporaries (< 60 near M)
+    check_dense_budget("coupled system blocks", 8 + (13 * m + 60 * near) / n, n, m)
+    k_mat = assemble_K(mesh, params) if boundary_operator == "nystrom" else None
+    t_mat = trace_matrix(grid, mesh).astype(np.complex128).toarray()
+    dl = double_layer_matrix(mesh, params, grid.centers, near_distance=near_distance)
+    if k_mat is None:
+        k_mat = 0.5 * np.eye(m, dtype=np.complex128) + t_mat @ dl
+    for block in (t_mat, dl, k_mat):
+        block.setflags(write=False)
+    return CoupledBlocks(grid, mesh, params, t_mat, dl, k_mat)
+
+
+def assemble_coupled(blocks: CoupledBlocks, coeffs: CoefficientField) -> np.ndarray:
+    """The boundary-domain system on the blocks' discretization, volume unknowns first."""
+    grid, mesh, params = blocks.grid, blocks.mesh, blocks.params
     n, m, size = grid.n, mesh.m, grid.n + mesh.m
-    # the system; the cached float trace (half of M N complex entries), double
-    # layer and K, and the complex copy numpy makes of the trace for the lower
-    # left block; the double layer's near rows add the float (8M, M)
-    # interpolation and its complex copy while it is built (12 M^2); and the
-    # gather's row chunk temporaries (its index and the 1 + d gathered blocks)
-    live = 2.5 * m * n + 13 * m * m + (grid.dimension + 1.5) * chunk_rows(n) * n
+    # the system; the blocks beside it; and the gather's row chunk temporaries
+    # (its index and the 1 + d gathered blocks)
+    live = 2 * m * n + m * m + (grid.dimension + 1.5) * chunk_rows(n) * n
     check_dense_budget("coupled system", 1 + live / size**2, size, size)
-    t_mat, dl, k_mat = _coefficient_free_blocks(grid, mesh, params, boundary_operator)
     alpha_nodes = coeffs.alpha(mesh.nodes)
     matrix = np.empty((size, size), dtype=np.complex128)
     a1 = gather_kernels(grid, params, a1_weights(grid, params, coeffs), matrix[:n, :n])
-    np.multiply(dl, alpha_nodes[None, :], out=matrix[:n, n:])
-    np.matmul(t_mat, a1, out=matrix[n:, :n])
-    np.multiply(k_mat, alpha_nodes[None, :], out=matrix[n:, n:])
+    np.multiply(blocks.double_layer, alpha_nodes[None, :], out=matrix[:n, n:])
+    np.matmul(blocks.trace, a1, out=matrix[n:, :n])
+    np.multiply(blocks.K, alpha_nodes[None, :], out=matrix[n:, n:])
     diagonal = matrix.reshape(-1)[::size + 1]
     diagonal[:n] += 1.0 + coeffs.alpha(grid.centers)
     diagonal[n:] += 0.5 * (1.0 + (1.0 + alpha_nodes))  # (1 + a)/2, rounded as a = 1 + alpha
-    logger.debug("coupled system (%s): N=%d volume + M=%d boundary unknowns",
-                 boundary_operator, n, mesh.m)
+    logger.debug("coupled system: N=%d volume + M=%d boundary unknowns", n, m)
     return matrix
 
 

@@ -52,7 +52,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import CoefficientField, constant_a
-from .coupled import assemble_coupled, quadrature_weighted_matrix
+from .coupled import assemble_coupled, coupled_blocks, quadrature_weighted_matrix
 from .geometry import (BoundaryMesh, DomainGeometry, VolumeGrid, build_boundary_mesh,
                        build_volume_grid, reflections)
 from .special import WaveParameters
@@ -476,7 +476,7 @@ def spectral_instrument(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParame
     """The spectral instrument on a built grid and mesh: the quadrature-weighted
     coupled matrix with the Nystrom boundary operator."""
     return quadrature_weighted_matrix(
-        assemble_coupled(grid, mesh, params, coeffs, boundary_operator="nystrom"), grid, mesh)
+        assemble_coupled(coupled_blocks(grid, mesh, params, "nystrom"), coeffs), grid, mesh)
 
 
 def spectral_operator_matrix(domain: DomainGeometry, params: WaveParameters,
@@ -506,17 +506,18 @@ def condition_sweep(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters
     signature is monotone growth as the boundary value approaches the
     image of the essential set. Singular assemblies report inf.
 
-    Every value shares the grid and mesh objects, so the coefficient-free
-    blocks are built once per (grid, mesh, params, variant); each value
-    costs only their diagonal scalings and the singular values of the
-    blocks of the reflections of the grid and mesh. The condition numbers
-    are exact and depend on no seed.
+    The Nystrom blocks are built once and every value's system is assembled
+    from them, so each value costs only their scalings, its volume block and
+    the singular values of the blocks of the reflections of the grid and
+    mesh. The condition numbers are exact and depend on no seed.
     """
     symmetries = reflections(grid, mesh)
+    blocks = coupled_blocks(grid, mesh, params, "nystrom")
     out = []
     for a_val in a_values:
         coeffs = constant_a(grid.domain, params.k, a_val)
-        cond = condition_estimate(spectral_instrument(grid, mesh, params, coeffs), symmetries)
+        cond = condition_estimate(quadrature_weighted_matrix(
+            assemble_coupled(blocks, coeffs), grid, mesh), symmetries)
         logger.debug("condition sweep: a=%s cond=%.3e", a_val, cond)
         out.append((complex(a_val), cond))
     return out

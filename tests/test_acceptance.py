@@ -27,6 +27,7 @@ from vielab import (
     check_equivalence,
     condition_sweep,
     constant_a,
+    coupled_blocks,
     detect_clusters,
     eigenvalues_dense,
     essential_set,
@@ -130,7 +131,7 @@ def test_criterion_05_coupled_equivalence(disc, k1):
     grid = build_volume_grid(disc, 32)
     mesh = build_boundary_mesh(disc, 128)
     cf = constant_a(disc, k1.k, 2.0)
-    matrix = assemble_coupled(grid, mesh, k1, cf)
+    matrix = assemble_coupled(coupled_blocks(grid, mesh, k1), cf)
     u_inc = incident_plane_wave(grid, k1, (1.0, 0.0))
     psi = trace(grid, mesh, u_inc)
     u, phi, _ = solve_coupled(matrix, grid, u_inc, psi)

@@ -260,7 +260,7 @@ class TestDenseBudget:
         cfg = get_preset(preset)
         cfg["spectrum"].update(operator=operator, levels=levels)
         monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
-        eigenvalues_dense(*_spectrum_matrix(Scenario(cfg, "spectrum"), levels[0]))  # fits
+        eigenvalues_dense(*_spectrum_matrix(Scenario(cfg, "spectrum"), levels[0])[:2])  # fits
         out = tmp_path / "out"
         assert run_scenario(cfg, "spectrum", str(out)) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -512,14 +512,15 @@ class TestSweepTask:
         seen = []
         assemble = spectral.assemble_coupled
 
-        def recorded(grid, mesh, *args, **kwargs):
-            seen.append((grid, mesh))
-            return assemble(grid, mesh, *args, **kwargs)
+        def recorded(blocks, coeffs):
+            seen.append(blocks)
+            return assemble(blocks, coeffs)
 
         monkeypatch.setattr(spectral, "assemble_coupled", recorded)
         assert run_scenario(cfg, "sweep", str(tmp_path / "out")) == 0
-        (grid, mesh), again = seen
-        assert again[0] is grid and again[1] is mesh
+        blocks, again = seen
+        assert again is blocks
+        grid, mesh = blocks.grid, blocks.mesh
         scenario = Scenario(cfg, "sweep")
         assert np.array_equal(grid.centers, scenario.grid().centers)
         assert mesh.m == 40 and np.array_equal(mesh.nodes, scenario.mesh().nodes)

@@ -11,6 +11,7 @@ from vielab import (
     build_volume_grid,
     check_equivalence,
     constant_a,
+    coupled_blocks,
     detect_clusters,
     eigenvalues_dense,
     incident_plane_wave,
@@ -79,7 +80,8 @@ def _four_block_reference(grid, mesh, params, coeffs, variant):
     """The system glued from its four blocks with np.block around the A1 of
     the dense kernel matrices, the construction the in-place assembly must
     reproduce bit for bit."""
-    t_mat, dl, k_mat = coupled._coefficient_free_blocks(grid, mesh, params, variant)
+    blocks = coupled_blocks(grid, mesh, params, variant)
+    t_mat, dl, k_mat = blocks.trace, blocks.double_layer, blocks.K
     a1, _ = kernel_matrix_operators(grid, params, coeffs)
     alpha_nodes = coeffs.alpha(mesh.nodes)
     a_nodes = 1.0 + alpha_nodes
@@ -96,14 +98,13 @@ class TestAssembleCoupled:
         grid = build_volume_grid(unit_disc, 16)
         mesh = build_boundary_mesh(unit_disc, 64)
         cf = constant_a(unit_disc, params_k1.k, 1.0)
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         assert np.allclose(matrix, np.eye(grid.n + mesh.m), atol=1e-14)
 
     def test_boundary_block_form_for_constant_alpha(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
-        _, _, k_mat = coupled._coefficient_free_blocks(grid, mesh, params_k1,
-                                                       "trace-consistent")
+        blocks = coupled_blocks(grid, mesh, params_k1)
+        matrix, k_mat = assemble_coupled(blocks, cf), blocks.K
         alpha = 1.0  # a = 2
         expected = 0.5 * np.diag(np.full(mesh.m, 3.0)) + alpha * k_mat
         assert np.array_equal(matrix[grid.n:, grid.n:], expected)
@@ -125,7 +126,7 @@ class TestAssembleCoupled:
               "linear-a": lambda: linear_a(unit_disc, params_k1.k, 2.0,
                                            np.array([0.5, -0.3])),
               "smooth-bump": lambda: smooth_bump_a(unit_disc, params_k1.k, 2.0)}[field]()
-        pairs = [(assemble_coupled(grid, mesh, params_k1, cf, variant),
+        pairs = [(assemble_coupled(coupled_blocks(grid, mesh, params_k1, variant), cf),
                   _four_block_reference(grid, mesh, params_k1, cf, variant)),
                  (assemble_A_dense(grid, params_k1, cf),
                   kernel_matrix_operators(grid, params_k1, cf)[1])]
@@ -135,23 +136,35 @@ class TestAssembleCoupled:
             else:
                 assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("variant", ["trace-consistent", "nystrom"])
-    def test_coefficient_free_blocks_shared_and_read_only(self, setup32, params_k1,
-                                                          unit_disc, variant):
-        grid, mesh, cf = setup32
-        coupled._coefficient_free_blocks.cache_clear()
-        assemble_coupled(grid, mesh, params_k1, cf, variant)
-        assemble_coupled(grid, mesh, params_k1,
-                         constant_a(unit_disc, params_k1.k, -0.5), variant)
-        info = coupled._coefficient_free_blocks.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        for block in coupled._coefficient_free_blocks(grid, mesh, params_k1, variant):
+    def test_sweep_builds_blocks_once_and_read_only(self, setup32, params_k1, monkeypatch):
+        # the blocks are built by the caller that reuses them: a three-value
+        # sweep builds K, the double layer and the trace once, and every
+        # system is assembled from the same read-only blocks
+        from vielab import condition_sweep, spectral
+        grid, mesh, _ = setup32
+        builds, seen = [], []
+        for name in ("assemble_K", "double_layer_matrix", "trace_matrix"):
+            def counted(*args, _name=name, _build=getattr(coupled, name), **kwargs):
+                builds.append(_name)
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(coupled, name, counted)
+
+        def recorded(blocks, coeffs, _assemble=spectral.assemble_coupled):
+            seen.append(blocks)
+            return _assemble(blocks, coeffs)
+
+        monkeypatch.setattr(spectral, "assemble_coupled", recorded)
+        condition_sweep(grid, mesh, params_k1, [-3.0, -1.5, 2.0])
+        assert sorted(builds) == ["assemble_K", "double_layer_matrix", "trace_matrix"]
+        assert len(seen) == 3 and all(blocks is seen[0] for blocks in seen)
+        assert seen[0].grid is grid and seen[0].mesh is mesh and seen[0].params == params_k1
+        for block in (seen[0].trace, seen[0].double_layer, seen[0].K):
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 0.0
 
     def test_solvability_smoke(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
         psi = trace(grid, mesh, u_inc)
         u, phi, rcond = solve_coupled(matrix, grid, u_inc, psi)
@@ -162,7 +175,7 @@ class TestAssembleCoupled:
 
     def test_near_singular_solve_warns(self, setup32, params_k1, caplog):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         matrix[0] *= 1e-20
         rhs = np.ones(len(matrix), complex)
         with caplog.at_level("WARNING", logger="vielab.coupled"):
@@ -173,20 +186,20 @@ class TestAssembleCoupled:
     def test_unknown_variant_rejected(self, setup32, params_k1):
         grid, mesh, cf = setup32
         with pytest.raises(ValueError, match="boundary operator"):
-            assemble_coupled(grid, mesh, params_k1, cf, boundary_operator="magic")
+            coupled_blocks(grid, mesh, params_k1, boundary_operator="magic")
 
 
 class TestEquivalence:
     def test_zero_data_zero_solution(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         u, phi, _ = solve_coupled(matrix, grid, np.zeros(grid.n, complex),
                                   np.zeros(mesh.m, complex))
         assert np.abs(u).max() == 0 and np.abs(phi).max() == 0
 
     def test_trace_equivalence_to_solver_precision(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
         psi = trace(grid, mesh, u_inc)
         u, phi, _ = solve_coupled(matrix, grid, u_inc, psi)
@@ -194,7 +207,7 @@ class TestEquivalence:
 
     def test_perturbed_psi_breaks_equivalence(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
         psi = trace(grid, mesh, u_inc) + 1.0
         u, phi, _ = solve_coupled(matrix, grid, u_inc, psi)
@@ -214,7 +227,7 @@ class TestEquivalence:
             grid = build_volume_grid(unit_disc, n)
             mesh = build_boundary_mesh(unit_disc, 4 * n)
             cf = constant_a(unit_disc, params_k1.k, 2.0)
-            matrix = assemble_coupled(grid, mesh, params_k1, cf)
+            matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
             u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))
             psi = trace(grid, mesh, u_inc)
             u_coupled, _, _ = solve_coupled(matrix, grid, u_inc, psi)
@@ -226,7 +239,7 @@ class TestEquivalence:
 
     def test_rhs_size_validated(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf)
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf)
         with pytest.raises(ValueError):
             solve_coupled(matrix, grid, np.zeros(3, complex), np.zeros(mesh.m, complex))
         # the right total length, split at the wrong place
@@ -239,7 +252,8 @@ def reduced_coupled_matrix(grid, mesh, params, coeffs):
     """The Nystrom system with A1, the trace coupling, and [K, alpha]
     replaced by zero: upper triangular, so its spectrum carries only the
     diagonal symbols."""
-    _, dl, k_mat = coupled._coefficient_free_blocks(grid, mesh, params, "nystrom")
+    blocks = coupled_blocks(grid, mesh, params, "nystrom")
+    dl, k_mat = blocks.double_layer, blocks.K
     n = grid.n
     alpha_nodes = coeffs.alpha(mesh.nodes)
     out = np.zeros((n + mesh.m, n + mesh.m), dtype=np.complex128)
@@ -259,7 +273,7 @@ class TestStructure:
             mesh = build_boundary_mesh(unit_disc, 4 * n)
             cf = constant_a(unit_disc, params_k1.k, 2.0)
             eigs_full[n], _ = eigenvalues_dense(assemble_coupled(
-                grid, mesh, params_k1, cf, boundary_operator="nystrom"))
+                coupled_blocks(grid, mesh, params_k1, "nystrom"), cf))
             eigs_reduced[n], _ = eigenvalues_dense(
                 reduced_coupled_matrix(grid, mesh, params_k1, cf))
         rep_full = detect_clusters(eigs_full[16], eigs_full[24], 0.1)
@@ -269,7 +283,7 @@ class TestStructure:
 
     def test_weighted_similarity_preserves_eigenvalues(self, setup32, params_k1):
         grid, mesh, cf = setup32
-        matrix = assemble_coupled(grid, mesh, params_k1, cf, boundary_operator="nystrom")
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, params_k1, "nystrom"), cf)
         e1 = np.sort_complex(np.linalg.eigvals(matrix))  # before the in-place weighting
         w = quadrature_weighted_matrix(matrix, grid, mesh)
         e2 = np.sort_complex(np.linalg.eigvals(w))

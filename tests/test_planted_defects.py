@@ -24,6 +24,7 @@ from vielab import (
     build_boundary_mesh,
     build_volume_grid,
     constant_a,
+    coupled_blocks,
     gmres_solve,
     greens_value,
     incident_plane_wave,
@@ -42,8 +43,7 @@ K1 = WaveParameters(1.0, 2)
 def cold_caches():
     """Operator blocks built under a planted defect are dropped afterwards."""
     def clear():
-        for cached in (volume.kernel_matrices, volume.fft_kernel_tables,
-                       coupled._coefficient_free_blocks):
+        for cached in (volume.kernel_matrices, volume.fft_kernel_tables):
             cached.cache_clear()
     clear()
     yield
@@ -83,8 +83,8 @@ def coupled_agrees_with_vie_solve() -> bool:
     for n in (12, 24):
         grid, mesh = build_volume_grid(DISC, n), build_boundary_mesh(DISC, 4 * n)
         u_inc = incident_plane_wave(grid, K1, (1.0, 0.0))
-        u_coupled, _, _ = solve_coupled(assemble_coupled(grid, mesh, K1, cf), grid, u_inc,
-                                        trace(grid, mesh, u_inc))
+        matrix = assemble_coupled(coupled_blocks(grid, mesh, K1), cf)
+        u_coupled, _, _ = solve_coupled(matrix, grid, u_inc, trace(grid, mesh, u_inc))
         u_vie, info = gmres_solve(identity_minus_A(grid, K1, cf), u_inc, tol=1e-10)
         assert info.converged
         diffs.append(np.linalg.norm(u_coupled - u_vie) / np.linalg.norm(u_vie))

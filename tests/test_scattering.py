@@ -160,16 +160,16 @@ class TestGmres:
 
     def test_iteration_growth_toward_breakdown(self, unit_disc, params_k1):
         # iterations grow monotonically as the coefficient approaches -1
-        from vielab import assemble_coupled, build_boundary_mesh, quadrature_weighted_matrix
+        from vielab import (assemble_coupled, build_boundary_mesh, coupled_blocks,
+                            quadrature_weighted_matrix)
         from vielab.boundary import trace
         grid = build_volume_grid(unit_disc, 32)
         mesh = build_boundary_mesh(unit_disc, 128)
+        blocks = coupled_blocks(grid, mesh, params_k1, "nystrom")
         iters = []
         for a in (-0.5, -0.8, -0.9):
             cf = constant_a(unit_disc, params_k1.k, a)
-            mat = quadrature_weighted_matrix(
-                assemble_coupled(grid, mesh, params_k1, cf, boundary_operator="nystrom"),
-                grid, mesh)
+            mat = quadrature_weighted_matrix(assemble_coupled(blocks, cf), grid, mesh)
             scale = np.sqrt(np.concatenate([np.full(grid.n, grid.cell_volume),
                                             mesh.weights]))
             u_inc = incident_plane_wave(grid, params_k1, (1.0, 0.0))

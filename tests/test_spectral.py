@@ -479,7 +479,7 @@ class TestRouteGuard:
         cfg = get_preset(preset)
         scenario = Scenario(cfg, "spectrum")
         for level in cfg["spectrum"]["levels"]:
-            matrix, symmetries = _spectrum_matrix(scenario, level)
+            matrix, symmetries, _, _ = _spectrum_matrix(scenario, level)
             assert len(commuting_reflections(matrix, symmetries)) == 3, (preset, level)
             assert len(_reflection_bases(matrix, symmetries)) == 5, (preset, level)
 

@@ -25,7 +25,8 @@ from vielab import (
     newton_potential,
     smooth_bump_a,
 )
-from vielab import assemble_K, assemble_coupled, build_boundary_mesh, eigenvalues_dense
+from vielab import (assemble_K, assemble_coupled, build_boundary_mesh, coupled_blocks,
+                    eigenvalues_dense)
 from vielab.geometry import reflections
 from vielab.spectral import condition_estimate, spectral_instrument, spectral_operator_matrix
 from vielab import coupled, volume
@@ -419,8 +420,7 @@ class TestCachedKernels:
         caches = {f"{mod.__name__}.{name}": obj for mod in modules
                   for name, obj in vars(mod).items()
                   if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__}
-        assert sorted(caches) == ["vielab.coupled._coefficient_free_blocks",
-                                  "vielab.volume.fft_kernel_tables",
+        assert sorted(caches) == ["vielab.volume.fft_kernel_tables",
                                   "vielab.volume.kernel_matrices"]
         assert {name: c.cache_parameters()["maxsize"] for name, c in caches.items()} \
             == dict.fromkeys(caches, 1)
@@ -560,8 +560,9 @@ class TestDenseAssembly:
         cf = constant_a(grid.domain, params_k1.k, 2.0)
         for mat, size in ((assemble_A_dense(grid, params_k1, cf), grid.n),
                           (coupled.assemble_A1(grid, params_k1, cf), grid.n),
-                          (assemble_coupled(grid, mesh, params_k1, cf), grid.n + mesh.m),
-                          (assemble_coupled(grid, mesh, params_k1, cf, "nystrom"),
+                          (assemble_coupled(coupled_blocks(grid, mesh, params_k1), cf),
+                           grid.n + mesh.m),
+                          (assemble_coupled(coupled_blocks(grid, mesh, params_k1, "nystrom"), cf),
                            grid.n + mesh.m),
                           (assemble_K(mesh, params_k1), mesh.m)):
             assert type(mat) is np.ndarray
@@ -617,13 +618,31 @@ def _symmetric_system(kind, n):
     return system, symmetries
 
 
+@functools.lru_cache(maxsize=2)
+def _prebuilt_blocks(n):
+    """The blocks the coupled systems of ``_cold_dense_builds`` are assembled
+    from, built beforehand: on the disc at n cells per axis with 4n nodes
+    (both variants), and at n / 2 with 2n, 3n and (Nystrom) 4n nodes."""
+    disc, p2 = DomainGeometry.disc(1.0), WaveParameters(1.0, 2)
+    grid, coarse = build_volume_grid(disc, n), build_volume_grid(disc, n // 2)
+    mesh = build_boundary_mesh(disc, 4 * n)
+    return [coupled_blocks(grid, mesh, p2), coupled_blocks(grid, mesh, p2, "nystrom"),
+            coupled_blocks(coarse, build_boundary_mesh(disc, 2 * n), p2),
+            coupled_blocks(coarse, build_boundary_mesh(disc, 3 * n), p2),
+            coupled_blocks(coarse, mesh, p2, "nystrom")]
+
+
 def _cold_dense_builds(n):
     """Budgeted dense builds on a disc (2D) or ball (3D) of n cells per axis,
     as zero-argument calls; the "-coarse" and "-tiny" entries are the small
     sizes where the fixed allowance, not the arrays, dominates. The
     unblocked eigensolve input is real and badly scaled, and the condition
     number's input is its complex counterpart; the "-blocked" entries split
-    symmetric systems into the 2, 5 or 8 blocks of their reflections."""
+    symmetric systems into the 2, 5 or 8 blocks of their reflections. The
+    coupled systems are assembled from ``_prebuilt_blocks``, so their calls
+    trace the assembly alone; the blocks are built by the "coupled_blocks"
+    entries, on the square too (corners; at n = 16, 52 of its 196 cells lie
+    within h/2 of the boundary and take the near-field upgrade)."""
     disc, ball = DomainGeometry.disc(1.0), DomainGeometry.ball(1.0)
     square = DomainGeometry.polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])
     p2, p3 = WaveParameters(1.0, 2), WaveParameters(1.0, 3)
@@ -635,6 +654,8 @@ def _cold_dense_builds(n):
     stiff_c = stiff + 1j * stiff.T
     five, two, eight = (_symmetric_system(kind, n) for kind in ("disc", "disc-linear", "ball"))
     five_real = (np.ascontiguousarray(five[0].real), five[1])
+    square_grid, square_mesh = build_volume_grid(square, n), build_boundary_mesh(square, 4 * n)
+    blocks = _prebuilt_blocks(n)
     return {
         "kernel_matrices": lambda: kernel_matrices(grid, p2),
         "kernel_matrices-3d": lambda: kernel_matrices(grid3, p3),
@@ -644,15 +665,15 @@ def _cold_dense_builds(n):
         "assemble_A1": lambda: coupled.assemble_A1(grid, p2, linear_a(disc, 1.0, 2.0, [0.5, -0.3])),
         "assemble_A1-3d": lambda: coupled.assemble_A1(
             grid3, p3, linear_a(ball, 1.0, 2.0, [0.5, -0.3, 0.2])),
-        "assemble_coupled": lambda: assemble_coupled(grid, mesh, p2, cf),
-        "assemble_coupled-nystrom": lambda: assemble_coupled(grid, mesh, p2, cf,
-                                                             boundary_operator="nystrom"),
-        "assemble_coupled-coarse": lambda: assemble_coupled(
-            coarse, build_boundary_mesh(disc, 2 * n), p2, cf),
-        "assemble_coupled-tiny": lambda: assemble_coupled(
-            coarse, build_boundary_mesh(disc, 3 * n), p2, cf),
-        "assemble_coupled-nystrom-tiny": lambda: assemble_coupled(
-            coarse, build_boundary_mesh(disc, 4 * n), p2, cf, boundary_operator="nystrom"),
+        "coupled_blocks": lambda: coupled_blocks(grid, mesh, p2),
+        "coupled_blocks-nystrom": lambda: coupled_blocks(grid, mesh, p2, "nystrom"),
+        "coupled_blocks-square": lambda: coupled_blocks(square_grid, square_mesh, p2),
+        "coupled_blocks-nystrom-tiny": lambda: coupled_blocks(coarse, mesh, p2, "nystrom"),
+        "assemble_coupled": lambda: assemble_coupled(blocks[0], cf),
+        "assemble_coupled-nystrom": lambda: assemble_coupled(blocks[1], cf),
+        "assemble_coupled-coarse": lambda: assemble_coupled(blocks[2], cf),
+        "assemble_coupled-tiny": lambda: assemble_coupled(blocks[3], cf),
+        "assemble_coupled-nystrom-tiny": lambda: assemble_coupled(blocks[4], cf),
         "assemble_K": lambda: assemble_K(k_mesh, p2),
         "assemble_K-coarse": lambda: assemble_K(mesh, p2),
         "spectral_operator_matrix": lambda: spectral_operator_matrix(disc, p2, cf, n),
@@ -674,8 +695,7 @@ def _cold_dense_builds(n):
 def _traced_peak(call):
     """Bytes allocated by ``call`` at its peak, from cold caches; the call's
     result or the exception it raised."""
-    for cached in (kernel_matrices, coupled._coefficient_free_blocks):
-        cached.cache_clear()
+    kernel_matrices.cache_clear()
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     try:
@@ -711,7 +731,7 @@ class TestDenseBudget:
         disc, p2 = DomainGeometry.disc(1.0), WaveParameters(1.0, 2)
         grid, mesh = build_volume_grid(disc, 40), build_boundary_mesh(disc, 160)
         call = {"assemble_coupled-nystrom": lambda: assemble_coupled(
-                    grid, mesh, p2, constant_a(disc, 1.0, 2.0), boundary_operator="nystrom"),
+                    coupled_blocks(grid, mesh, p2, "nystrom"), constant_a(disc, 1.0, 2.0)),
                 "assemble_A_dense-beta": lambda: assemble_A_dense(
                     grid, p2, beta_only(disc, 1.0, 3.0))}[builder]
         peak, matrix = _traced_peak(call)
@@ -730,15 +750,15 @@ class TestDenseBudget:
         solve(matrix, symmetries)
 
     def test_coupled_refuses_large_boundary_before_allocating(self, monkeypatch):
-        # a boundary mesh large against the grid: the coupled estimate counts the
-        # (8M, M) interpolation of the near-field upgrade and its complex copy, so
-        # the system is refused before any block allocates
+        # a boundary mesh large against the grid: the block builder's estimate
+        # counts the (8M, M) interpolation of the near-field upgrade and its
+        # complex copy, so the blocks are refused before any of them allocates
         grid = build_volume_grid(DomainGeometry.disc(1.0), 8)
         mesh = build_boundary_mesh(grid.domain, 400)
         cf = constant_a(grid.domain, 1.0, 2.0)
         monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 18 * 2**20)
         peak, err = _traced_peak(lambda: assemble_coupled(
-            grid, mesh, WaveParameters(1.0, 2), cf, boundary_operator="nystrom"))
+            coupled_blocks(grid, mesh, WaveParameters(1.0, 2), "nystrom"), cf))
         assert isinstance(err, DenseBudgetError) and "coupled system" in str(err)
         assert peak < 10**6
 
