@@ -66,35 +66,51 @@ def trace_matrix(grid: VolumeGrid, mesh: BoundaryMesh):
     fit is rank deficient), evaluated at the node. Cells as far from the
     node as the last one kept (within 1e-9 h) are kept too, so a stencil
     never picks one of two mirror-image cells by rounding and the matrix
-    inherits the grid's reflection symmetries.
+    inherits the grid's reflection symmetries. The fits with equally many
+    cells are solved as one stack.
     """
     import scipy.sparse as sparse
     from scipy.spatial import cKDTree
-    tree = cKDTree(grid.centers)
-    radius = TRACE_SEARCH_RADIUS * grid.h
-    d = grid.dimension
-    rows, cols, vals = [], [], []
-    for i, node in enumerate(mesh.nodes):
-        cand = tree.query_ball_point(node, radius)
-        if len(cand) < 3:
-            raise ValueError(
-                f"trace: fewer than 3 included cells within {TRACE_SEARCH_RADIUS}h "
-                f"of boundary node {i}")
-        dist = np.linalg.norm(grid.centers[cand] - node, axis=1)
-        order = np.argsort(dist, kind="stable")
-        cand, dist = np.asarray(cand)[order], dist[order]
-        k = _with_ties(dist, min(TRACE_MAX_NEIGHBORS, len(cand)), grid.h)
-        while True:
-            pts = grid.centers[cand[:k]]
-            design = np.hstack([np.ones((k, 1)), (pts - node) / grid.h])
-            if np.linalg.matrix_rank(design) >= d + 1 or k >= len(cand):
+    nodes, h, d = mesh.nodes, grid.h, grid.dimension
+    found = cKDTree(grid.centers).query_ball_point(nodes, TRACE_SEARCH_RADIUS * h,
+                                                   return_sorted=False)
+    counts = np.array([len(cand) for cand in found])
+    if np.any(counts < 3):
+        raise ValueError(
+            f"trace: fewer than 3 included cells within {TRACE_SEARCH_RADIUS}h "
+            f"of boundary node {int(np.argmax(counts < 3))}")
+    owner = np.repeat(np.arange(mesh.m), counts)
+    cand = np.concatenate(found)
+    dist = np.linalg.norm(grid.centers[cand] - nodes[owner], axis=1)
+    order = np.lexsort((dist, owner))  # each node's candidates by distance, stably
+    cand, dist = cand[order], dist[order]
+    starts = np.cumsum(counts) - counts
+    runs = [dist[start:start + count] for start, count in zip(starts, counts)]
+    k = np.array([_with_ties(run, min(TRACE_MAX_NEIGHBORS, len(run)), h) for run in runs])
+
+    def designs(which, size):
+        """The fit designs of the nodes ``which`` over their first ``size`` cells."""
+        pts = grid.centers[cand[starts[which, None] + np.arange(size)]]
+        return np.concatenate([np.ones((len(which), size, 1)), (pts - nodes[which, None]) / h],
+                              axis=2)
+
+    def by_size():
+        return [(size, np.flatnonzero(k == size)) for size in np.unique(k)]
+
+    deficient = [i for size, which in by_size()
+                 for i in which[np.linalg.matrix_rank(designs(which, size)) < d + 1]]
+    for i in deficient:  # extend the stencil until the fit has full rank
+        while k[i] < counts[i]:
+            k[i] = _with_ties(runs[i], min(k[i] + 2, counts[i]), h)
+            if np.linalg.matrix_rank(designs([i], k[i])[0]) >= d + 1:
                 break
-            k = _with_ties(dist, min(k + 2, len(cand)), grid.h)
-        weights = np.linalg.pinv(design)[0]  # fit value at the node
-        rows.extend([i] * k)
-        cols.extend(cand[:k])
-        vals.extend(weights)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(mesh.m, grid.n))
+    offsets = np.cumsum(k) - k
+    weights = np.empty(k.sum())
+    for size, which in by_size():  # row 0 of the pseudo-inverse: the fit's value at the node
+        weights[offsets[which, None] + np.arange(size)] = np.linalg.pinv(designs(which, size))[:, 0]
+    cols = np.concatenate([cand[start:start + size] for start, size in zip(starts, k)])
+    return sparse.csr_matrix((weights, (np.repeat(np.arange(mesh.m), k), cols)),
+                             shape=(mesh.m, grid.n))
 
 
 def _with_ties(dist: np.ndarray, k: int, h: float) -> int:

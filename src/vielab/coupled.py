@@ -145,7 +145,9 @@ def quadrature_weighted_matrix(matrix: np.ndarray, grid: VolumeGrid,
     ``matrix`` is scaled in place and returned; no full-size temporary."""
     scale = np.sqrt(np.concatenate([np.full(grid.n, grid.cell_volume), mesh.weights]))
     matrix *= scale[:, None]
-    matrix /= scale[None, :]
+    # numpy divides x by s + 0j as (x.re + 0 x.im, x.im - 0 x.re) * (1 / s), so
+    # multiplying by 1 / s gives the same bits (only a -0 component may flip sign)
+    matrix *= (1.0 / scale)[None, :]
     return matrix
 
 

@@ -29,18 +29,23 @@ Reflection blocks: a disc, square or ball grid with its mesh is mapped
 onto itself by the coordinate reflections, and a 2D one also by the
 diagonal x <-> y (``geometry.reflections``), and so is every matrix
 assembled on it from symmetric coefficients. Each reflection that
-commutes with the matrix (max|M[p][:, p] - M| <= 1e-12 max|M|) is kept;
+commutes with the matrix (max|M[p][:, p] - M| <= 1e-12 max|M|, checked
+on the rows i <= p(i), which hold every defect up to sign) is kept;
 r commuting ones split the unknowns into 2^r symmetry classes with
 orthonormal bases Q of signed orbit sums, and M into the diagonal blocks
 B = Q^T M Q. With the diagonal S, the axis reflections generate the
 square's dihedral group (S Rx S = Ry): four classes of about n / 8
 unknowns, and two of about n / 4 that S maps onto each other, whose
-equal blocks are solved once. Eigenvalues and singular values are the
+equal blocks are solved once. Each Q^T is a sparse matrix of |G| entries
+a row, so M Q, Q^T X and Q y are single sparse products that add the
+orbit's terms in a fixed order. Eigenvalues and singular values are the
 union of the blocks'. Residuals stay certified against the full matrix:
 each is ||M Q y - lambda Q y|| / ||Q y|| for an eigenvector y of its
 block (with Q = S Q' for the image of a class Q'), so a reflection that
 only nearly commutes shows in them. Without a commuting reflection Q is
-the identity and the routines reduce to one LAPACK call on M.
+the identity and the routines reduce to one LAPACK call on M. A sweep
+checks every value's matrix for its reflections but builds the group
+and the bases once for each subset of them that commutes.
 """
 
 from __future__ import annotations
@@ -125,31 +130,35 @@ class FredholmVerdict:
 # ---------------------------------------------------------------------------
 # Reflection blocks
 # ---------------------------------------------------------------------------
-def commuting_reflections(matrix: np.ndarray,
-                          reflections: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """The permutations p of ``reflections`` that commute with the matrix:
-    max|M[p][:, p] - M| <= ``SYMMETRY_TOL`` max|M|, checked in row chunks
-    (no full-size temporary). Each must be an involution, and together
-    they must generate a group ``_group`` supports. One already in the
-    group of those kept is kept unchecked: its defect is at most twice the
-    tolerance, and the residuals against the full matrix still see it."""
+def commuting_reflections(matrix: np.ndarray, reflections: Sequence[np.ndarray]) -> List[int]:
+    """The indices of the permutations p of ``reflections`` that commute with
+    the matrix: max|M[p][:, p] - M| <= ``SYMMETRY_TOL`` max|M|. The defect
+    D = M[p][:, p] - M has D[p(i), p(j)] = -D[i, j], so only its rows
+    i <= p(i) are formed, in chunks of n / 16 rows (no full-size temporary).
+    Each must be an involution, and together they must generate a group
+    ``_group`` supports. One already in the group of those kept is kept
+    unchecked: its defect is at most twice the tolerance, and the residuals
+    against the full matrix still see it."""
     n = len(matrix)
-    chunks = [slice(start, start + max(1, n // 16)) for start in range(0, n, max(1, n // 16))]
-    scale = max((float(np.max(np.abs(matrix[rows]))) for rows in chunks), default=0.0)
+    step = max(1, n // 16)
+    scale = max((float(np.max(np.abs(matrix[start:start + step])))
+                 for start in range(0, n, step)), default=0.0)
     kept, group = [], np.arange(n)[None]
-    for perm in reflections:
+    for index, perm in enumerate(reflections):
         perm = np.asarray(perm)
         if perm.shape != (n,) or not np.array_equal(perm[perm], np.arange(n)):
             raise ValueError(f"not an involution of {n} unknowns")
         if (group == perm).all(axis=1).any():
-            kept.append(perm)
+            kept.append(index)
             continue
-        grown = _group(kept + [perm])[0]
+        grown = _group([np.asarray(reflections[i]) for i in kept] + [perm])[0]
+        half = np.flatnonzero(np.arange(n) <= perm)
+        chunks = [half[start:start + step] for start in range(0, len(half), step)]
         defect = max((float(np.max(np.abs(np.take(np.take(matrix, perm[rows], axis=0), perm,
                                                           axis=1) - matrix[rows])))
                       for rows in chunks), default=0.0)
         if defect <= SYMMETRY_TOL * scale:
-            kept.append(perm)
+            kept.append(index)
             group = grown
     return kept
 
@@ -194,52 +203,67 @@ def _orbit_bases(images: np.ndarray, characters: Sequence[int]) -> list:
     return bases
 
 
+class _ReflectionSet(list):
+    """Candidate reflections (``geometry.reflections``) holding, for each
+    subset of them that ``commuting_reflections`` keeps, the bases
+    ``_reflection_bases`` built for it: the matrices of one discretization
+    then build their group, bases and orbit matrices once."""
+
+    def __init__(self, perms: Sequence[np.ndarray]):
+        super().__init__(perms)
+        self.bases: dict = {}
+
+
 def _reflection_bases(matrix: np.ndarray, reflections: Sequence[np.ndarray]) -> list:
     """Orthonormal bases of the symmetry classes of the reflections that
-    commute with the matrix, as pairs (Q, P): P is None or, for the square's
-    dihedral group, P = S Q is the class Rx = +1, Ry = -1 paired with Q's
-    Rx = -1, Ry = +1, whose block P^T M P equals Q^T M Q. Without a
-    commuting reflection the one pair is (None, None), the identity."""
-    kept = commuting_reflections(matrix, reflections)
+    commute with the matrix, as pairs (Q^T, P^T) of ``_orbit_matrix``es: P is
+    None or, for the square's dihedral group, P = S Q is the class Rx = +1,
+    Ry = -1 paired with Q's Rx = -1, Ry = +1, whose block P^T M P equals
+    Q^T M Q. Without a commuting reflection the one pair is (None, None),
+    the identity. A ``_ReflectionSet`` keeps the bases of each kept subset
+    and hands them to every later matrix that keeps the same subset."""
+    kept = tuple(commuting_reflections(matrix, reflections))
+    held = reflections.bases if isinstance(reflections, _ReflectionSet) else {}
+    if kept not in held:
+        held[kept] = _class_bases([np.asarray(reflections[i]) for i in kept], len(matrix))
+    return held[kept]
+
+
+def _class_bases(kept: Sequence[np.ndarray], n: int) -> list:
+    """The pairs of ``_reflection_bases`` for the kept reflections."""
     if not kept:
         return [(None, None)]
     images, characters = _group(kept)
-    bases = [(basis, None) for basis in _orbit_bases(images, characters)]
+    bases = [(_orbit_matrix(cols, vals, n), None)
+             for cols, vals in _orbit_bases(images, characters)]
     if len(characters) < len(images):  # the dihedral group, whose row 4 is S
-        bases += [((cols, vals), (images[4][cols], vals))
+        bases += [(_orbit_matrix(cols, vals, n), _orbit_matrix(images[4][cols], vals, n))
                   for cols, vals in _orbit_bases(images[:4], [1])]
     return bases
 
 
+def _orbit_matrix(cols: np.ndarray, vals: np.ndarray, n: int):
+    """A basis (cols, vals) as Q^T, a CSR (w, n) matrix whose row c holds the
+    entries (cols[c, s], vals[c, s]) in s order, repeated indices unsummed.
+    Q^T X, M Q = (Q^T M^T)^T and Q y = (Q^T)^T y then add the terms
+    vals[c, s] X[cols[c, s]] in s order, as gathers over s would (each row of
+    Q y takes its terms from its one orbit), in one pass over X."""
+    import scipy.sparse as sparse
+    w, order = cols.shape
+    return sparse.csr_array((vals.ravel(), cols.ravel(), np.arange(0, w * order + 1, order)),
+                            shape=(w, n))
+
+
 def _times_basis(matrix: np.ndarray, basis) -> np.ndarray:
-    """M Q, by column gathers."""
-    cols, vals = basis
-    out = np.zeros((len(matrix), len(cols)), dtype=matrix.dtype)
-    taken = np.empty_like(out)
-    for s in range(cols.shape[1]):
-        np.take(matrix, cols[:, s], axis=1, out=taken, mode="clip")  # unbuffered
-        taken *= vals[:, s]
-        out += taken
-    return out
-
-
-def _restrict(basis, x: np.ndarray) -> np.ndarray:
-    """Q^T x, by row gathers."""
-    cols, vals = basis
-    out = np.zeros((len(cols),) + x.shape[1:], dtype=x.dtype)
-    for s in range(cols.shape[1]):
-        out += vals[:, s, None] * x[cols[:, s]]
-    return out
-
-
-def _expand(basis, y: np.ndarray, n: int) -> np.ndarray:
-    """Q y: block coefficients back to the n unknowns."""
-    if basis is None:
-        return y
-    cols, vals = basis
-    out = np.zeros((n,) + y.shape[1:], dtype=y.dtype)
-    for s in range(cols.shape[1]):  # distinct indices for each s
-        out[cols[:, s]] += vals[:, s, None] * y
+    """M Q as (Q^T M^T)^T for Q^T = ``basis``, over row chunks: the product
+    copies each chunk's transpose, which min(w, 2^15 / n) rows keep within
+    one (n, w) array and the cache (twice the rows took up to twice as long
+    at n = 1032)."""
+    w, n = basis.shape
+    step = max(1, min(w, 2**15 // n))
+    out = np.empty((n, w), dtype=np.result_type(matrix, basis.dtype))
+    for start in range(0, n, step):
+        out[start:start + step] = (basis @ matrix[start:start + step].T).T
     return out
 
 
@@ -252,7 +276,7 @@ def _certified_eigenpairs(matrix: np.ndarray, basis, partner) -> Tuple[np.ndarra
     ||M P y - lambda P y|| / ||P y|| for the same eigenvectors y."""
     import scipy.linalg as sla
     mq = matrix if basis is None else _times_basis(matrix, basis)
-    vals, vecs = sla.eig(mq if basis is None else _restrict(basis, mq))
+    vals, vecs = sla.eig(mq if basis is None else basis @ mq)
     res = [_residuals(mq, basis, vals, vecs)]
     if partner is not None:
         del mq  # before M P is formed
@@ -262,7 +286,7 @@ def _certified_eigenpairs(matrix: np.ndarray, basis, partner) -> Tuple[np.ndarra
 
 def _residuals(mq: np.ndarray, basis, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """||M Q y - lambda Q y|| / ||Q y|| for each eigenpair (lambda, y), given M Q."""
-    qy = _expand(basis, vecs, len(mq))
+    qy = vecs if basis is None else basis.T @ vecs
     return np.linalg.norm(mq @ vecs - qy * vals[None, :], axis=0) / np.linalg.norm(qy, axis=0)
 
 
@@ -291,10 +315,10 @@ def eigenvalues_dense(matrix, reflections: Sequence[np.ndarray] = ()
         # at n = 128-1032)
         check_dense_budget("dense eigensolve", 4, n, n + 40)
     else:
-        # per block of w columns: M Q, Q y and three residual temporaries (peak
-        # 4.0-5.1 (n, w + 8) for 2, 4 and 8 blocks at n = 78-3184 and 4.2-4.7 for
-        # the square's 5 at n = 64-1920), plus the complex copy of a real input
-        w = max(len(basis[0]) for basis, _ in bases)
+        # per block of w columns: M Q, Q y and three residual temporaries, with
+        # the orbit matrices (peak 3.9-4.8 (n, w + 8) for 2, 4, 5 and 8 blocks at
+        # n = 52-1590), plus the complex copy of a real input
+        w = max(basis.shape[0] for basis, _ in bases)
         copy = 0 if matrix.dtype == np.complex128 else n / (w + 8)
         check_dense_budget("dense eigensolve", 5 + copy, n, w + 8)
     matrix = np.asarray(matrix, dtype=np.complex128)
@@ -456,14 +480,16 @@ def condition_estimate(matrix: np.ndarray, reflections: Sequence[np.ndarray] = (
         # LAPACK's copy of the input and its workspace (measured: under 86 columns)
         check_dense_budget("condition number", 1.0, n, n + 96)
     else:
-        # per block of w columns: M Q and its gathers, then the block and LAPACK's
-        # copy (peak 2.0-2.8 (n, w + 8) for 2, 4, 8 and 5 blocks at n = 64-3184)
-        w = max(len(basis[0]) for basis, _ in bases)
-        check_dense_budget("condition number", 3, n, w + 8)
+        # per block of w columns: M Q and one chunk transpose of at most (n, w),
+        # then the block and LAPACK's copy, with the orbit matrices (peak 1.2-2.4
+        # (n, w + 8) for 2, 4, 5 and 8 blocks at n = 52-1590, the chunk's share
+        # falling as 2^15 / n rows)
+        w = max(basis.shape[0] for basis, _ in bases)
+        check_dense_budget("condition number", 2.5, n, w + 8)
     if not np.all(np.isfinite(matrix)):
         return float("inf")
     s = np.concatenate([sla.svdvals(matrix if basis is None else
-                                    _restrict(basis, _times_basis(matrix, basis)),
+                                    basis @ _times_basis(matrix, basis),
                                     check_finite=False) for basis, _ in bases])
     s_max, s_min = s.max(), s.min()
     if s_min <= n * np.finfo(s.dtype).eps * s_max:
@@ -509,9 +535,12 @@ def condition_sweep(grid: VolumeGrid, mesh: BoundaryMesh, params: WaveParameters
     The Nystrom blocks are built once and every value's system is assembled
     from them, so each value costs only their scalings, its volume block and
     the singular values of the blocks of the reflections of the grid and
-    mesh. The condition numbers are exact and depend on no seed.
+    mesh. Each value's matrix is checked for the reflections it commutes
+    with, but the group and bases of a commuting subset are built once
+    (``_ReflectionSet``). The condition numbers are exact and depend on no
+    seed.
     """
-    symmetries = reflections(grid, mesh)
+    symmetries = _ReflectionSet(reflections(grid, mesh))
     blocks = coupled_blocks(grid, mesh, params, "nystrom")
     out = []
     for a_val in a_values:

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ class TestTrace:
         for perm in perms:
             cells, nodes = perm[:grid.n], perm[grid.n:] - grid.n
             assert np.abs(t_mat[nodes][:, cells] - t_mat).max() <= 1e-12 * np.abs(t_mat).max()
+
+    def test_collinear_stencil_extended_to_full_rank(self):
+        # the six cells nearest the node lie on one line, so their fit is rank
+        # deficient: the stencil takes the seventh, off the line, and the fit
+        # reproduces constants and linear fields at the node
+        centers = np.vstack([np.column_stack([np.arange(12) + 0.5, np.zeros(12)]), [[6.0, 2.8]]])
+        grid = SimpleNamespace(centers=centers, h=1.0, dimension=2, n=len(centers))
+        mesh = SimpleNamespace(nodes=np.array([[6.0, 0.0]]), m=1)
+        t_mat = trace_matrix(grid, mesh)
+        assert t_mat.nnz == 7 and t_mat[0, 12] != 0
+        assert np.allclose(t_mat @ np.ones(len(centers)), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(t_mat @ centers, mesh.nodes, rtol=0, atol=1e-12)
 
     def test_starved_neighborhood_rejected(self):
         # sliver triangle: nodes near the sharp tip see < 3 included cells

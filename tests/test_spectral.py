@@ -230,6 +230,18 @@ class TestConditionSweep:
         assert kernel_matrices.cache_info().misses == misses + 0
         assert len(built) == 1
 
+    def test_sweep_builds_bases_once(self, params_k1, monkeypatch):
+        # every value's matrix is checked for its reflections; the group, the
+        # bases and the orbit matrices of the kept ones are built once
+        built, checked = [], []
+        class_bases, commuting = spectral._class_bases, spectral.commuting_reflections
+        monkeypatch.setattr(spectral, "_class_bases",
+                            lambda *args: built.append(args) or class_bases(*args))
+        monkeypatch.setattr(spectral, "commuting_reflections",
+                            lambda *args: checked.append(args) or commuting(*args))
+        condition_sweep(*_disc_discretization(12), params_k1, [-3.0, -1.5, 2.0])
+        assert len(checked) == 3 and len(built) == 1
+
     def test_estimator_matches_dense_condition(self, rng):
         m = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
         assert condition_estimate(m) == pytest.approx(np.linalg.cond(m), rel=1e-12)
@@ -346,16 +358,101 @@ def _matched_distance(a, b):
     return float(cost[rows, cols].max())
 
 
+def _cols_vals(basis):
+    """The (cols, vals) of an orbit matrix Q^T (``spectral._orbit_matrix``):
+    row c of the (w, |G|) arrays holds the entries of Q^T's row c."""
+    w = basis.shape[0]
+    return basis.indices.reshape(w, -1), basis.data.reshape(w, -1)
+
+
 def _columns(basis, n):
-    """A basis (cols, vals) as a dense (n, n_chi) matrix."""
-    cols, vals = basis
+    """An orbit matrix Q^T as the dense (n, n_chi) matrix Q."""
+    cols, vals = _cols_vals(basis)
     q = np.zeros((n, len(cols)))
     for s in range(cols.shape[1]):
         np.add.at(q, (cols[:, s], np.arange(len(cols))), vals[:, s])
     return q
 
 
+# The gather loops the orbit matrices' sparse products replace, as references:
+# each adds vals[c, s] X[cols[c, s]] over s in order.
+def _gather_times_basis(matrix, cols, vals):
+    """M Q, by column gathers."""
+    out = np.zeros((len(matrix), len(cols)), dtype=matrix.dtype)
+    taken = np.empty_like(out)
+    for s in range(cols.shape[1]):
+        np.take(matrix, cols[:, s], axis=1, out=taken, mode="clip")
+        taken *= vals[:, s]
+        out += taken
+    return out
+
+
+def _gather_restrict(cols, vals, x):
+    """Q^T x, by row gathers."""
+    out = np.zeros((len(cols),) + x.shape[1:], dtype=x.dtype)
+    for s in range(cols.shape[1]):
+        out += vals[:, s, None] * x[cols[:, s]]
+    return out
+
+
+def _gather_expand(cols, vals, y, n):
+    """Q y, by row scatters (distinct indices for each s)."""
+    out = np.zeros((n,) + y.shape[1:], dtype=y.dtype)
+    for s in range(cols.shape[1]):
+        out[cols[:, s]] += vals[:, s, None] * y
+    return out
+
+
+def _assert_unblocked_bit_for_bit(matrix, symmetries):
+    """No reflection commutes with the matrix, so the blocked routines are the
+    unblocked ones bit for bit."""
+    assert commuting_reflections(matrix, symmetries) == []
+    vals, res = eigenvalues_dense(matrix, symmetries)
+    plain_vals, plain_res = eigenvalues_dense(matrix)
+    assert np.array_equal(vals, plain_vals) and np.array_equal(res, plain_res)
+    # one LAPACK eigensolve of the whole matrix, residuals from its eigenvectors
+    ref_vals, vecs = sla.eig(matrix)
+    ref_res = np.linalg.norm(matrix @ vecs - vecs * ref_vals[None, :], axis=0)
+    ref_res /= np.linalg.norm(vecs, axis=0)
+    order = np.lexsort((ref_vals.imag, ref_vals.real))
+    assert np.array_equal(vals, ref_vals[order]) and np.array_equal(res, ref_res[order])
+    assert condition_estimate(matrix, symmetries) == condition_estimate(matrix)
+
+
 class TestReflectionBlocks:
+    @pytest.mark.parametrize("case", ["disc-coupled-24", "square-coupled-24",
+                                      "ellipse-coupled-24", "ball-volume-10"])
+    def test_sparse_products_equal_gathers(self, case):
+        # every orbit matrix's M Q, Q^T X and Q y against the gather loops; the
+        # 2D meshes have nodes on the reflection axes, so orbits with stabilizers
+        matrix, symmetries, _, _ = _symmetric_system(case)
+        n = len(matrix)
+        bases = [basis for pair in _reflection_bases(matrix, symmetries)
+                 for basis in pair if basis is not None]
+        stabilized = False
+        for basis in bases:
+            cols, vals = _cols_vals(basis)
+            assert np.array_equal(basis.indptr, np.arange(0, cols.size + 1, cols.shape[1]))
+            stabilized |= any(len(np.unique(row)) < len(row) for row in cols)
+            mq = spectral._times_basis(matrix, basis)
+            assert np.array_equal(mq, _gather_times_basis(matrix, cols, vals))
+            block = basis @ mq
+            assert np.array_equal(block, _gather_restrict(cols, vals, mq))
+            _, vecs = sla.eig(block)
+            assert np.array_equal(basis.T @ vecs, _gather_expand(cols, vals, vecs, n))
+        assert stabilized == (case != "ball-volume-10")
+
+    def test_bases_are_held_per_kept_subset(self):
+        matrix, symmetries = _disc_system(12)
+        held = spectral._ReflectionSet(symmetries)
+        bases = _reflection_bases(matrix, held)
+        assert len(bases) == 5 and _reflection_bases(matrix, held) is bases
+        perturbed = matrix.copy()
+        perturbed[0, 5] += 1e-6
+        assert _reflection_bases(perturbed, held) == [(None, None)]
+        assert _reflection_bases(matrix, held) is bases
+        assert _reflection_bases(matrix, symmetries) is not bases
+
     @pytest.mark.parametrize("case", ["disc-coupled-24", "square-coupled-24",
                                       "ellipse-coupled-24", "ball-volume-10"])
     def test_blocked_eigenvalues_match_unblocked(self, case):
@@ -397,7 +494,7 @@ class TestReflectionBlocks:
             if pair[1] is None:
                 assert res.max() < bound
             else:
-                w = len(pair[0][0])
+                w = pair[0].shape[0]
                 assert np.array_equal(vals[:w], vals[w:])
                 assert res[:w].max() < bound and res[w:].max() > 1e-6
         assert eigenvalues_dense(matrix, symmetries)[1].max() > 1e-6
@@ -408,23 +505,26 @@ class TestReflectionBlocks:
                        if pair[1] is not None]
         vals, _ = eigenvalues_dense(matrix, symmetries)
         _, counts = np.unique(vals, return_counts=True)
-        assert counts.max() == 2 and np.sum(counts == 2) == len(basis[0])
+        assert counts.max() == 2 and np.sum(counts == 2) == basis.shape[0]
         assert len(vals) == len(matrix) and np.sum(counts) == len(matrix)
 
     def test_perturbed_entry_drops_reflections_bit_for_bit(self):
         matrix, symmetries = _disc_system(16)
         matrix[0, 5] += 1e-6
-        assert commuting_reflections(matrix, symmetries) == []
-        vals, res = eigenvalues_dense(matrix, symmetries)
-        plain_vals, plain_res = eigenvalues_dense(matrix)
-        assert np.array_equal(vals, plain_vals) and np.array_equal(res, plain_res)
-        # one LAPACK eigensolve of the whole matrix, residuals from its eigenvectors
-        ref_vals, vecs = sla.eig(matrix)
-        ref_res = np.linalg.norm(matrix @ vecs - vecs * ref_vals[None, :], axis=0)
-        ref_res /= np.linalg.norm(vecs, axis=0)
-        order = np.lexsort((ref_vals.imag, ref_vals.real))
-        assert np.array_equal(vals, ref_vals[order]) and np.array_equal(res, ref_res[order])
-        assert condition_estimate(matrix, symmetries) == condition_estimate(matrix)
+        _assert_unblocked_bit_for_bit(matrix, symmetries)
+
+    @pytest.mark.parametrize("where", ["last-row", "fixed-row"])
+    def test_defect_in_any_row_drops_reflections_bit_for_bit(self, where):
+        # the check forms only the rows i <= p(i) of the defect. Row n - 1 lies
+        # above its image under every reflection, so its entry is seen only as
+        # the defect's mirror entry in row p(n - 1); a mesh node on the first
+        # reflection's axis is its own image, so its row must be formed
+        matrix, symmetries = _disc_system(16)
+        n = len(matrix)
+        assert all(p[-1] < n - 1 for p in symmetries)
+        row = n - 1 if where == "last-row" else np.flatnonzero(symmetries[0] == np.arange(n))[0]
+        matrix[row, 5] += 1e-6
+        _assert_unblocked_bit_for_bit(matrix, symmetries)
 
     def test_bases_are_orthonormal_and_complete(self):
         matrix, symmetries = _disc_system(12)
