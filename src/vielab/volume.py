@@ -29,16 +29,21 @@ Application routes: the kernels, which depend only on the integer
 offset between cells, are sampled once on the non-negative orthant of
 offset magnitudes (G and the radial factor of grad G depend only on
 |offset|), up to half the zero-padded period on every axis. That one
-table feeds every application on the grid. The FFT route transforms it
+table feeds every application on the grid; it is sampled over chunks of
+offsets, so no (Q, d) temporary is formed. The FFT route transforms it
 by DCT-I (and DST-I along a gradient's own axis) into half-spectrum
-hats, since the padded tables are even or odd about half the period; a
-product runs block by block against the halved hats, and the padded
-transforms run in place on two work arrays, one axis at a time over only
-the lines that can be nonzero (or on the way back only those the grid
-keeps). The dense operators gather their entries from the same samples
-by coordinate differences, one row chunk at a time straight into their
-output (``gather_kernels``): identical weights by construction, and no
-(n, n) kernel matrix is formed. Only the direct-summation reference
+hats, since the padded tables are even or odd about half the period.
+The hats are sized for the route that reads them: frequencies 0..pc/2
+on every axis but the last and the full period there, except that along
+an axis the mirrored route convolves on half the padded length (below)
+only 0..pc/2-1 are kept, so with the last axis even they are half as
+long. A product runs block by block against the halved hats, and the
+padded transforms run in place on two work arrays, one axis at a time
+over only the lines that can be nonzero (or on the way back only those
+the grid keeps). The dense operators gather their entries from the same
+samples by coordinate differences, one row chunk at a time straight into
+their output (``gather_kernels``): identical weights by construction,
+and no (n, n) kernel matrix is formed. Only the direct-summation reference
 ``apply_A`` reads whole unweighted matrices (``kernel_matrices``). The system
 map ``identity_minus_A`` samples the contrasts at the cell centers once,
 not at every application, and is the one route that computes in single
@@ -62,7 +67,9 @@ FFT, and with no even axis every operation is the full route's.
 Dense memory budget: each dense builder estimates its peak as live
 complex arrays x 16 bytes x rows x cols plus a fixed allowance and,
 before allocating, refuses (``DenseBudgetError``) an estimate above
-``DENSE_BUDGET_BYTES``.
+``DENSE_BUDGET_BYTES``. The FFT kernel tables are held to the same
+budget: ``fft_kernel_tables`` counts the samples, the route-sized hats
+in both precisions and one sampling chunk before it samples anything.
 """
 
 from __future__ import annotations
@@ -197,32 +204,48 @@ def _neighbor_index(grid: VolumeGrid, axis: int, step: int) -> np.ndarray:
     return np.where(valid, idx, -1)
 
 
+def _padded_shape(grid: VolumeGrid) -> tuple:
+    """The zero-padded FFT shape: the smallest even FFT-friendly length
+    >= 2 nc per axis."""
+    import scipy.fft as sfft
+    return tuple(2 * sfft.next_fast_len(nc) for nc in grid.shape)
+
+
+#: Offsets per chunk of kernel sampling: its temporaries stay a few MiB.
+_SAMPLE_POINTS = 2**14
+
+
 def _kernel_tables(grid: VolumeGrid, params: WaveParameters):
     """``(pshape, G, (grad G_1, ..., grad G_d))``: the zero-padded FFT shape
-    and the kernels times the cell volume sampled once per offset magnitude,
-    at offsets 0..pc/2 along every axis (the non-negative orthant), with
-    the self-cell weight and zero gradient at the origin.
+    (``_padded_shape``) and the kernels times the cell volume sampled once
+    per offset magnitude, at offsets 0..pc/2 along every axis (the
+    non-negative orthant), with the self-cell weight and zero gradient at
+    the origin.
 
-    ``pshape`` is the smallest even FFT-friendly length >= 2 nc per axis,
-    so the padded tables are even (G) or odd (grad G_c, along axis c)
-    about pc/2 and their transforms are DCT-I/DST-I of these samples. G
-    and the radial factor of grad G depend only on |offset|; the samples
-    equal a sampling of the full padded grid bit for bit.
+    The padded tables are even (G) or odd (grad G_c, along axis c) about
+    pc/2, so their transforms are DCT-I/DST-I of these samples. G and the
+    radial factor of grad G depend only on |offset|; the samples equal a
+    sampling of the full padded grid bit for bit. They are taken over
+    chunks of ``_SAMPLE_POINTS`` offsets, each kernel written into its own
+    row of one (d + 1, Q) array, so no (Q, d) temporary is formed.
     """
-    import scipy.fft as sfft
-    pshape = tuple(2 * sfft.next_fast_len(nc) for nc in grid.shape)
+    pshape = _padded_shape(grid)
     qshape = tuple(pc // 2 + 1 for pc in pshape)
-    mesh = np.meshgrid(*(np.arange(qc) * grid.h for qc in qshape), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)  # (Q, d), offsets >= 0
-    r = np.linalg.norm(pts, axis=1)
-    origin = r == 0.0
-    w = grid.cell_volume
-    g_q = w * greens_value(params, np.where(origin, grid.h, r))
-    g_q[origin] = self_cell_weight(params, grid.h)
-    gvec = w * greens_gradient(params, np.where(origin[:, None], grid.h, pts))
-    gvec[origin] = 0.0
-    return pshape, g_q.reshape(qshape), tuple(gvec[:, c].reshape(qshape)
-                                              for c in range(grid.dimension))
+    axes = [np.arange(qc) * grid.h for qc in qshape]
+    size, w = int(np.prod(qshape)), grid.cell_volume
+    tables = np.empty((grid.dimension + 1, size), dtype=np.complex128)
+    for i0 in range(0, size, _SAMPLE_POINTS):
+        span = slice(i0, min(i0 + _SAMPLE_POINTS, size))
+        index = np.unravel_index(np.arange(span.start, span.stop), qshape)
+        pts = np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)  # offsets >= 0
+        r = np.linalg.norm(pts, axis=1)
+        origin = r == 0.0
+        np.multiply(w, greens_value(params, np.where(origin, grid.h, r)), out=tables[0, span])
+        gvec = greens_gradient(params, np.where(origin[:, None], grid.h, pts))
+        np.multiply(w, gvec.T, out=tables[1:, span])
+    tables[0, 0] = self_cell_weight(params, grid.h)  # offset 0 is the first sample
+    tables[1:, 0] = 0.0
+    return pshape, tables[0].reshape(qshape), tuple(t.reshape(qshape) for t in tables[1:])
 
 
 #: Entries per row chunk of a dense gather: its temporaries stay a few MiB.
@@ -301,25 +324,47 @@ def kernel_matrices(grid: VolumeGrid, params: WaveParameters):
 
 
 @functools.lru_cache(maxsize=1)
-def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
+def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters, even=()):
     """``(pshape, double, single)``: the half-spectrum kernel hats (G, then
-    the d gradient components) in complex128 and in complex64, read-only.
+    the d gradient components) in complex128 and in complex64, read-only,
+    sized for a route that convolves along the axes ``even`` on half the
+    padded length (``_apply_kernels``).
 
     Each hat is the DFT of the kernel's padded table, mirrored from the
     orthant samples: G even about pc/2 on every axis, grad G_c odd along
     axis c (zero at 0 and pc/2; the offset pc/2 >= nc is never read by a
     convolution of nc cells). So G's hat is a DCT-I of the samples on every
-    axis and grad G_c's is -i DST-I along c. Only frequencies 0..pc/2 are
-    kept on every axis but the last, where the hat is gathered back to full
-    length (negated past pc/2 for the last gradient component): the DFT at
-    frequency pc - f is the one at f, negated along a gradient's own axis.
+    axis and grad G_c's is -i DST-I along c. Along an axis in ``even`` only
+    frequencies 0..pc/2-1 are kept, the ones that route reads; along any
+    other axis but the last, frequencies 0..pc/2; along the last, if it is
+    not in ``even``, the hat is gathered back to full length (negated past
+    pc/2 for the last gradient component): the DFT at frequency pc - f is
+    the one at f, negated along a gradient's own axis.
+
+    Refuses (``DenseBudgetError``), before sampling anything, a build whose
+    estimated peak exceeds ``DENSE_BUDGET_BYTES``: the samples beside the
+    hats in both precisions, or beside one sampling chunk's temporaries.
     """
     import scipy.fft as sfft
-    pshape, g_q, grad_q = _kernel_tables(grid, params)
-    d = grid.dimension
+    d, pshape = grid.dimension, _padded_shape(grid)
+    sizes = [pc // 2 if ax in even else pc if ax == d - 1 else pc // 2 + 1
+             for ax, pc in enumerate(pshape)]
+    samples, entries = int(np.prod([pc // 2 + 1 for pc in pshape])), int(np.prod(sizes))
+    # the samples beside the largest of: one sampling chunk's temporaries
+    # (measured up to 4 (d + 1) entries an offset), the hats in both
+    # precisions, or d double hats and three transform temporaries
+    check_dense_budget("FFT kernel tables", (d + 1) * samples + max(
+        4.5 * (d + 1) * min(samples, _SAMPLE_POINTS), 1.5 * (d + 1) * entries,
+        d * entries + 3 * samples), 1, 1)
+    _, g_q, grad_q = _kernel_tables(grid, params)
     half = pshape[-1] // 2
-    mirror = np.r_[0:half + 1, half - 1:0:-1]
-    hats = [sfft.dctn(g_q, type=1)[..., mirror]]
+    kept = tuple(slice(0, size) for size in sizes[:-1])
+    last = slice(0, half) if d - 1 in even else np.r_[0:half + 1, half - 1:0:-1]
+
+    def route(hat):  # a gather copies; a prefix is copied out of the transform
+        cut = hat[(*kept, last)]
+        return cut.copy() if d - 1 in even else cut
+    hats = [route(sfft.dctn(g_q, type=1))]
     for c, q in enumerate(grad_q):
         inner = (slice(None),) * c + (slice(1, -1),)
         hat = np.zeros(q.shape, dtype=np.complex128)
@@ -327,8 +372,8 @@ def fft_kernel_tables(grid: VolumeGrid, params: WaveParameters):
             others = [ax for ax in range(d) if ax != c]
             hat[inner] = -1j * sfft.dst(sfft.dctn(q[inner], type=1, axes=others),
                                         type=1, axis=c)
-        hat = hat[..., mirror]
-        if c == d - 1:
+        hat = route(hat)
+        if c == d - 1 and d - 1 not in even:
             np.negative(hat[..., half + 1:], out=hat[..., half + 1:])
         hats.append(hat)
     double = tuple(hats)
@@ -413,7 +458,7 @@ def _apply_kernels(grid, params, sources, dtype=np.complex128, even=()):
                            for ax, nc in enumerate(grid.shape))]
     if all(src is None for src in sources):
         return np.zeros(np.count_nonzero(mask), dtype=dtype)
-    pshape, double, single = fft_kernel_tables(grid, params)
+    pshape, double, single = fft_kernel_tables(grid, params, even)
     hats = single if dtype == np.complex64 else double
     d = grid.dimension
     wshape = tuple(pc // 2 if ax in even else pc for ax, pc in enumerate(pshape))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vielab import DomainGeometry, WaveParameters, build_volume_grid, volume
+from vielab import DenseBudgetError, DomainGeometry, WaveParameters, build_volume_grid, volume
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
 ACCEPTANCE_LINES = []
@@ -50,6 +52,21 @@ def disc_grid_32(unit_disc):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(call):
+    """Bytes ``call`` allocates at its peak beyond what was live before it
+    (tracemalloc), and its result or the ``DenseBudgetError`` it raised."""
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        outcome = call()
+    except DenseBudgetError as exc:
+        outcome = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.stop()
+    return peak, outcome
 
 
 def random_field(n, rng):

@@ -1,9 +1,9 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from vielab import (
     DenseBudgetError,
     DomainGeometry,
@@ -197,13 +197,7 @@ class TestTrigResample:
         with pytest.raises(DenseBudgetError) as refused:
             _trig_resample_matrix(m, mf)
         monkeypatch.undo()
-        tracemalloc.start()
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            _trig_resample_matrix(m, mf)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: _trig_resample_matrix(m, mf))
         assert peak <= refused.value.need <= 1.5 * peak
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vielab import cli, spectral, volume
+from conftest import traced_peak
+from vielab import boundary, cli, coupled, spectral, volume
 from vielab.cli import (
     ConfigError,
     Scenario,
@@ -16,6 +17,7 @@ from vielab.cli import (
     main,
     run_scenario,
     verify_suite,
+    write_csv,
 )
 from vielab.spectral import eigenvalues_dense
 from vielab.presets import get_preset, preset_names
@@ -276,6 +278,17 @@ class TestDenseBudget:
         assert "capped by the dense memory budget" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ball_solve_over_budget(self, tmp_path, monkeypatch, capsys):
+        # the FFT kernel tables of the n = 24 ball need about 6 MiB
+        cfg = mirrored_solve_config("ball", 3, 24, {"direction": [-1.0, 0.0, 0.0]})
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
+        volume.fft_kernel_tables.cache_clear()
+        out = tmp_path / "out"
+        assert run_scenario(cfg, "solve", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "FFT kernel tables capped by the dense memory budget" in err
+        assert not out.exists()
+
     def test_refusal_removes_only_the_directories_it_created(self, tmp_path, monkeypatch):
         cfg = get_preset("breakdown-sweep")
         cfg["discretization"].update(n_per_axis=16, boundary_nodes=64)
@@ -309,6 +322,22 @@ class TestSolveTask:
         report = read_report(out)
         assert report["status"] == "numerical-failure"
         assert report["incomplete"] is True
+
+
+def test_write_csv_formats_rows_in_bounded_chunks(tmp_path):
+    # 40000 x 5 rows (the size of a large field.csv) give the bytes of the
+    # one-shot formula, without its format string, tuple and output at once
+    rows = np.random.default_rng(3).standard_normal((40000, 5)) * np.logspace(-300, 300, 5)
+    rows[::7, 1] = -0.0
+    rows[::11, 2] = 3.0
+    scenario = Scenario(get_preset("disc-a2-solve"), "solve")
+    path = tmp_path / "rows.csv"
+    peak, _ = traced_peak(lambda: write_csv(path, scenario, list("abcde"), rows))
+    line = ",".join(["%.17g"] * 5) + "\n"
+    expected = (f"# vielab {cli.__version__} config_hash={scenario.hash}\na,b,c,d,e\n"
+                + (line * len(rows)) % tuple(rows.ravel().tolist()))
+    assert path.read_bytes() == expected.encode()
+    assert peak < 2 * 10**6, f"peak {peak / 1e6:.1f} MB"
 
 
 def mirrored_solve_config(shape, dim, n, incident):
@@ -551,6 +580,22 @@ class TestVerifyTask:
         names = {c["name"] for c in report["results"]["checks"]}
         assert {"potential-residual-decay", "jump-relation", "trace-equivalence",
                 "smooth-form-equivalence", "sigma-map-involution"} <= names
+
+    def test_trace_equivalence_builds_two_trace_matrices(self, monkeypatch):
+        # one for the coupled blocks, one shared by psi and the equivalence check
+        cfg = get_preset("verify-default")
+        cfg["discretization"].update(n_per_axis=24, boundary_nodes=96)
+        builds = []
+
+        def counted(*args, _build=boundary.trace_matrix):
+            builds.append(1)
+            return _build(*args)
+
+        for module in (boundary, coupled, cli):
+            monkeypatch.setattr(module, "trace_matrix", counted)
+        checks = {c["name"]: c for c in verify_suite(Scenario(cfg, "verify"))["checks"]}
+        assert checks["trace-equivalence"]["passed"]
+        assert len(builds) == 2
 
     def test_laplace_registry_skips_boundary_checks(self):
         cfg = get_preset("verify-laplace")

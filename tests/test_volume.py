@@ -2,14 +2,13 @@ import functools
 import gc
 import importlib
 import pkgutil
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from conftest import kernel_matrix_operators, random_field, smooth_probe
+from conftest import kernel_matrix_operators, random_field, smooth_probe, traced_peak
 from vielab import (
     DomainGeometry,
     WaveParameters,
@@ -496,9 +495,10 @@ class TestCachedKernels:
         assert built["value"] == built["gradient"] == int(np.prod(qshape))
         assert int(np.prod(qshape)) < int(np.prod(pshape)) < grid.n ** 2
 
-    @pytest.mark.parametrize("dim, n", [(2, 47), (3, 10)])
+    @pytest.mark.parametrize("dim, n", [(2, 47), (3, 10), (3, 30)])
     def test_orthant_tables_equal_full_offset_sampling(self, dim, n):
-        # n = 47 pads to 96 > 2n, so the orthant reaches past the grid extent
+        # n = 47 pads to 96 > 2n, so the orthant reaches past the grid extent;
+        # the n = 30 ball's 31^3 offsets are sampled in two chunks
         domain = DomainGeometry.disc(1.0) if dim == 2 else DomainGeometry.ball(1.0)
         grid = build_volume_grid(domain, n)
         params = WaveParameters(1.0, dim)
@@ -535,6 +535,15 @@ class TestCachedKernels:
             assert hat64.dtype == np.complex64
             assert np.array_equal(hat64, hat.astype(np.complex64))
 
+    def test_kernel_sampling_peaks_under_two_outputs(self):
+        # the n = 48 ball's 49^3 offsets, sampled in chunks: no (Q, d) gradient
+        # or full stack of points is formed beside the samples
+        grid = build_volume_grid(DomainGeometry.ball(1.0), 48)
+        peak, (_, g_q, grad_q) = traced_peak(
+            lambda: volume._kernel_tables(grid, WaveParameters(4.0, 3)))
+        outputs = sum(table.nbytes for table in (g_q, *grad_q))
+        assert peak <= 2 * outputs, f"peak {peak / outputs:.2f} outputs"
+
     def test_size_guard_raises_before_any_kernel_evaluation(self, params_k1, monkeypatch):
         def forbidden(*args):
             raise AssertionError("kernel evaluated above the budget")
@@ -546,6 +555,47 @@ class TestCachedKernels:
         assert grid.n > 50
         with pytest.raises(DenseBudgetError, match="capped.*budget"):
             kernel_matrices(grid, params_k1)
+
+
+ROUTE_CASES = [(DomainGeometry.disc(1.0), 20, (1,)), (DomainGeometry.disc(1.0), 20, (0,)),
+               (DomainGeometry.ball(1.0), 10, (1, 2)), (DomainGeometry.ball(1.0), 10, (0, 2)),
+               (DomainGeometry.ball(1.0), 10, (0, 1))]
+ROUTE_IDS = ["disc-y", "disc-x", "ball-yz", "ball-xz", "ball-xy"]
+
+
+class TestRouteSizedHats:
+    """The hats of a route that convolves along its ``even`` axes on half the
+    padded length keep only the frequencies 0..pc/2-1 it reads there."""
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.5 + 0.3j])
+    @pytest.mark.parametrize("domain, n, even", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_hats_are_prefixes_of_the_full_route_hats(self, domain, n, even, k):
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(k, grid.dimension)
+        pshape, *full = fft_kernel_tables(grid, params)
+        route_pshape, *route = fft_kernel_tables(grid, params, even)
+        d = grid.dimension
+        shape = tuple(pc // 2 if ax in even else pc if ax == d - 1 else pc // 2 + 1
+                      for ax, pc in enumerate(pshape))
+        assert route_pshape == pshape
+        for hats, route_hats in zip(full, route):
+            for hat, route_hat in zip(hats, route_hats):
+                assert route_hat.shape == shape and route_hat.dtype == hat.dtype
+                assert np.array_equal(route_hat, hat[tuple(slice(0, size) for size in shape)])
+                # only the last axis is halved: every other even axis loses one frequency
+                assert (2 * route_hat.nbytes == hat.nbytes) == (even == (d - 1,))
+
+    @pytest.mark.parametrize("domain, n, even, a, k2", MIRRORED_CASES, ids=MIRRORED_IDS)
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["double", "single"])
+    def test_mirrored_applier_equals_full_length_hats(self, domain, n, even, a, k2, dtype,
+                                                      monkeypatch):
+        grid, params, cf, half = mirrored_system(domain, n, even, a, k2)
+        v = random_field(len(half.kept), np.random.default_rng(5)).astype(dtype)
+        sized = identity_minus_A(grid, params, cf, half)(v)
+        tables = volume.fft_kernel_tables
+        monkeypatch.setattr(volume, "fft_kernel_tables",
+                            lambda grid, params, even=(): tables(grid, params))
+        assert np.array_equal(identity_minus_A(grid, params, cf, half)(v), sized)
 
 
 class TestDenseAssembly:
@@ -693,19 +743,9 @@ def _cold_dense_builds(n):
 
 
 def _traced_peak(call):
-    """Bytes allocated by ``call`` at its peak, from cold caches; the call's
-    result or the exception it raised."""
+    """``traced_peak`` of ``call`` from cold caches."""
     kernel_matrices.cache_clear()
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    try:
-        outcome = call()
-    except DenseBudgetError as exc:
-        outcome = exc
-    finally:
-        peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.stop()
-    return peak, outcome
+    return traced_peak(call)
 
 
 class TestDenseBudget:
@@ -736,6 +776,40 @@ class TestDenseBudget:
                     grid, p2, beta_only(disc, 1.0, 3.0))}[builder]
         peak, matrix = _traced_peak(call)
         assert peak < 2 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f} outputs"
+
+    @pytest.mark.parametrize("domain, n, even", [
+        (DomainGeometry.disc(1.0), 64, ()), (DomainGeometry.disc(1.0), 192, (1,)),
+        (DomainGeometry.disc(1.0), 192, (0,)), (DomainGeometry.ball(1.0), 12, (1, 2)),
+        (DomainGeometry.ball(1.0), 24, ()), (DomainGeometry.ball(1.0), 32, (0, 2)),
+        (DomainGeometry.ball(1.0), 48, (1, 2)), (DomainGeometry.ball(1.0), 48, (0, 1)),
+    ], ids=["disc-64", "disc-192-y", "disc-192-x", "ball-12-yz", "ball-24", "ball-32-xz",
+            "ball-48-yz", "ball-48-xy"])
+    def test_fft_tables_estimate_tracks_peak(self, domain, n, even, monkeypatch):
+        # single-chunk samplings (n <= 24 in 3D, n = 64 in 2D) peak while sampling,
+        # larger ones with every hat built; the estimate bounds both within half
+        grid = build_volume_grid(domain, n)
+        params = WaveParameters(2.5 + 0.3j, grid.dimension)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 0)
+        with pytest.raises(DenseBudgetError, match="FFT kernel tables") as refused:
+            fft_kernel_tables(grid, params, even)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", refused.value.need)
+        fft_kernel_tables.cache_clear()
+        peak, tables = traced_peak(lambda: fft_kernel_tables(grid, params, even))
+        assert not isinstance(tables, DenseBudgetError)
+        assert peak <= refused.value.need <= 1.5 * peak
+
+    def test_fft_tables_refused_before_any_kernel_evaluation(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kernel evaluated above the budget")
+
+        grid = build_volume_grid(DomainGeometry.ball(1.0), 24)
+        monkeypatch.setattr(volume, "DENSE_BUDGET_BYTES", 2**20)
+        monkeypatch.setattr(volume, "greens_value", forbidden)
+        monkeypatch.setattr(volume, "greens_gradient", forbidden)
+        fft_kernel_tables.cache_clear()
+        peak, err = traced_peak(lambda: fft_kernel_tables(grid, WaveParameters(4.0, 3), (1, 2)))
+        assert isinstance(err, DenseBudgetError) and "FFT kernel tables" in str(err)
+        assert peak < 10**5
 
     @pytest.mark.parametrize("solve, live, pad", [(eigenvalues_dense, 4, 40),
                                                   (condition_estimate, 1, 96)])
